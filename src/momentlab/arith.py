@@ -165,14 +165,22 @@ def is_admissible(q: int) -> bool:
     return q % 4 != 2
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def divisor_count_sieve(limit: int):
-    """tau(n) for 1 <= n <= limit as an int64 array (index 0 unused)."""
+    """tau(n) for 1 <= n <= limit as a read-only int64 array (index 0 unused).
+
+    Divisors are counted in pairs (d, n/d) with d <= sqrt(n): every multiple
+    n >= d^2 of d gains two, and the square n = d^2 gives back the one it
+    counted twice.  Only d <= sqrt(limit) is visited.  The cache holds one
+    table per parity of the moment sweep.
+    """
     import numpy as np
 
     tau = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau[d::d] += 1
+    for d in range(1, math.isqrt(limit) + 1):
+        tau[d * d::d] += 2
+        tau[d * d] -= 1
+    tau.flags.writeable = False
     return tau
 
 

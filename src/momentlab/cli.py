@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--form", default="builtin:delta")
     pm.add_argument("--tol", type=float, default=1e-9)
     pm.add_argument("--out")
-    pm.add_argument("--jobs", type=int, default=1)
     pm.add_argument("--sweep", action="store_true")
     pm.set_defaults(func=cmd_moment)
 

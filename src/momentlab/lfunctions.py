@@ -105,11 +105,10 @@ class WeightFunction:
 
     def cutoff(self, tol: float) -> float:
         """Smallest grid x beyond which |V| stays below tol."""
-        below = np.abs(self.grid_v) < tol
-        for i in range(len(self.grid_x)):
-            if below[i:].all():
-                return float(self.grid_x[i])
-        return float(self.grid_x[-1])
+        above = np.flatnonzero(~(np.abs(self.grid_v) < tol))   # NaN counts as above
+        if above.size == 0:
+            return float(self.grid_x[0])
+        return float(self.grid_x[min(above[-1] + 1, len(self.grid_x) - 1)])
 
 
 def _contour_values(log_G, c: float, T: float, h: float):
@@ -247,6 +246,8 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
     inv_sqrt = np.zeros(X + 1)
     inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
     chi_of = chi_vals[np.arange(X + 1) % q]
+    # V(mn / q^2) depends only on k = mn <= X: Vk[k - 1] = V(k / q^2)
+    Vk = V(ns[1:] / (q * q))
 
     total = 0j
     for m in range(1, X + 1):
@@ -255,7 +256,7 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
             continue
         n_hi = X // m
         n_idx = np.arange(1, n_hi + 1)
-        weights = V(m * ns[1:n_hi + 1] / (q * q)) * inv_sqrt[1:n_hi + 1] * inv_sqrt[m]
+        weights = Vk[m - 1::m] * inv_sqrt[1:n_hi + 1] * inv_sqrt[m]
         lam_m_tau_n = form.lam[m] * tau[1:n_hi + 1]
         tau_m_lam_n = tau[m] * form.lam[1:n_hi + 1]
         inner = np.sum((lam_m_tau_n + tau_m_lam_n) * weights * np.conj(chi_of[n_idx]))

@@ -63,44 +63,43 @@ class MomentReport:
 def residue_pair_matrix(form: EigenformData, q: int, parity_a: int,
                         v_tol: float = 1e-12) -> np.ndarray:
     """F[u, v] = sum over (mn, q) = 1, m = u, n = v (mod q) of
-    (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2} V(mn / q^2)."""
+    (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2} V(mn / q^2).
+
+    The weight depends on (m, n) only through k = mn <= X, so V is evaluated
+    once on k / q^2 for every k <= X and looked up at k = mn; tau comes from
+    the pair-counting divisor sieve.
+    """
     V = triple_weight(form, parity_a)
     X = int(math.ceil(V.cutoff(v_tol) * q * q))
     if form.n_max < X:
         raise IndexError(f"residue-pair matrix needs lambda up to {X}")
-    tau = divisor_count_sieve(X).astype(np.float64)
-    lam = form.lam[:X + 1]
+    tau = divisor_count_sieve(X)
     ns = np.arange(X + 1, dtype=np.float64)
+    Vk = np.zeros(X + 1)
+    Vk[1:] = V(ns[1:] / (q * q))
     inv_sqrt = np.zeros(X + 1)
     inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
-    coprime = np.zeros(X + 1, dtype=bool)
-    for r in range(q):
-        if math.gcd(r, q) == 1:
-            coprime[r::q] = True
-    res = np.arange(X + 1) % q
+    # the integers in [1, X] prime to q, ascending, and what the sums need of them
+    c = 1 + np.flatnonzero(np.gcd(np.arange(1, X + 1), q) == 1)
+    c_res = c % q
+    c_tau = tau[c].astype(np.float64)
+    c_lam = form.lam[c]
+    c_inv = inv_sqrt[c]
 
     # T1[u, v] = sum over ordered pairs (m, n), mn <= X of lambda(m) tau(n) w;
     # each ordered pair is enumerated exactly once across the two loops
     T1 = np.zeros((q, q))
-    B = int(math.isqrt(X))
-    for m in range(1, B + 1):                    # first coordinate small
-        if not coprime[m % q]:
-            continue
-        n = np.arange(1, X // m + 1)
-        n = n[coprime[n % q]]
-        if n.size == 0:
-            continue
-        w = V(m * ns[n] / (q * q)) * (inv_sqrt[m] * inv_sqrt[n])
-        T1[m % q] += np.bincount(res[n], weights=lam[m] * tau[n] * w, minlength=q)
-    for n in range(1, B + 1):                    # first coordinate large
-        if not coprime[n % q] or X // n <= B:
-            continue
-        m = np.arange(B + 1, X // n + 1)
-        m = m[coprime[m % q]]
-        if m.size == 0:
-            continue
-        w = V(ns[m] * n / (q * q)) * (inv_sqrt[n] * inv_sqrt[m])
-        T1[:, n % q] += np.bincount(res[m], weights=lam[m] * tau[n] * w, minlength=q)
+    n_small = int(np.searchsorted(c, math.isqrt(X), side="right"))
+    ends = np.searchsorted(c, X // c[:n_small], side="right")   # c[:ends[i]] pair with c[i]
+    for i in range(n_small):                     # first coordinate small
+        j = ends[i]
+        w = Vk[c[i] * c[:j]] * (c_inv[i] * c_inv[:j])
+        T1[c_res[i]] += np.bincount(c_res[:j], weights=c_lam[i] * c_tau[:j] * w, minlength=q)
+    for i in np.flatnonzero(ends > n_small):     # first coordinate large
+        j = ends[i]
+        w = Vk[c[n_small:j] * c[i]] * (c_inv[i] * c_inv[n_small:j])
+        T1[:, c_res[i]] += np.bincount(c_res[n_small:j],
+                                       weights=c_lam[n_small:j] * c_tau[i] * w, minlength=q)
     return T1 + T1.T
 
 

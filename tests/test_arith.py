@@ -67,6 +67,21 @@ def test_sieves_match_pointwise():
         assert mu[n] == moebius(n)
 
 
+def test_divisor_sieve_counts_divisor_pairs():
+    tau = divisor_count_sieve(5000)
+    assert [int(t) for t in tau[1:]] == [divisor_count(n) for n in range(1, 5001)]
+    for limit in (0, 1, 2, 4, 9, 10_000):
+        assert len(divisor_count_sieve(limit)) == limit + 1
+
+
+def test_divisor_sieve_is_read_only():
+    # the cached table is shared by every caller
+    tau = divisor_count_sieve(100)
+    with pytest.raises(ValueError):
+        tau[12] = 0
+    assert divisor_count_sieve(100)[12] == 6
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         factorize(0)

@@ -55,3 +55,11 @@ def test_moment_deterministic(capsys, tmp_path):
     main(["moment", "--q", "7", "--tol", "1e-8", "--out", str(a)])
     main(["moment", "--q", "7", "--tol", "1e-8", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_moment_rejects_jobs_flag(capsys):
+    # the sweep runs in one process; a --jobs value would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--q", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from momentlab.lfunctions import (L_one_f, ParityVanishing, afe_triple_product,
                                   dirichlet_fe_residual, hurwitz_zeta,
                                   root_numbers, triple_weight, twist_weight,
                                   twisted_L_half, twisted_fe_residual,
-                                  weight_V, weight_V_reference, zeta_two)
+                                  WeightFunction, weight_V, weight_V_reference,
+                                  zeta_two)
 
 mpmath.mp.dps = 30
 
@@ -65,6 +66,31 @@ def test_weight_monotone_cutoffs(delta_small):
     V = triple_weight(delta_small, 1)
     assert V.cutoff(1e-9) < V.cutoff(1e-12)
     assert abs(V(2 * V.cutoff(1e-9))) < 1e-9
+
+
+def _cutoff_by_suffix_scan(grid_x, grid_v, tol):
+    """Definition of WeightFunction.cutoff: the first i with |V| < tol on all of i:."""
+    below = np.abs(grid_v) < tol
+    for i in range(len(grid_x)):
+        if below[i:].all():
+            return float(grid_x[i])
+    return float(grid_x[-1])
+
+
+def test_weight_cutoff_matches_suffix_scan(delta_small):
+    xs = np.logspace(-2, 2, 9)
+    grids = [np.full(9, 1e-15),                                   # all below
+             np.array([1.0] * 8 + [0.5]),                         # last above
+             np.array([1.0, 0.5, 1e-15, 1e-15, 0.2, 1e-15, 1e-15, 1e-15, 1e-15]),
+             np.array([1.0, 1e-15, np.nan, 1e-15, 1e-15, 1e-15, 1e-15, 1e-15, 1e-15]),
+             np.array([1e-15] * 8 + [np.nan]),                    # NaN last
+             np.array([1e-15, 1.0] + [1e-15] * 7)]
+    V = triple_weight(delta_small, 0)
+    cases = [(xs, v) for v in grids] + [(V.grid_x, V.grid_v)]
+    for grid_x, grid_v in cases:
+        w = WeightFunction("grid", None, None, grid_x, grid_v)
+        for tol in (1e-300, 1e-14, 1e-9, 0.3, 0.7, 10.0):
+            assert w.cutoff(tol) == _cutoff_by_suffix_scan(grid_x, grid_v, tol)
 
 
 def test_weight_spline_matches_reference(delta_small):

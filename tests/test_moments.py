@@ -46,6 +46,31 @@ def test_matrix_is_symmetric_and_matches_direct_sum(delta_small):
     assert F[u, v] == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("parity_a", [0, 1])
+def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
+    # q = 12: the residues prime to q are sparse and the non-coprime rows and
+    # columns must stay exactly zero
+    from momentlab.arith import divisor_count
+    from momentlab.lfunctions import triple_weight
+    q = 12
+    F = residue_pair_matrix(delta_small, q, parity_a, v_tol=1e-9)
+    V = triple_weight(delta_small, parity_a)
+    X = int(math.ceil(V.cutoff(1e-9) * q * q))
+    lam = delta_small.lam
+    direct = np.zeros((q, q))
+    for m in range(1, X + 1):
+        if math.gcd(m, q) != 1:
+            continue
+        for n in range(1, X // m + 1):
+            if math.gcd(n, q) != 1:
+                continue
+            w = V(m * n / (q * q)) / math.sqrt(m * n)
+            direct[m % q, n % q] += (lam[m] * divisor_count(n) + lam[n] * divisor_count(m)) * w
+    non_units = [u for u in range(q) if math.gcd(u, q) != 1]
+    assert np.all(F[non_units] == 0.0) and np.all(F[:, non_units] == 0.0)
+    assert np.allclose(F, direct, rtol=1e-10, atol=1e-12 * np.abs(direct).max())
+
+
 def test_brute_matches_per_character_afe(delta_small):
     # the quadratic-form evaluation equals the per-character AFE sum
     q = 5
