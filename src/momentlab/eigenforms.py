@@ -68,22 +68,49 @@ def jacobi_cube_sparse(limit: int) -> list[tuple[int, int]]:
     return out
 
 
+# The largest primes below 2^31.  A pass of the K-term sparse factor adds
+# K terms of size below 2^31 (2K - 1) to each residue, which stays inside
+# int64 while K^2 < 2^31; the prime-count check in _eta24_exact fails first.
+_CRT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+               2147483563, 2147483549, 2147483543, 2147483497)
+
+
 def _eta24_exact(limit: int) -> list[int]:
-    """Coefficients of prod (1-x^n)^24 for exponents 0..limit, exact."""
+    """Coefficients of prod (1-x^n)^24 for exponents 0..limit, exact.
+
+    The 8th power of the sparse cube series is formed modulo primes below
+    2^31 in int64 and lifted by the Chinese remainder theorem.  Every
+    coefficient is at most (sum |c|)^8 over the sparse series in absolute
+    value, and the primes are taken until their product exceeds twice that,
+    so the symmetric residue is the coefficient itself.
+    """
     sparse = jacobi_cube_sparse(limit)
-    dense = [0] * (limit + 1)
-    for e1, c1 in sparse:                      # eta^6 = (eta^3)^2
-        for e2, c2 in sparse:
-            if e1 + e2 > limit:
-                break
-            dense[e1 + e2] += c1 * c2
-    for _ in range(6):                         # six more eta^3 factors
-        nxt = [0] * (limit + 1)
+    bound = sum(abs(c) for _, c in sparse) ** 8
+    primes: list[int] = []
+    modulus = 1
+    for p in _CRT_PRIMES:
+        if modulus > 2 * bound:
+            break
+        primes.append(p)
+        modulus *= p
+    if modulus <= 2 * bound:
+        raise OverflowError(f"{len(_CRT_PRIMES)} CRT primes are too few for the "
+                            f"eta^24 coefficients up to x^{limit}")
+    p = np.array(primes, dtype=np.int64)[:, None]
+    dense = np.zeros((len(primes), limit + 1), dtype=np.int64)
+    for e, c in sparse:
+        dense[:, e] = c
+    dense %= p
+    for _ in range(7):                         # seven more eta^3 factors
+        nxt = np.zeros_like(dense)
         for e, c in sparse:
-            for i in range(limit + 1 - e):
-                nxt[i + e] += c * dense[i]
-        dense = nxt
-    return dense
+            nxt[:, e:] += c * dense[:, :limit + 1 - e]
+        dense = nxt % p
+    coeffs = np.zeros(limit + 1, dtype=object)
+    for r, q in zip(dense, primes):
+        coeffs += r.astype(object) * ((modulus // q) * pow(modulus // q, -1, q))
+    coeffs %= modulus
+    return [v - modulus if v > modulus // 2 else v for v in coeffs.tolist()]
 
 
 @lru_cache(maxsize=8)

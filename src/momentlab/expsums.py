@@ -68,33 +68,41 @@ class WeilReport:
 
 
 def weil_certify(c_max: int = 500, grid: int = 20) -> WeilReport:
-    """|S(m,n;c)| <= d(c) (m,n,c)^{1/2} c^{1/2} on a grid; violation is fatal."""
+    """|S(m,n;c)| <= d(c) (m,n,c)^{1/2} c^{1/2} on a grid; violation is fatal.
+
+    For each c all grid^2 sums come at once from a table of the c-th roots of
+    unity indexed by (m x + n xbar) mod c; cells are scanned in (c, m, n)
+    order, and the first violation, or the first cell of the largest ratio,
+    is the one reported.
+    """
     if c_max > 500:
         raise ValueError("certification capped at c <= 500")
     best = 0.0
     arg = (0, 0, 0)
     cells = 0
+    ms = np.arange(1, grid + 1)
     for c in range(1, c_max + 1):
-        x = np.arange(c) if c > 1 else np.array([0])
-        if c > 1:
+        if c == 1:
+            s = np.ones((grid, grid))
+        else:
+            x = np.arange(c)
             units = x[np.gcd(x, c) == 1]
             phi = euler_phi(c)
             inv = np.array([pow(int(t), phi - 1, c) for t in units], dtype=np.int64)
-        dc = divisor_count(c)
-        for m in range(1, grid + 1):
-            for n in range(1, grid + 1):
-                if c == 1:
-                    s = 1.0
-                else:
-                    s = float(np.sum(np.exp(2j * np.pi * ((m * units + n * inv) % c) / c)).real)
-                bound = dc * math.sqrt(math.gcd(m, math.gcd(n, c)) * c)
-                ratio = abs(s) / bound
-                cells += 1
-                if ratio > 1.0 + 1e-9:
-                    raise AssertionError(
-                        f"Weil bound violated at S({m},{n};{c}) = {s}: ratio {ratio}")
-                if ratio > best:
-                    best, arg = ratio, (m, n, c)
+            roots = np.exp(2j * np.pi * np.arange(c) / c)
+            idx = (ms[:, None, None] * units + ms[None, :, None] * inv) % c
+            s = np.sum(roots[idx], axis=-1).real
+        bound = divisor_count(c) * np.sqrt(np.gcd(ms[:, None], np.gcd(ms[None, :], c)) * c)
+        ratio = np.abs(s) / bound
+        cells += ratio.size
+        bad = ratio > 1.0 + 1e-9
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise AssertionError(f"Weil bound violated at S({i + 1},{j + 1};{c}) = "
+                                 f"{float(s[i, j])}: ratio {float(ratio[i, j])}")
+        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[i, j] > best:
+            best, arg = float(ratio[i, j]), (int(i) + 1, int(j) + 1, c)
     return WeilReport(c_max, best, arg, cells)
 
 
@@ -154,12 +162,12 @@ def shifted_conv_Aq(query: ConvolutionQuery, form: EigenformData,
     order = np.argsort(an_mod, kind="stable")
     an_mod_sorted = an_mod[order]
     starts = np.searchsorted(an_mod_sorted, np.arange(q + 1))
+    wms = W(b * np.arange(m_lo, m_hi + 1) / query.M).tolist()
     total = 0.0
-    for m in range(m_lo, m_hi + 1):
-        bm = b * m
-        wm = W(bm / query.M)
+    for m, wm in zip(range(m_lo, m_hi + 1), wms):
         if wm == 0.0:
             continue
+        bm = b * m
         lam_w = float(form.lam[m]) * wm
         for sgn in (1, -1):
             r = (sgn * bm) % q
@@ -223,6 +231,7 @@ def emn_brute(M: float, N: float, a: int, b: int, q: int, form: EigenformData,
     ns = ns[np.gcd(ns, q) == 1]
     wn = W2(ns / N) * tau[ns]
     an = a * ns
+    wms = W1(np.arange(m_lo, m_hi + 1) / M).tolist()
     total = 0.0
     for d in divisors(q):
         mu = moebius(q // d)
@@ -232,10 +241,9 @@ def emn_brute(M: float, N: float, a: int, b: int, q: int, form: EigenformData,
         order = np.argsort(an_mod, kind="stable")
         starts = np.searchsorted(an_mod[order], np.arange(d + 1))
         inner = 0.0
-        for m in range(m_lo, m_hi + 1):
+        for m, wm in zip(range(m_lo, m_hi + 1), wms):
             if math.gcd(m, q) != 1:
                 continue
-            wm = W1(m / M)
             if wm == 0.0:
                 continue
             bm = b * m

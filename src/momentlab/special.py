@@ -1,8 +1,10 @@
 """Log-gamma, Bessel J, smooth bump windows, and Hankel-type transforms.
 
-The bump windows are plateau mollifiers built from exp(-1/t) ramps; their
-derivative-bound certificates are generated symbolically (sympy) once per
-window shape and checked against finite differences in the test suite.
+The bump windows are plateau mollifiers built from exp(-1/t) ramps, evaluated
+in closed form with NumPy; their derivatives to order 6 come from a truncated
+Taylor jet of the ramp (see _ramp_jet), and the derivative-bound certificates
+are grid maxima of those jets, checked against finite differences and an
+mpmath oracle in the test suite.
 
 The transforms used by the Voronoi machinery carry the kernel
 J_plus = 2 pi i^k J_{k-1} for holomorphic forms; the i^k factor is kept as
@@ -42,37 +44,29 @@ def bessel_j(nu: float, x: float) -> float:
     return float(scipy.special.jv(nu, x))
 
 
-_RAMP_EXPR_CACHE: dict[tuple[float, float, float, float], tuple] = {}
+def _ramp_jet(t: np.ndarray, order: int) -> list[np.ndarray]:
+    """Taylor coefficients [f_0, ..., f_order] in s of r(t + s), 0 < t < 1.
 
-
-def _window_derivative_lambdas(lo: float, p1: float, p2: float, hi: float):
-    """Sympy-lambdified (W, W', ..., W^(6)) per ramp: (left_funcs, right_funcs).
-
-    Each ramp formula is valid only inside its own transition zone; the other
-    factor is identically 1 there, so the two zones get separate expressions.
+    The ramp is r = sigma(u) with sigma(u) = 1 / (1 + e^-u) and
+    u(t) = 1/(1-t) - 1/t, whose coefficients are
+    u_k = (1-t)^-(k+1) - (-1)^k t^-(k+1).  From sigma' = sigma (1 - sigma),
+    (k+1) f_{k+1} = sum_{i<=k} g_i (k-i+1) u_{k-i+1} with g = f h, h = 1 - f.
+    h_0 = sigma(-u_0) is taken directly, not as 1 - f_0, so the jet keeps
+    its digits next to the plateau.  Where g_i underflows to 0 the product
+    with a huge u_k is 0, not 0 * inf.
     """
-    key = (lo, p1, p2, hi)
-    if key in _RAMP_EXPR_CACHE:
-        return _RAMP_EXPR_CACHE[key]
-    import sympy as sp
-
-    x = sp.Symbol("x")
-
-    def ramp(t):
-        e1 = sp.exp(-1 / t)
-        e2 = sp.exp(-1 / (1 - t))
-        return e1 / (e1 + e2)
-
-    sides = []
-    for expr in (ramp((x - lo) / (p1 - lo)), ramp((hi - x) / (hi - p2))):
-        funcs = []
-        d = expr
-        for _ in range(7):
-            funcs.append(sp.lambdify(x, d, modules="numpy"))
-            d = sp.diff(d, x)
-        sides.append(tuple(funcs))
-    _RAMP_EXPR_CACHE[key] = tuple(sides)
-    return _RAMP_EXPR_CACHE[key]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = [(1.0 - t) ** -(k + 1) - (-1) ** k * t ** -(k + 1) for k in range(order + 1)]
+        f = [1.0 / (1.0 + np.exp(-u[0]))]
+        h = [1.0 / (1.0 + np.exp(u[0]))]
+        g: list[np.ndarray] = []
+        for k in range(order):
+            g.append(sum(f[a] * h[k - a] for a in range(k + 1)))
+            terms = (np.where(g[i] == 0.0, 0.0, g[i] * ((k - i + 1) * u[k - i + 1]))
+                     for i in range(k + 1))
+            f.append(sum(terms) / (k + 1))
+            h.append(-f[-1])
+    return f
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,8 @@ class BumpFunction:
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
-        inner = (x > self.lo) & (x < self.hi)
-        flat = (x >= self.p1) & (x <= self.p2)
-        out[flat] = 1.0
-        left = inner & (x < self.p1)
-        right = inner & (x > self.p2)
-        lf, rf = _window_derivative_lambdas(self.lo, self.p1, self.p2, self.hi)
-        if np.any(left):
-            out[left] = lf[0](x[left])
-        if np.any(right):
-            out[right] = rf[0](x[right])
+        out[(x >= self.p1) & (x <= self.p2)] = 1.0
+        self._fill_ramps(0, x, out)
         return out if out.shape else float(out)
 
     def derivative(self, j: int, x):
@@ -108,14 +94,22 @@ class BumpFunction:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         # ramps only: derivative vanishes on the plateau and outside support
+        self._fill_ramps(j, x, out)
+        return out if out.shape else float(out)
+
+    def _fill_ramps(self, j: int, x: np.ndarray, out: np.ndarray) -> None:
+        """out = W^(j)(x) on the open ramps (lo, p1) and (p2, hi).
+
+        The left ramp is r(t), t = (x - lo)/(p1 - lo); the right one is
+        r(t), t = (hi - x)/(hi - p2), so W^(j) = j! f_j(t) (dt/dx)^j.
+        """
         left = (x > self.lo) & (x < self.p1)
         right = (x > self.p2) & (x < self.hi)
-        lf, rf = _window_derivative_lambdas(self.lo, self.p1, self.p2, self.hi)
-        if np.any(left):
-            out[left] = lf[j](x[left])
-        if np.any(right):
-            out[right] = rf[j](x[right])
-        return out if out.shape else float(out)
+        for mask, t, slope in (
+                (left, (x[left] - self.lo) / (self.p1 - self.lo), 1.0 / (self.p1 - self.lo)),
+                (right, (self.hi - x[right]) / (self.hi - self.p2), -1.0 / (self.hi - self.p2))):
+            if t.size:
+                out[mask] = math.factorial(j) * _ramp_jet(t, j)[j] * slope**j
 
     @property
     def derivative_bounds(self) -> tuple[float, ...]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from momentlab import eigenforms
 from momentlab.arith import divisor_count
 from momentlab.eigenforms import (CoefficientError, coprime_removal_exact_delta,
                                   coprime_removal_exact_tau, delta_coefficients,
@@ -15,6 +16,34 @@ def test_first_tau_values():
     tau = ramanujan_tau_exact(12)
     assert tau[:7] == (1, -24, 252, -1472, 4830, -6048, -16744)
     assert tau[11] == -370944     # tau(12) = tau(3) tau(4)
+
+
+def _tau_bigint(n_max):
+    """tau(1..n_max) by big-integer convolution of eight sparse cube series."""
+    sparse = eigenforms.jacobi_cube_sparse(n_max - 1)
+    dense = [1] + [0] * (n_max - 1)
+    for _ in range(8):
+        nxt = [0] * n_max
+        for e, c in sparse:
+            for i in range(n_max - e):
+                nxt[i + e] += c * dense[i]
+        dense = nxt
+    return tuple(dense)
+
+
+def test_tau_crt_matches_bigint_convolution():
+    ref = _tau_bigint(3000)
+    for n_max in (1, 2, 3000):
+        tau = ramanujan_tau_exact(n_max)
+        assert tau == ref[:n_max]
+        assert all(type(t) is int for t in tau)
+
+
+def test_tau_crt_rejects_too_few_primes(monkeypatch):
+    # 10^4 needs four primes below 2^31; three cannot hold every coefficient
+    monkeypatch.setattr(eigenforms, "_CRT_PRIMES", eigenforms._CRT_PRIMES[:3])
+    with pytest.raises(OverflowError, match="too few"):
+        eigenforms._eta24_exact(10**4 - 1)
 
 
 def test_tau_congruence_mod_691():

@@ -1,9 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
+from momentlab import expsums
+from momentlab.arith import divisor_count
 from momentlab.expsums import (ConvolutionQuery, aq_vanishing_certificate,
                                bilinear_incomplete, emn_brute, kloosterman,
                                kloosterman_cusp, shifted_conv_Aq, thmAq_bound,
@@ -66,6 +69,51 @@ def test_cusp_sum_modulus_invariance():
     assert abs(val) == pytest.approx(abs(kloosterman((2 * vbar) % 20, 3, 20)), abs=1e-10)
     with pytest.raises(ValueError):
         kloosterman_cusp(1, 1, 7, 7, 2)
+
+
+def _weil_loop(c_max, grid, dc):
+    """Cell-by-cell Weil scan in (c, m, n) order with d(c) replaced by dc(c):
+    ("violation", (m, n, c)) at the first violation, else
+    (max_ratio, argmax, cells) with a strict > update."""
+    best, arg, cells = 0.0, (0, 0, 0), 0
+    for c in range(1, c_max + 1):
+        x = np.arange(c)
+        units = x[np.gcd(x, c) == 1]
+        inv = np.array([pow(int(t), -1, c) for t in units], dtype=np.int64)
+        for m in range(1, grid + 1):
+            for n in range(1, grid + 1):
+                s = 1.0 if c == 1 else float(
+                    np.sum(np.exp(2j * np.pi * ((m * units + n * inv) % c) / c)).real)
+                ratio = abs(s) / (dc(c) * math.sqrt(math.gcd(m, math.gcd(n, c)) * c))
+                cells += 1
+                if ratio > 1.0 + 1e-9:
+                    return "violation", (m, n, c)
+                if ratio > best:
+                    best, arg = ratio, (m, n, c)
+    return best, arg, cells
+
+
+@pytest.mark.parametrize("c1_bound", [1, 10])
+def test_weil_certify_matches_loop_definition(monkeypatch, c1_bound):
+    # with d(1) inflated to 10 the maximum moves off the trivial cell c = 1
+    def dc(c):
+        return c1_bound if c == 1 else divisor_count(c)
+
+    monkeypatch.setattr(expsums, "divisor_count", dc)
+    rep = weil_certify(c_max=60, grid=8)
+    assert (rep.max_ratio, rep.argmax, rep.cells) == _weil_loop(60, 8, dc)
+    assert (rep.argmax[2] == 1) == (c1_bound == 1)
+
+
+def test_weil_certify_reports_first_violation(monkeypatch):
+    def dc(c):
+        return 0.25 if c == 7 else divisor_count(c)
+
+    kind, (m, n, c) = _weil_loop(60, 8, dc)
+    assert kind == "violation" and c == 7
+    monkeypatch.setattr(expsums, "divisor_count", dc)
+    with pytest.raises(AssertionError, match=re.escape(f"S({m},{n};{c})")):
+        weil_certify(c_max=60, grid=8)
 
 
 def test_weil_certify_small():

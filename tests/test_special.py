@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentlab
 from momentlab.eigenforms import delta_coefficients
 from momentlab.special import (BumpFunction, HolomorphicKernel, MaassKernel,
                                UnsupportedKernel, bessel_j, fourier_hat,
@@ -64,6 +70,44 @@ def test_window_derivative_bounds_certify_grid():
         assert np.max(np.abs(w.derivative(j, grid))) <= bounds[j] + 1e-9
     with pytest.raises(ValueError):
         w.derivative(7, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(0.5, 1.0, 2.0, 3.0), (20.0, 25.0, 35.0, 40.0)])
+def test_window_derivatives_match_mpmath(shape):
+    """W^(j), j <= 6, against 50-digit numerical differentiation of the ramp
+    at 12 points inside each ramp, relative to the certified bound B_j."""
+    lo, p1, p2, hi = shape
+    w = BumpFunction(*shape)
+    bounds = w.derivative_bounds
+
+    def ramp(x):
+        t = (x - lo) / (p1 - lo) if x < p1 else (hi - x) / (hi - p2)
+        return 1 / (1 + mpmath.exp(1 / t - 1 / (1 - t)))
+
+    xs = np.concatenate([np.linspace(lo, p1, 14)[1:-1], np.linspace(p2, hi, 14)[1:-1]])
+    with mpmath.workdps(50):
+        for x in xs:
+            exact = [float(d) for d in mpmath.diffs(ramp, mpmath.mpf(float(x)), 6)]
+            for j in range(7):
+                assert abs(w.derivative(j, x) - exact[j]) <= 1e-14 * bounds[j]
+
+
+def test_windows_do_not_import_sympy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import momentlab.expsums, momentlab.voronoi\n"
+            "from momentlab.special import interval_bump, standard_window\n"
+            "for w in (standard_window(), interval_bump(20.0)):\n"
+            "    w(np.linspace(0.0, 50.0, 101))\n"
+            "    [w.derivative(j, np.linspace(0.0, 50.0, 101)) for j in range(7)]\n"
+            "    w.derivative_bounds\n"
+            "print('sympy' in sys.modules)\n")
+    src = str(Path(momentlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_interval_bump_support():
