@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -167,16 +168,30 @@ def delta_coefficients(n_max: int, exact_limit: int | None = None) -> EigenformD
 
 @lru_cache(maxsize=4)
 def _delta_lambda_cached(n_max: int) -> np.ndarray:
+    """lambda(0..n_max) of Delta, read-only: the cache hands the same array
+    to every EigenformData.  delta_lambda.npy is written to a temporary file
+    in the cache directory and moved into place, so no reader sees a
+    partial table."""
     cache = _cache_dir() / "delta_lambda.npy"
+    lam = None
     if cache.exists():
         stored = np.load(cache)
         if len(stored) >= n_max + 1:
-            return stored[:n_max + 1]
-    eta = _eta24_float(n_max - 1)
-    ns = np.arange(n_max + 1, dtype=np.float64)
-    lam = np.zeros(n_max + 1)
-    lam[1:] = eta[:n_max] / ns[1:] ** 5.5
-    np.save(cache, lam)
+            lam = stored[:n_max + 1]
+    if lam is None:
+        eta = _eta24_float(n_max - 1)
+        ns = np.arange(n_max + 1, dtype=np.float64)
+        lam = np.zeros(n_max + 1)
+        lam[1:] = eta[:n_max] / ns[1:] ** 5.5
+        fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=".delta_lambda.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, lam)
+            os.replace(tmp, cache)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    lam.flags.writeable = False
     return lam
 
 

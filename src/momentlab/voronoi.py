@@ -10,7 +10,10 @@ opposite sign leaves an O(1) residual).  PHASE_SIGN records it.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.special
@@ -61,13 +64,26 @@ def voronoi_lhs(case: VoronoiCase) -> complex:
 
 
 _GL_ORDER = 80
+_MIN_PANELS = 4            # resolves the bump window itself, whatever X is
+_BLOCK_ELEMENTS = 2**20    # rows x nodes of one Bessel block: 8 MB of float64
 
 
-def _composite_nodes(lo: float, hi: float, cycles: float):
-    """Composite Gauss-Legendre nodes/weights: 80-point panels, each panel
-    covering at most 20 oscillation cycles (4 nodes per cycle)."""
-    n_panels = max(1, int(math.ceil(cycles / 20.0)))
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 80-point Gauss-Legendre rule on [-1, 1], read-only.  Built on first
+    use, not at import: its eigenvalue solve costs 3 ms and pulls about 1 MB
+    of LAPACK into memory, which a run that never reaches Voronoi skips."""
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _composite_nodes(lo: float, hi: float, n_panels: int):
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: n_panels panels of
+    80 points each.  hankel_grid asks for 4 nodes per oscillation cycle (20
+    cycles per panel) and never fewer than 4 panels; every interval_bump(X)
+    is one shape rescaled, so that floor resolves the window at every X."""
+    x, w = _gauss_legendre()
     edges = np.linspace(lo, hi, n_panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
@@ -76,30 +92,59 @@ def _composite_nodes(lo: float, hi: float, cycles: float):
     return xs, ws
 
 
+def _bessel_block(order: int, ys: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """sum_j J_order(4 pi sqrt(y x_j)) w_j for each y.  Runs on worker
+    threads, so it calls only NumPy and SciPy, nothing of this package.
+    einsum sums each row the same way whatever the block (a BLAS
+    matrix-vector product does not), so a value does not depend on which
+    other y share its block."""
+    mat = scipy.special.jv(order, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
+    return np.einsum("ij,j->i", mat, ws)
+
+
 def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     """Dual-side transform of the window at a vector of arguments:
     2 pi i^k integral V(x) J_{k-1}(4 pi sqrt(x y)) dx, by composite
-    Gauss-Legendre scaled to the oscillation 2 sqrt(2 X y) cycles."""
-    ys = np.asarray(ys, dtype=np.float64)
+    Gauss-Legendre sized for each y on its own: the kernel makes
+    2 sqrt(hi y) cycles on the window's support [lo, hi], resolved by
+    max(4, ceil(2 sqrt(hi y) / 20)) panels of 80 nodes.
+
+    The y that need the same panel count share one node set and are
+    evaluated in row blocks of at most 2^20 matrix elements on a thread
+    pool with one worker per usable core.  Each value depends only on its
+    own y, and no block matrix is larger than 8 MB.  Nodes and window
+    weights are computed on the calling thread."""
+    ys = np.asarray(ys, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(ys) & (ys >= 0.0)):
+        raise ValueError("hankel_grid needs finite y >= 0")
     k = int(case.form.weight)
     lo, hi = case.window.support
-    cycles = 2.0 * math.sqrt(hi * float(np.max(ys, initial=0.0)))
-    xs, ws = _composite_nodes(lo, hi, cycles)
-    ws = ws * case.window(xs)
-    arg = 4.0 * math.pi * np.sqrt(np.outer(ys, xs))
-    mat = scipy.special.jv(k - 1, arg)
-    return (1j ** (k % 4)) * 2.0 * math.pi * (mat @ ws)
+    panels = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.sqrt(hi * ys) / 20.0)).astype(np.int64)
+    out = np.empty(len(ys))
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        blocks = []
+        for n_panels in np.unique(panels):
+            rows = np.flatnonzero(panels == n_panels)
+            xs, ws = _composite_nodes(lo, hi, int(n_panels))
+            ws = ws * case.window(xs)
+            step = max(1, _BLOCK_ELEMENTS // len(xs))
+            for i in range(0, len(rows), step):
+                idx = rows[i:i + step]
+                blocks.append((idx, pool.submit(_bessel_block, k - 1, ys[idx], xs, ws)))
+        for idx, block in blocks:
+            out[idx] = block.result()
+    return (1j ** (k % 4)) * 2.0 * math.pi * out
 
 
 def dual_cutoff(case: VoronoiCase) -> float:
     """y beyond which the transform envelope stays below tail_tol."""
     ys = np.logspace(-6, 6, 300) / case.X
-    vals = np.abs(hankel_grid(case, ys))
-    below = vals < case.tail_tol
-    for i in range(len(ys)):
-        if below[i:].all():
-            return float(ys[i])
-    raise ArithmeticError("transform decay certificate failed: no cutoff found")
+    above = np.flatnonzero(~(np.abs(hankel_grid(case, ys)) < case.tail_tol))  # NaN counts as above
+    if above.size == 0:
+        return float(ys[0])
+    if above[-1] == len(ys) - 1:
+        raise ArithmeticError("transform decay certificate failed: no cutoff found")
+    return float(ys[above[-1] + 1])
 
 
 class _DualSpline:

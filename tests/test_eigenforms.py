@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -58,6 +59,44 @@ def test_float_table_matches_exact(delta_small):
     tau = ramanujan_tau_exact(2000)
     for n in (1, 2, 100, 1999):
         assert delta_small.lam[n] == pytest.approx(tau[n - 1] / n**5.5, rel=1e-12)
+
+
+
+def test_delta_cache_write_is_atomic(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__      # bypass the lru_cache
+    real_save = np.save
+
+    def torn_save(file, arr, *args, **kwargs):             # dies halfway through
+        buf = io.BytesIO()
+        real_save(buf, arr, *args, **kwargs)
+        part = buf.getvalue()[:buf.tell() // 2]
+        if hasattr(file, "write"):
+            file.write(part)
+        else:
+            with open(file, "wb") as fh:
+                fh.write(part)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", torn_save)
+    with pytest.raises(OSError, match="disk full"):
+        build(500)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(np, "save", real_save)
+    fresh = build(500)
+    assert [p.name for p in tmp_path.iterdir()] == ["delta_lambda.npy"]
+    loaded = build(400)                                      # read back from the file
+    assert np.array_equal(loaded, fresh[:401])
+    assert loaded[2] == pytest.approx(-24 / 2**5.5, rel=1e-14)
+
+
+def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    for lam in (delta_small.lam, build(300), build(200)):      # cached, built, loaded
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lam[1] = 0.0
 
 
 def test_hecke_exact_small():

@@ -1,10 +1,53 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 
-from momentlab.voronoi import (PHASE_SIGN, VoronoiCase, dual_cutoff,
-                               tail_certificate, voronoi_check, voronoi_lhs,
-                               voronoi_rhs)
+from momentlab import voronoi
+from momentlab.voronoi import (PHASE_SIGN, VoronoiCase, _composite_nodes,
+                               dual_cutoff, hankel_grid, tail_certificate,
+                               voronoi_check, voronoi_lhs, voronoi_rhs)
+
+
+def _hankel_single_batch(case, ys):
+    """The earlier hankel_grid, kept as the reference: one dense Bessel
+    matrix whose node count is set by the largest y of the batch, with no
+    panel floor."""
+    ys = np.asarray(ys, dtype=np.float64)
+    k = int(case.form.weight)
+    lo, hi = case.window.support
+    cycles = 2.0 * math.sqrt(hi * float(np.max(ys, initial=0.0)))
+    xs, ws = _composite_nodes(lo, hi, max(1, int(math.ceil(cycles / 20.0))))
+    ws = ws * case.window(xs)
+    mat = scipy.special.jv(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
+    return (1j ** (k % 4)) * 2.0 * math.pi * (mat @ ws)
+
+
+def _cutoff_by_suffix_scan(ys, vals, tol):
+    """The earlier dual_cutoff scan, kept as the reference."""
+    below = vals < tol
+    for i in range(len(ys)):
+        if below[i:].all():
+            return float(ys[i])
+    raise ArithmeticError("transform decay certificate failed: no cutoff found")
+
+
+def _cutoff_grid(X):
+    return np.logspace(-6, 6, 300) / X
+
+
+@pytest.fixture(scope="module")
+def reference_scan(delta_large):
+    """X -> (case, reference transform on the dual_cutoff grid), built once per X."""
+    scans = {}
+
+    def scan(X):
+        if X not in scans:
+            case = VoronoiCase(1, 1, 1, X, delta_large)
+            scans[X] = case, _hankel_single_batch(case, _cutoff_grid(X))
+        return scans[X]
+    return scan
 
 
 def test_case_validation(delta_large):
@@ -34,6 +77,76 @@ def test_truncation_doubling_within_certificate(delta_large):
     r1 = voronoi_rhs(case)
     r2 = voronoi_rhs(case, truncation_factor=2.0)
     assert abs(r1 - r2) <= tail_certificate(case)
+
+
+@pytest.mark.parametrize("X", [10.0, 40.0])
+def test_hankel_grid_matches_single_batch(reference_scan, X):
+    case, ref = reference_scan(X)
+    assert np.max(np.abs(hankel_grid(case, _cutoff_grid(X)) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # every 50th point of the u = sqrt(y) grid that _DualSpline builds on
+    _, hi = case.window.support
+    u_max = math.sqrt(dual_cutoff(case))
+    step = 0.1 / (4.0 * math.pi * math.sqrt(hi))
+    us = np.linspace(0.0, u_max, int(u_max / step) + 8)[::50]
+    ref = _hankel_single_batch(case, us**2)
+    assert np.max(np.abs(hankel_grid(case, us**2) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("X", [10.0, 16.0, 20.0, 24.0, 40.0])
+def test_dual_cutoff_matches_single_batch(reference_scan, X):
+    case, ref = reference_scan(X)
+    assert dual_cutoff(case) == _cutoff_by_suffix_scan(_cutoff_grid(X), np.abs(ref), case.tail_tol)
+
+
+def test_dual_cutoff_matches_suffix_scan(reference_scan, monkeypatch):
+    case, real = reference_scan(10.0)
+    ys = _cutoff_grid(10.0)
+    tiny, big = 0.1 * case.tail_tol, 10.0 * case.tail_tol
+    grids = [np.full(300, tiny),                                  # all below
+             np.r_[np.full(299, tiny), big],                      # last above
+             np.r_[np.full(150, big), np.full(150, tiny)],
+             np.r_[big, np.full(100, tiny), big, np.full(198, tiny)],
+             np.r_[np.full(10, tiny), np.nan, np.full(289, tiny)],  # NaN inside
+             np.r_[np.full(299, tiny), np.nan],                   # NaN last
+             np.abs(real)]
+    for vals in grids:
+        monkeypatch.setattr(voronoi, "hankel_grid", lambda case, ys, vals=vals: vals)
+        try:
+            expected = _cutoff_by_suffix_scan(ys, vals, case.tail_tol)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="no cutoff"):
+                dual_cutoff(case)
+        else:
+            assert dual_cutoff(case) == expected
+
+
+def test_hankel_grid_is_batch_invariant(delta_large):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    ys = np.r_[np.logspace(-6, 6, 60) / 20.0, np.linspace(0.0, 600.0, 40)]
+    batch = hankel_grid(case, ys)
+    for i in range(len(ys)):
+        assert batch[i] == hankel_grid(case, ys[i:i + 1])[0]
+
+
+@pytest.mark.parametrize("X", [10.0, 40.0])
+def test_hankel_grid_resolves_window_at_small_y(delta_large, X):
+    # at small y the kernel hardly oscillates and the bump window alone
+    # sets the node count: one 80-point panel misses it by about 1e-7
+    case = VoronoiCase(1, 1, 1, X, delta_large)
+    ys = np.array([0.0, 1e-6, 1e-3, 0.01, 0.1, 1.0]) / X
+    lo, hi = case.window.support
+    xs, ws = _composite_nodes(lo, hi, 64)
+    ws = ws * case.window(xs)
+    mat = scipy.special.jv(11, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
+    ref = (1j ** 12) * 2.0 * math.pi * (mat @ ws)
+    assert np.max(np.abs(hankel_grid(case, ys) - ref)) <= 1e-13
+
+
+def test_hankel_grid_rejects_negative_y(delta_large):
+    case = VoronoiCase(1, 1, 1, 10.0, delta_large)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="y >= 0"):
+            hankel_grid(case, np.array([1.0, bad]))
 
 
 def test_dual_cutoff_scales_inversely_with_X(delta_large):
