@@ -183,18 +183,3 @@ def divisor_count_sieve(limit: int):
     tau.flags.writeable = False
     return tau
 
-
-@lru_cache(maxsize=64)
-def moebius_sieve(limit: int):
-    """mu(n) for 1 <= n <= limit (index 0 unused)."""
-    import numpy as np
-
-    mu = np.ones(limit + 1, dtype=np.int64)
-    primes_mask = np.ones(limit + 1, dtype=bool)
-    primes_mask[:2] = False
-    for p in range(2, limit + 1):
-        if primes_mask[p]:
-            primes_mask[2 * p::p] = False
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-    return mu

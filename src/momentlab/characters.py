@@ -169,6 +169,9 @@ def build_group(q: int) -> CharacterGroup:
         conductor[i] = _conductor(q, units, exponents[i])
     is_primitive = conductor == q
     assert int(is_primitive.sum()) == phi_star(q)
+    # the lru_cache hands these tables to every caller
+    for arr in (exponents, values, parity, conductor, is_primitive):
+        arr.flags.writeable = False
 
     return CharacterGroup(q, tuple(comps), group_exp, exponents, values,
                           parity, conductor, is_primitive)

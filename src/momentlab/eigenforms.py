@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import divisor_count, divisors, factorize, moebius
+from .arith import divisor_count, divisor_count_sieve, divisors, factorize, moebius
 
 _EXACT_LIMIT_DEFAULT = 10**4
 _FLOAT_MEMORY_CAP = 2**26  # entries; ~0.5 GB of float64 is the desk budget
@@ -375,26 +375,33 @@ def varpi_table(form: EigenformData, q: int) -> VarpiTable:
     return VarpiTable(q, entries)
 
 
-def coprime_removal_residual(form: EigenformData, q: int, F: dict[int, float],
-                             use_tau: bool = False) -> float:
-    """|sum_{(n,q)=1} lambda(n) F(n) - sum_delta varpi(delta,q) sum_n lambda(n) F(delta n)|."""
-    support = max(F) if F else 1
-    if support > 10**4:
-        raise ValueError("test-function support exceeds the desk budget")
-    table = varpi_table(form, q)
+def _coprime_removal_defect(c: np.ndarray, q: int, weight: int) -> int:
+    """Sum over 1 <= m < len(c) of the absolute defect
+        | sum_{k l^2 | m, kl | q} mu(l) mu(kl) l^weight c(k) c(m / (k l^2))
+          - [gcd(m, q) = 1] c(m) |,
+    for a coefficient vector c with c[0] unused.
 
-    def coeff(n):
-        return divisor_count(n) if use_tau else form.lam_at(n)
+    The left side is a Dirichlet convolution, so each admissible (k, l) adds
+    mu(l) mu(kl) l^weight c(k) c(j) at m = k l^2 j for every j at once.
+    """
+    m_max = len(c) - 1
+    total = np.zeros_like(c)
+    for kl in divisors(q):
+        for l in divisors(kl):
+            k = kl // l
+            kl2 = k * l * l
+            coef = moebius(l) * moebius(kl)
+            if coef != 0 and kl2 <= m_max:
+                total[kl2::kl2] += coef * l**weight * c[k] * c[1:m_max // kl2 + 1]
+    expected = np.where(np.gcd(np.arange(m_max + 1), q) == 1, c, 0)
+    return int(np.abs(total[1:] - expected[1:]).sum())
 
-    lhs = sum(coeff(n) * w for n, w in F.items() if math.gcd(n, q) == 1)
-    rhs = 0.0
-    for delta, wl, wt in table.entries:
-        weight = wt if use_tau else wl
-        if weight == 0.0:
-            continue
-        rhs += weight * sum(coeff(n) * F[delta * n] for n in range(1, support // delta + 1)
-                            if delta * n in F)
-    return abs(lhs - rhs)
+
+def _check_coprime_removal_args(q: int, m_max: int) -> None:
+    if q < 1:
+        raise ValueError(f"modulus q must be >= 1, got q={q}")
+    if m_max < 0:
+        raise ValueError(f"support m_max must be >= 0, got m_max={m_max}")
 
 
 def coprime_removal_exact_delta(q: int, m_max: int) -> int:
@@ -403,35 +410,27 @@ def coprime_removal_exact_delta(q: int, m_max: int) -> int:
     Checks, coefficient by coefficient for every m <= m_max, that
         sum_{k l^2 | m, kl | q} mu(l) mu(kl) l^11 tau(k) tau(m / (k l^2))
     equals [gcd(m,q)=1] * tau(m); this is the identity with the n^{11/2}
-    normalization cleared, so it is exact in big-integer arithmetic.
+    normalization cleared.  The left side is the Dirichlet convolution of
+    tau with the cleared varpi coefficients, mu(l) mu(kl) l^11 tau(k) placed
+    at k l^2, so it is accumulated one (k, l) pair at a time over the whole
+    vector tau(1..m_max).  The vector is a big-integer object array: the products
+    l^11 tau(k) tau(m / (k l^2)) reach about 31^11 tau^2 at m_max = 1000,
+    far beyond int64, and every operation on Python integers is exact.
     Returns the sum of absolute coefficient defects (0 iff the identity holds).
     """
-    tau = (0,) + ramanujan_tau_exact(m_max)
-    defect = 0
-    kl_pairs = [(kl // l, l) for kl in divisors(q) for l in divisors(kl)
-                if moebius(l) * moebius(kl // l * l) != 0]
-    for m in range(1, m_max + 1):
-        total = 0
-        for k, l in kl_pairs:
-            kl2 = k * l * l
-            if m % kl2 == 0:
-                total += moebius(l) * moebius(k * l) * l**11 * tau[k] * tau[m // kl2]
-        expected = tau[m] if math.gcd(m, q) == 1 else 0
-        defect += abs(total - expected)
-    return defect
+    _check_coprime_removal_args(q, m_max)
+    tau = np.array((0,) + ramanujan_tau_exact(m_max), dtype=object)
+    return _coprime_removal_defect(tau, q, weight=11)
 
 
 def coprime_removal_exact_tau(q: int, m_max: int) -> int:
-    """Same exact identity with the divisor function in place of lambda."""
-    defect = 0
-    kl_pairs = [(kl // l, l) for kl in divisors(q) for l in divisors(kl)
-                if moebius(l) * moebius(kl // l * l) != 0]
-    for m in range(1, m_max + 1):
-        total = 0
-        for k, l in kl_pairs:
-            kl2 = k * l * l
-            if m % kl2 == 0:
-                total += moebius(l) * moebius(k * l) * divisor_count(k) * divisor_count(m // kl2)
-        expected = divisor_count(m) if math.gcd(m, q) == 1 else 0
-        defect += abs(total - expected)
-    return defect
+    """Same exact identity with the divisor function d(n) in place of tau(n).
+
+    The weight l^11 becomes l^0 = 1, and the convolution is accumulated over
+    the int64 vector d(1..m_max) of `divisor_count_sieve`.  Since
+    d(n) <= 2 sqrt(n), each term d(k) d(m / (k l^2)) is at most 4 sqrt(m),
+    so int64 holds every partial sum exactly.
+    Returns the sum of absolute coefficient defects (0 iff the identity holds).
+    """
+    _check_coprime_removal_args(q, m_max)
+    return _coprime_removal_defect(divisor_count_sieve(m_max), q, weight=0)

@@ -50,6 +50,15 @@ def test_conductor_and_primitivity_mod_12():
     assert int(g.is_primitive.sum()) == 1
 
 
+def test_character_tables_are_read_only():
+    # build_group is cached: one caller's edit would reach every later caller
+    g = build_group(12)
+    for arr in (g.exponents, g.values, g.parity, g.conductor, g.is_primitive):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    assert sorted(int(c) for c in build_group(12).conductor) == [1, 3, 4, 12]
+
+
 def test_mod5_character_table():
     g = build_group(5)
     quad = [i for i in g.primitive_indices(parity=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momentlab import eigenforms
-from momentlab.arith import divisor_count
+from momentlab.arith import divisor_count, divisor_count_sieve, divisors, moebius
 from momentlab.eigenforms import (CoefficientError, coprime_removal_exact_delta,
                                   coprime_removal_exact_tau, delta_coefficients,
                                   extend_by_hecke, hecke_violations,
@@ -120,10 +120,55 @@ def test_varpi_values(delta_small):
     assert set(t) == {1, 2, 3, 4, 6, 9, 12, 18, 36}
 
 
-@pytest.mark.parametrize("q", [2, 6, 12, 30])
+@pytest.mark.parametrize("q", [2, 3, 6, 12, 30])
 def test_coprime_removal_exact(q):
     assert coprime_removal_exact_delta(q, 300) == 0
     assert coprime_removal_exact_tau(q, 300) == 0
+
+
+def _coprime_removal_loop(c, q, weight):
+    """The identity checked one m at a time: sum over m <= len(c) - 1 of
+    |sum_{kl^2 | m, kl | q} mu(l) mu(kl) l^weight c(k) c(m/kl^2) - [(m,q)=1] c(m)|."""
+    c = [int(v) for v in c]
+    kl_pairs = [(kl // l, l) for kl in divisors(q) for l in divisors(kl)
+                if moebius(l) * moebius(kl) != 0]
+    defect = 0
+    for m in range(1, len(c)):
+        total = 0
+        for k, l in kl_pairs:
+            kl2 = k * l * l
+            if m % kl2 == 0:
+                total += moebius(l) * moebius(k * l) * l**weight * c[k] * c[m // kl2]
+        expected = c[m] if math.gcd(m, q) == 1 else 0
+        defect += abs(total - expected)
+    return defect
+
+
+@pytest.mark.parametrize("q", [2, 3, 6, 12, 30])
+def test_coprime_removal_catches_wrong_coefficients(q):
+    # a change to c(n) moves the defect at m = pn for a prime p | q, through
+    # the (k, l) = (p, 1) term; every n below has pn <= 300 at every q here.
+    # A prime n coprime to q with pn > m_max for every p | q (151 here, 997 at
+    # m_max = 1000) enters both sides alike and is not caught.
+    vectors = ((np.array((0,) + ramanujan_tau_exact(300), dtype=object), 11),
+               (divisor_count_sieve(300), 0))
+    for c, weight in vectors:
+        for n in (1, 2, 4, 25, 97):
+            wrong = c.copy()
+            wrong[n] += 1
+            defect = eigenforms._coprime_removal_defect(wrong, q, weight)
+            assert type(defect) is int
+            assert defect == _coprime_removal_loop(wrong, q, weight) > 0
+
+
+@pytest.mark.parametrize("check", [coprime_removal_exact_delta, coprime_removal_exact_tau])
+def test_coprime_removal_rejects_bad_arguments(check):
+    with pytest.raises(ValueError, match="m_max=-5"):
+        check(6, -5)
+    for q in (0, -3):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            check(q, 10)
+    assert check(6, 0) == 0
 
 
 def test_ingest_roundtrip(tmp_path, delta_small):
