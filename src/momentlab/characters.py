@@ -10,10 +10,9 @@ are -1 and 5), lexicographic with the first component most significant.
 from __future__ import annotations
 
 import math
-import struct
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +60,11 @@ class CharacterGroup:
     @property
     def n_chars(self) -> int:
         return self.exponents.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.exponents, self.values, self.parity,
+                                      self.conductor, self.is_primitive))
 
     def chi(self, index: int, x: int) -> complex:
         return self.values[index, x % self.modulus]
@@ -131,9 +135,44 @@ def _crt_lift(res: int, pe: int, rest: int, q: int) -> int:
     return (res + pe * ((1 - res) * inv % rest)) % q
 
 
-@lru_cache(maxsize=256)
+# build_group keeps the groups it built while their tables take at most this
+# many bytes in all, dropping the least recently used first.  A group mod q
+# takes about 24 q phi(q) bytes: 1.9 MB at q = 284, 24 MB at q = 1000.
+_GROUP_CACHE_BYTES = 64 * 2**20
+_GROUPS: OrderedDict[int, CharacterGroup] = OrderedDict()
+_GROUP_STATS = {"hits": 0, "misses": 0}
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
+
+
 def build_group(q: int) -> CharacterGroup:
-    """Construct the complete character table mod q (deterministic indexing)."""
+    """The complete character table mod q (deterministic indexing).
+
+    Groups are cached and shared, so their arrays are read-only.  The cache
+    is bounded by the bytes of the tables it holds (_GROUP_CACHE_BYTES),
+    least recently used first out; the newest group always stays.
+    build_group.cache_info() reports it as functools.lru_cache does."""
+    group = _GROUPS.get(q)
+    if group is not None:
+        _GROUPS.move_to_end(q)
+        _GROUP_STATS["hits"] += 1
+        return group
+    group = _build_group(q)
+    _GROUP_STATS["misses"] += 1
+    _GROUPS[q] = group
+    while len(_GROUPS) > 1 and sum(g.nbytes for g in _GROUPS.values()) > _GROUP_CACHE_BYTES:
+        _GROUPS.popitem(last=False)
+    return group
+
+
+def _cache_info() -> _CacheInfo:
+    return _CacheInfo(_GROUP_STATS["hits"], _GROUP_STATS["misses"], len(_GROUPS),
+                     sum(g.nbytes for g in _GROUPS.values()))
+
+
+build_group.cache_info = _cache_info
+
+
+def _build_group(q: int) -> CharacterGroup:
     if q < 1:
         raise ValueError("modulus must be positive")
     units = [x for x in range(q) if math.gcd(x, q) == 1] if q > 1 else [0]
@@ -169,7 +208,7 @@ def build_group(q: int) -> CharacterGroup:
         conductor[i] = _conductor(q, units, exponents[i])
     is_primitive = conductor == q
     assert int(is_primitive.sum()) == phi_star(q)
-    # the lru_cache hands these tables to every caller
+    # the cache hands these tables to every caller
     for arr in (exponents, values, parity, conductor, is_primitive):
         arr.flags.writeable = False
 
@@ -233,34 +272,3 @@ def enumerated_orthogonality(q: int, m: int, n: int, sigma: int) -> complex:
     for i in group.primitive_indices(parity=sigma):
         total += group.chi(i, m) * group.chi(i, n).conjugate()
     return total
-
-
-_CACHE_MAGIC = b"MLCT"
-
-
-def save_group(group: CharacterGroup, path) -> None:
-    """Binary character-table cache: header (q, phi(q), group exponent) then
-    the exponent matrix row-major as little-endian uint32 (non-units as
-    0xFFFFFFFF)."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<III", group.modulus, group.n_chars, group.group_exponent))
-        mat = group.exponents.astype(np.int64).copy()
-        mat[mat < 0] = 0xFFFFFFFF
-        fh.write(mat.astype("<u4").tobytes())
-
-
-def load_group(path) -> CharacterGroup:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CACHE_MAGIC:
-            raise ValueError("not a momentlab character-table cache")
-        q, n_chars, group_exp = struct.unpack("<III", fh.read(12))
-        mat = np.frombuffer(fh.read(), dtype="<u4").reshape(n_chars, max(q, 1)).astype(np.int64)
-    group = build_group(q)
-    if group.group_exponent != group_exp or group.n_chars != n_chars:
-        raise ValueError("cache inconsistent with freshly built group")
-    check = group.exponents.copy()
-    check[check < 0] = 0xFFFFFFFF
-    if not np.array_equal(check, mat):
-        raise ValueError("cache exponent matrix mismatch")
-    return group

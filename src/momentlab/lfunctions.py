@@ -173,11 +173,6 @@ def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
     return _WEIGHT_CACHE[key]
 
 
-def weight_V(x: float, parity_a: int, form: EigenformData) -> float:
-    """Scalar evaluation of the triple-product AFE weight."""
-    return float(triple_weight(form, parity_a)(x))
-
-
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
     """Refined-quadrature oracle: T doubled, h halved, no interpolation."""
     log_G = _log_gamma_ratio_triple(form, parity_a)

@@ -1,4 +1,4 @@
-"""Log-gamma, Bessel J, smooth bump windows, and Hankel-type transforms.
+"""Smooth bump windows.
 
 The bump windows are plateau mollifiers built from exp(-1/t) ramps, evaluated
 in closed form with NumPy; their derivatives to order 6 come from a truncated
@@ -6,10 +6,8 @@ Taylor jet of the ramp (see _ramp_jet), and the derivative-bound certificates
 are grid maxima of those jets, checked against finite differences and an
 mpmath oracle in the test suite.
 
-The transforms used by the Voronoi machinery carry the kernel
-J_plus = 2 pi i^k J_{k-1} for holomorphic forms; the i^k factor is kept as
-an exact quarter-turn phase.  Maass kernels (imaginary-order K-Bessel) are
-deliberately unsupported: the interface exists but evaluation raises.
+The Hankel transform of a window, with the kernel 2 pi i^k J_{k-1} of a
+holomorphic form, is voronoi.hankel_grid; Maass kernels are not supported.
 """
 
 from __future__ import annotations
@@ -19,29 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
-import scipy.special
-
-
-class UnsupportedKernel(NotImplementedError):
-    """Maass-kernel evaluation (K_{2 i kappa}) is out of scope."""
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma; rejects poles at nonpositive integers."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"log_gamma pole at z = {z}")
-    return complex(scipy.special.loggamma(z))
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real order 0 <= nu <= 60 and 0 < x <= 1e6."""
-    if not 0 <= nu <= 60:
-        raise ValueError(f"order nu = {nu} out of supported range [0, 60]")
-    if not 0 < x <= 1e6:
-        raise ValueError(f"argument x = {x} out of supported range (0, 1e6]")
-    return float(scipy.special.jv(nu, x))
 
 
 def _ramp_jet(t: np.ndarray, order: int) -> list[np.ndarray]:
@@ -140,132 +115,3 @@ def standard_window() -> BumpFunction:
 def interval_bump(X: float) -> BumpFunction:
     """Bump scaled to support [X, 2X] with plateau [1.25 X, 1.75 X]."""
     return BumpFunction(X, 1.25 * X, 1.75 * X, 2.0 * X)
-
-
-# ---------------------------------------------------------------------------
-# Hankel-type transforms
-
-
-@dataclass(frozen=True)
-class HolomorphicKernel:
-    """J_plus = 2 pi i^k J_{k-1}; J_minus vanishes identically."""
-
-    weight: int
-    sign: int   # +1 or -1
-
-    @property
-    def phase(self) -> complex:
-        return 1j ** (self.weight % 4)
-
-    def __call__(self, x):
-        if self.sign == -1:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        return 2.0 * math.pi * scipy.special.jv(self.weight - 1, x)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == -1
-
-
-@dataclass(frozen=True)
-class MaassKernel:
-    kappa: float
-    sign: int
-
-    def __call__(self, x):
-        raise UnsupportedKernel(
-            "imaginary-order Bessel kernels for Maass forms are not implemented")
-
-    @property
-    def is_zero(self) -> bool:
-        return False
-
-    phase = 1.0 + 0j
-
-
-def kernels_for(form, sign: int):
-    """Voronoi kernel J_{+-} for a form; holomorphic only."""
-    if form.is_holomorphic:
-        return HolomorphicKernel(int(form.weight), sign)
-    return MaassKernel(form.kappa, sign)
-
-
-@dataclass(frozen=True)
-class HankelResult:
-    value: complex
-    abserr: float
-    envelope: float     # Lemma-style i=j=0 size certificate X1 (1 + (Xy)^{-theta})
-
-
-def hankel_transform(F, support: tuple[float, float], y: float, kernel,
-                     x_scale: float | None = None,
-                     width: float | None = None) -> HankelResult:
-    """integral of F(x) * kernel(4 pi sqrt(x y)) dx by adaptive quadrature.
-
-    support gives [a, b] with F zero outside; x_scale ~ X and width ~ X1
-    feed the reported size envelope (defaults from the support).
-    """
-    a, b = support
-    X = x_scale if x_scale is not None else a
-    X1 = width if width is not None else (b - a)
-    envelope = X1  # theta = 0 kernels (J of nonnegative real order)
-    if getattr(kernel, "is_zero", False) or b <= a:
-        return HankelResult(0j, 0.0, envelope)
-    phase = getattr(kernel, "phase", 1.0 + 0j)
-
-    def integrand(x):
-        return F(x) * kernel(4.0 * math.pi * math.sqrt(x * y))
-
-    # split at oscillation scale: phase advances 2 pi over dx ~ sqrt(x/y) / 1
-    n_osc = int(2.0 * (math.sqrt(b * y) - math.sqrt(a * y))) + 1
-    pts = np.linspace(a, b, min(n_osc + 1, 1000))
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e = scipy.integrate.quad(integrand, lo, hi, limit=200,
-                                    epsabs=1e-12, epsrel=1e-12)
-        total += v
-        err += e
-    if err > 1e-8:
-        raise ArithmeticError(f"hankel_transform quadrature achieved only {err:.3g}")
-    return HankelResult(phase * total, err, envelope)
-
-
-def vring_pm(form, b: float, q: float, M: float, N: float, y: float, h: float,
-             sign: int = 1, window: BumpFunction | None = None) -> complex:
-    """The two-window transform:
-
-        integral W((b x - h q)/N) W(b x / M) J_{sign}(4 pi sqrt(x y)) dx
-
-    with J from the form's Voronoi kernel.  Exact 0 on empty support.
-    """
-    W = window or standard_window()
-    kernel = kernels_for(form, sign)
-    if kernel.is_zero:
-        return 0j
-    lo1, hi1 = W.support
-    a = max((h * q + lo1 * N) / b, lo1 * M / b)
-    bb = min((h * q + hi1 * N) / b, hi1 * M / b)
-    if bb <= a:
-        return 0j
-
-    def F(x):
-        return W((b * x - h * q) / N) * W(b * x / M)
-
-    res = hankel_transform(F, (a, bb), y, kernel,
-                           x_scale=M / b, width=min(M, N) / b)
-    return res.value
-
-
-def fourier_hat(window: BumpFunction, t: float) -> complex:
-    """Fourier transform integral W(x) e(-x t) dx with oscillatory splitting."""
-    a, b = window.support
-    n_seg = max(1, int(4 * abs(t) * (b - a)) + 1)
-    pts = np.linspace(a, b, min(n_seg + 1, 2000))
-    re = im = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        re += scipy.integrate.quad(lambda x: float(window(x)) * math.cos(2 * math.pi * t * x),
-                                   lo, hi, epsabs=1e-12)[0]
-        im += scipy.integrate.quad(lambda x: -float(window(x)) * math.sin(2 * math.pi * t * x),
-                                   lo, hi, epsabs=1e-12)[0]
-    return complex(re, im)

@@ -5,6 +5,15 @@ The dual side couples the Bessel kernel to the inverted additive phase; the
 classical convention pairs the J-kernel branch with e(-conj(.) n / d'), and
 the numerical experiment in the test suite confirms that choice (the
 opposite sign leaves an O(1) residual).  PHASE_SIGN records it.
+
+Coprimality to q is removed with the varpi(delta, q) coefficients, so every
+delta branch is a dual sum over n of lambda(n) H(n/D) e(-+conj(delta' b) n/d')
+with D = delta d'^2.  The phase depends on n only through n mod d', so the
+sum is taken as residue sums
+    R[r] = sum_{n <= n_cut, n = r (mod d')} lambda(n) H(n/D)
+and a length-d' phase sum over r.  R depends on (D, d') alone, not on b, q,
+delta' or the phase sign, so it is computed once, kept next to the spline
+that H comes from, and shared by every cell that asks for the same (D, d').
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ class VoronoiCase:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("X", "tail_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {name}={value}")
         if self.d < 1 or self.q < 1:
             raise ValueError("d, q must be positive")
         if math.gcd(self.b, self.d) != 1:
@@ -147,14 +160,22 @@ def dual_cutoff(case: VoronoiCase) -> float:
     return float(ys[above[-1] + 1])
 
 
+# Residue vectors a spline keeps for the dual sums: at most this many
+# residues in all, oldest dropped first.  The acceptance grid stores 30
+# vectors of length d' <= 5; a sweep over large d cannot grow it without limit.
+_RESIDUE_CAP = 2**16
+
+
 class _DualSpline:
     """Quintic spline of the transform in u = sqrt(y); one per (case, y_cut),
-    shared by every delta branch of the dual sum."""
+    shared by every delta branch of the dual sum.  It also keeps the residue
+    sums R of the branches it has served (see residue_sums)."""
 
     def __init__(self, case: VoronoiCase, y_cut: float):
         from scipy.interpolate import make_interp_spline
 
         _, hi = case.window.support
+        self.y_cut = y_cut
         self.u_max = math.sqrt(y_cut)
         # phase 4 pi sqrt(x) u advances at most 4 pi sqrt(hi) per unit u;
         # 0.1 rad per sample with a degree-5 spline keeps the
@@ -166,25 +187,53 @@ class _DualSpline:
         if np.max(np.abs(vals.imag)) < 1e-14 * max(np.max(np.abs(vals.real)), 1e-30):
             vals = vals.real
         self._spline = make_interp_spline(us, vals, k=5)
+        self._residues: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.residues_stored = 0
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         u = np.sqrt(y)
         out = self._spline(np.clip(u, 0.0, self.u_max))
         return np.where(u <= self.u_max, out, 0.0)
 
+    def residue_sums(self, lam: np.ndarray, D: int, d_prime: int) -> np.ndarray:
+        """R[r] = sum of lam[n] H(n/D) over 1 <= n <= ceil(D y_cut), n = r mod d'.
 
-_SPLINE_CACHE: dict[tuple, tuple[float, _DualSpline]] = {}
+        Memoised on (D, d') for the table object lam.  At most _RESIDUE_CAP
+        residues are kept; the oldest vectors are dropped first."""
+        key = (D, d_prime)
+        hit = self._residues.get(key)
+        if hit is not None and hit[0] is lam:
+            return hit[1]
+        n_cut = max(1, int(math.ceil(D * self.y_cut)))
+        if n_cut >= len(lam):
+            raise IndexError(f"dual sum needs lambda up to {n_cut}")
+        ns = np.arange(1, n_cut + 1)
+        terms = lam[1:n_cut + 1] * self(ns / D)
+        r = ns % d_prime
+        R = np.bincount(r, weights=terms.real, minlength=d_prime)
+        if np.iscomplexobj(terms):
+            R = R + 1j * np.bincount(r, weights=terms.imag, minlength=d_prime)
+        R.flags.writeable = False
+        if hit is None:        # a vector of another table is replaced in place
+            self.residues_stored += d_prime
+        self._residues[key] = (lam, R)
+        while self.residues_stored > _RESIDUE_CAP:
+            _, old = self._residues.pop(next(iter(self._residues)))
+            self.residues_stored -= len(old)
+        return R
 
 
-def _cached_spline(case: VoronoiCase, truncation_factor: float) -> tuple[float, _DualSpline]:
-    """(y_cut, spline) cache keyed by everything the transform depends on:
-    the window shape, the form, the tail tolerance, and the truncation."""
+_SPLINE_CACHE: dict[tuple, _DualSpline] = {}
+
+
+def _cached_spline(case: VoronoiCase, truncation_factor: float) -> _DualSpline:
+    """Spline cache keyed by everything the transform depends on: the window
+    shape, the form, the tail tolerance, and the truncation."""
     key = (case.form.label, case.form.weight,
            case.window.lo, case.window.p1, case.window.p2, case.window.hi,
            case.tail_tol, truncation_factor)
     if key not in _SPLINE_CACHE:
-        y_cut = dual_cutoff(case) * truncation_factor
-        _SPLINE_CACHE[key] = (y_cut, _DualSpline(case, y_cut))
+        _SPLINE_CACHE[key] = _DualSpline(case, dual_cutoff(case) * truncation_factor)
         while len(_SPLINE_CACHE) > 16:
             _SPLINE_CACHE.pop(next(iter(_SPLINE_CACHE)))
     return _SPLINE_CACHE[key]
@@ -192,39 +241,32 @@ def _cached_spline(case: VoronoiCase, truncation_factor: float) -> tuple[float, 
 
 def voronoi_rhs(case: VoronoiCase, phase_sign: int = PHASE_SIGN,
                 truncation_factor: float = 1.0) -> complex:
-    """Dual sum over the correction divisors delta and the J-kernel branch."""
+    """Dual sum over the correction divisors delta and the J-kernel branch:
+    per branch, the residue sums R of the spline are paired with the phases
+    e(phase_sign conj(delta' b) r / d') for r < d'."""
     if phase_sign not in (-1, 1):
         raise ValueError("phase_sign must be +-1")
-    y_cut, spline = _cached_spline(case, truncation_factor)
-    table = varpi_table(case.form, case.q)
+    spline = _cached_spline(case, truncation_factor)
     total = 0j
-    for delta, varpi_lam, _ in table.entries:
+    for delta, varpi_lam, _ in varpi_table(case.form, case.q).entries:
         if varpi_lam == 0.0:
             continue
         g = math.gcd(delta, case.d)
         d_prime = case.d // g
-        delta_prime = delta // g
         D = delta * d_prime**2
-        n_cut = max(1, int(math.ceil(D * y_cut)))
-        if n_cut > case.form.n_max:
-            raise IndexError(f"dual sum needs lambda up to {n_cut}")
-        ns = np.arange(1, n_cut + 1)
-        transforms = spline(ns / D)
-        if d_prime == 1:
-            inner = np.sum(case.form.lam[ns] * transforms)
-        else:
-            inv = pow(delta_prime * case.b, -1, d_prime)
-            phases = np.exp(2j * np.pi * phase_sign * ((inv * ns) % d_prime) / d_prime)
-            inner = np.sum(case.form.lam[ns] * transforms * phases)
-        total += varpi_lam / (delta * d_prime) * inner
+        R = spline.residue_sums(case.form.lam, D, d_prime)
+        inv = pow(delta // g * case.b, -1, d_prime)
+        phases = np.exp(2j * np.pi * phase_sign * ((inv * np.arange(d_prime)) % d_prime) / d_prime)
+        total += varpi_lam / (delta * d_prime) * complex(R @ phases)
     return complex(total)
 
 
 def tail_certificate(case: VoronoiCase) -> float:
     """Conservative bound on the truncated dual tail: for each branch,
     (|varpi|/(delta d')) sum_{n > n_cut} d(n) |lambda(n)| |transform| is
-    over-estimated by the grid envelope with d(n)|lambda(n)| <= 3 log^2 n."""
-    y_cut = dual_cutoff(case)
+    over-estimated by the grid envelope with d(n)|lambda(n)| <= 3 log^2 n.
+    The cutoff is the one of the cached untruncated spline."""
+    y_cut = _cached_spline(case, 1.0).y_cut
     ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
     env = np.abs(hankel_grid(case, ys))
     total = 0.0

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentlab.arith import euler_phi, phi_star
+from momentlab import characters
 from momentlab.characters import (build_group, enumerated_orthogonality,
-                                  gauss_eps, load_group, orthogonality_sum,
-                                  save_group)
+                                  gauss_eps, orthogonality_sum)
 
 
 def test_group_sizes_and_parity_split():
@@ -105,17 +106,24 @@ def test_orthogonality_rejects_common_factor():
         orthogonality_sum(15, 3, 1, 1)
 
 
-def test_save_load_roundtrip(tmp_path):
-    g = build_group(40)
-    path = tmp_path / "chars40.bin"
-    save_group(g, path)
-    g2 = load_group(path)
-    assert g2.modulus == 40
-    assert np.array_equal(g2.exponents, g.exponents)
+def test_group_cache_is_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(characters, "_GROUPS", OrderedDict())
+    # the sweep's three largest moduli stay cached under the default bound
+    top = [build_group(q) for q in (281, 283, 284)]
+    misses = build_group.cache_info().misses
+    assert all(build_group(q) is g for q, g in zip((281, 283, 284), top))
+    assert build_group.cache_info().misses == misses
+    assert build_group.cache_info().nbytes == sum(g.nbytes for g in top)
 
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_group(path)
+    monkeypatch.setattr(characters, "_GROUPS", OrderedDict())
+    g103, g101 = build_group(103), build_group(101)
+    bound = g103.nbytes + g101.nbytes
+    monkeypatch.setattr(characters, "_GROUP_CACHE_BYTES", bound)
+    assert build_group(103) is g103  # a hit: 103 becomes the most recent
+    build_group(97)                  # over the bound: drops 101, the least recent
+    assert list(characters._GROUPS) == [103, 97]
+    assert build_group.cache_info().nbytes <= bound
+    monkeypatch.setattr(characters, "_GROUP_CACHE_BYTES", 1)
+    big = build_group(109)           # alone over the bound, but kept
+    assert list(characters._GROUPS) == [109]
+    assert build_group(109) is big

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -99,9 +100,49 @@ def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
             lam[1] = 0.0
 
 
+def _hecke_violations_loop(form, n_max):
+    """The earlier hecke_violations, kept as the reference: a double loop
+    with a divisor sum for every pair."""
+    exact = form.tau_exact is not None and len(form.tau_exact) >= n_max
+    bad = 0
+    if exact:
+        tau = [0] + list(form.tau_exact[:n_max])
+        for m in range(2, n_max + 1):
+            for n in range(m, n_max // m + 1):
+                rhs = sum(d**11 * tau[m * n // (d * d)]
+                          for d in divisors(math.gcd(m, n)))
+                if tau[m] * tau[n] != rhs:
+                    bad += 1
+    else:
+        lam = form.lam
+        for m in range(2, n_max + 1):
+            for n in range(m, n_max // m + 1):
+                rhs = sum(lam[m * n // (d * d)] for d in divisors(math.gcd(m, n)))
+                if abs(lam[m] * lam[n] - rhs) > 1e-6:
+                    bad += 1
+    return bad
+
+
 def test_hecke_exact_small():
     f = delta_coefficients(2000)
     assert hecke_violations(f, 2000) == 0
+    assert hecke_violations(dataclasses.replace(f, tau_exact=None), 2000) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 25, 97])
+def test_hecke_violations_match_loop(n):
+    """A wrong tau(n) or lambda(n) is counted exactly as the loop counts it,
+    on the exact path and on the float path."""
+    f = delta_coefficients(2000)
+    tau = list(f.tau_exact)
+    tau[n - 1] += 1
+    lam = f.lam.copy()
+    lam[n] += 1e-3
+    for form in (dataclasses.replace(f, tau_exact=tau),
+                 dataclasses.replace(f, lam=lam, tau_exact=None)):
+        want = _hecke_violations_loop(form, 2000)
+        assert want > 0
+        assert hecke_violations(form, 2000) == want
 
 
 def test_deligne_bound_exact_small():

@@ -10,7 +10,7 @@ from momentlab.lfunctions import (L_one_f, ParityVanishing, afe_triple_product,
                                   dirichlet_fe_residual, hurwitz_zeta,
                                   root_numbers, triple_weight, twist_weight,
                                   twisted_L_half, twisted_fe_residual,
-                                  WeightFunction, weight_V, weight_V_reference,
+                                  WeightFunction, weight_V_reference,
                                   zeta_two)
 
 mpmath.mp.dps = 30
@@ -96,7 +96,7 @@ def test_weight_cutoff_matches_suffix_scan(delta_small):
 def test_weight_spline_matches_reference(delta_small):
     for a in (0, 1):
         for x in (1e-6, 0.03, 0.7, 1.0, 2.5, 8.0):
-            assert weight_V(x, a, delta_small) == pytest.approx(
+            assert float(triple_weight(delta_small, a)(x)) == pytest.approx(
                 weight_V_reference(x, a, delta_small), abs=5e-11)
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -11,31 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentlab
-from momentlab.eigenforms import delta_coefficients
-from momentlab.special import (BumpFunction, HolomorphicKernel, MaassKernel,
-                               UnsupportedKernel, bessel_j, fourier_hat,
-                               interval_bump, kernels_for, log_gamma,
-                               standard_window, vring_pm)
-
-
-def test_log_gamma_values():
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-    with pytest.raises(ValueError):
-        log_gamma(-3.0)
-
-
-def test_bessel_j_values_and_guards():
-    # J_{1/2}(x) = sqrt(2/(pi x)) sin x
-    for x in (0.7, 3.0, 50.0):
-        assert bessel_j(0.5, x) == pytest.approx(
-            math.sqrt(2 / (math.pi * x)) * math.sin(x), rel=1e-12)
-    with pytest.raises(ValueError):
-        bessel_j(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        bessel_j(2.0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_j(2.0, 2e6)
+from momentlab.special import BumpFunction, interval_bump, standard_window
 
 
 def test_window_shape():
@@ -115,49 +90,3 @@ def test_interval_bump_support():
     assert w.support == (10.0, 20.0)
     assert w(15.0) == 1.0
     assert w(9.9) == 0.0 and w(20.1) == 0.0
-
-
-def test_holomorphic_kernels(delta_small):
-    plus = kernels_for(delta_small, 1)
-    minus = kernels_for(delta_small, -1)
-    assert isinstance(plus, HolomorphicKernel)
-    assert minus.is_zero
-    assert np.all(minus(np.array([1.0, 2.0])) == 0.0)
-    assert plus(3.0) == pytest.approx(2 * math.pi * bessel_j(11, 3.0), rel=1e-12)
-    assert plus.phase == 1.0   # i^12
-
-
-def test_maass_kernel_raises():
-    k = MaassKernel(9.5, 1)
-    with pytest.raises(UnsupportedKernel):
-        k(1.0)
-
-
-def test_vring_exact_zero_off_support(delta_small):
-    # supports [hq + N/2, hq + 3N] and [M/2, 3M] are disjoint here
-    val = vring_pm(delta_small, b=1.0, q=100.0, M=10.0, N=10.0, y=1.0, h=5.0)
-    assert val == 0j
-
-
-def test_vring_minus_kernel_zero(delta_small):
-    val = vring_pm(delta_small, b=1.0, q=10.0, M=50.0, N=50.0, y=1.0, h=0.0, sign=-1)
-    assert val == 0j
-
-
-def test_vring_nonzero_and_real_phase(delta_small):
-    val = vring_pm(delta_small, b=1.0, q=10.0, M=50.0, N=50.0, y=0.01, h=0.0)
-    assert abs(val) > 0
-    assert abs(val.imag) < 1e-12   # i^12 = 1, real integrand
-
-
-def test_fourier_hat_at_zero_is_mass():
-    w = standard_window()
-    mass = fourier_hat(w, 0.0)
-    grid = np.linspace(0.5, 3.0, 20001)
-    assert mass.imag == pytest.approx(0.0, abs=1e-12)
-    assert mass.real == pytest.approx(float(np.trapezoid(w(grid), grid)), abs=1e-6)
-
-
-def test_fourier_hat_decay():
-    w = standard_window()
-    assert abs(fourier_hat(w, 40.0)) < 1e-4 * abs(fourier_hat(w, 0.0))

@@ -5,9 +5,11 @@ import pytest
 import scipy.special
 
 from momentlab import voronoi
-from momentlab.voronoi import (PHASE_SIGN, VoronoiCase, _composite_nodes,
-                               dual_cutoff, hankel_grid, tail_certificate,
-                               voronoi_check, voronoi_lhs, voronoi_rhs)
+from momentlab.eigenforms import EigenformData, varpi_table
+from momentlab.voronoi import (PHASE_SIGN, VoronoiCase, _cached_spline,
+                               _composite_nodes, dual_cutoff, hankel_grid,
+                               tail_certificate, voronoi_check, voronoi_lhs,
+                               voronoi_rhs)
 
 
 def _hankel_single_batch(case, ys):
@@ -31,6 +33,38 @@ def _cutoff_by_suffix_scan(ys, vals, tol):
         if below[i:].all():
             return float(ys[i])
     raise ArithmeticError("transform decay certificate failed: no cutoff found")
+
+
+def _voronoi_rhs_per_cell(case, phase_sign=PHASE_SIGN, truncation_factor=1.0):
+    """The earlier voronoi_rhs, kept as the reference: every delta branch
+    evaluates the spline at n/D for each n <= n_cut and sums with a complex
+    phase per n."""
+    spline = _cached_spline(case, truncation_factor)
+    total = 0j
+    for delta, varpi_lam, _ in varpi_table(case.form, case.q).entries:
+        if varpi_lam == 0.0:
+            continue
+        g = math.gcd(delta, case.d)
+        d_prime = case.d // g
+        delta_prime = delta // g
+        D = delta * d_prime**2
+        n_cut = max(1, int(math.ceil(D * spline.y_cut)))
+        ns = np.arange(1, n_cut + 1)
+        transforms = spline(ns / D)
+        if d_prime == 1:
+            inner = np.sum(case.form.lam[ns] * transforms)
+        else:
+            inv = pow(delta_prime * case.b, -1, d_prime)
+            phases = np.exp(2j * np.pi * phase_sign * ((inv * ns) % d_prime) / d_prime)
+            inner = np.sum(case.form.lam[ns] * transforms * phases)
+        total += varpi_lam / (delta * d_prime) * inner
+    return complex(total)
+
+
+def _acceptance_cells():
+    """(b, d, q) of acceptance 5: d <= 5, every unit b <= max(d - 1, 1)."""
+    return [(b, d, q) for d in range(1, 6) for b in range(1, max(d - 1, 1) + 1)
+            if math.gcd(b, d) == 1 for q in (1, 2, 3, 6)]
 
 
 def _cutoff_grid(X):
@@ -57,6 +91,21 @@ def test_case_validation(delta_large):
         VoronoiCase(1, 0, 1, 10.0, delta_large)
 
 
+@pytest.mark.parametrize("name,value", [("X", 0.0), ("X", -5.0), ("X", math.nan), ("X", math.inf),
+                                        ("tail_tol", 0.0), ("tail_tol", -1.0),
+                                        ("tail_tol", math.nan)])
+def test_case_rejects_bad_scale_and_tolerance(delta_large, name, value):
+    kwargs = {"X": 10.0, "tail_tol": 1e-8, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        VoronoiCase(1, 1, 1, form=delta_large, **kwargs)
+
+
+def test_case_rejects_maass_form(delta_large):
+    maass = EigenformData("maass", None, 9.5, 7 / 64, 1, delta_large.lam, label="maass")
+    with pytest.raises(NotImplementedError, match="holomorphic"):
+        VoronoiCase(1, 1, 1, 10.0, maass)
+
+
 @pytest.mark.parametrize("b,d,q,X", [(1, 1, 1, 10.0), (1, 2, 3, 10.0),
                                      (2, 3, 2, 20.0), (3, 4, 1, 10.0)])
 def test_small_grid_residuals(delta_large, b, d, q, X):
@@ -77,6 +126,38 @@ def test_truncation_doubling_within_certificate(delta_large):
     r1 = voronoi_rhs(case)
     r2 = voronoi_rhs(case, truncation_factor=2.0)
     assert abs(r1 - r2) <= tail_certificate(case)
+
+
+@pytest.mark.parametrize("truncation_factor", [1.0, 2.0])
+def test_rhs_matches_per_cell_reference(delta_large, truncation_factor):
+    for b, d, q in _acceptance_cells():
+        case = VoronoiCase(b, d, q, 20.0, delta_large)
+        for sign in (-1, 1):
+            ref = _voronoi_rhs_per_cell(case, sign, truncation_factor)
+            rhs = voronoi_rhs(case, phase_sign=sign, truncation_factor=truncation_factor)
+            assert abs(rhs - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_residue_memo_stays_within_cap(delta_large, monkeypatch):
+    cases = [VoronoiCase(b, d, q, 10.0, delta_large) for b, d, q in _acceptance_cells()]
+    uncapped = [voronoi_rhs(case) for case in cases]
+    # a fresh spline, so that every (D, d') is a miss under the small cap
+    monkeypatch.setattr(voronoi, "_SPLINE_CACHE", {})
+    monkeypatch.setattr(voronoi, "_RESIDUE_CAP", 6)
+    spline = _cached_spline(cases[0], 1.0)
+    for case, want in zip(cases, uncapped):
+        assert voronoi_rhs(case) == want
+        assert spline.residues_stored == sum(len(R) for _, R in spline._residues.values())
+        assert spline.residues_stored <= 6
+    # the memo holds sums of one table: another table with the same label
+    # gets its own, not a stale vector
+    doubled = EigenformData("holomorphic", 12.0, None, 0.0, 1, 2.0 * delta_large.lam,
+                            label=delta_large.label)
+    last = cases[-1]
+    case = VoronoiCase(last.b, last.d, last.q, 10.0, doubled)
+    ref = _voronoi_rhs_per_cell(case)
+    assert abs(voronoi_rhs(case) - ref) <= 1e-12 * abs(ref)
+    assert abs(ref - uncapped[-1]) > 1.0
 
 
 @pytest.mark.parametrize("X", [10.0, 40.0])
