@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentlab
+from momentlab.eigenforms import EigenformData
 from momentlab.special import BumpFunction, interval_bump, standard_window
+from momentlab.voronoi import VoronoiCase, hankel_grid
 
 
 def test_window_shape():
@@ -90,3 +95,26 @@ def test_interval_bump_support():
     assert w.support == (10.0, 20.0)
     assert w(15.0) == 1.0
     assert w(9.9) == 0.0 and w(20.1) == 0.0
+
+
+def test_holomorphic_kernels(delta_small):
+    # the dual kernel of a weight-k holomorphic form is 2 pi i^k J_{k-1};
+    # for Delta, i^12 = 1, so the transform is real.  Reference: adaptive
+    # quadrature, independent of hankel_grid's Gauss-Legendre panels.
+    case = VoronoiCase(1, 1, 1, 10.0, delta_small)
+    lo, hi = case.window.support
+    ys = np.array([0.0, 0.01, 0.1, 1.0, 5.0])
+    vals = hankel_grid(case, ys)
+    assert np.all(vals.imag == 0.0)
+    for y, val in zip(ys, vals.real):
+        ref, _ = scipy.integrate.quad(
+            lambda x: 2 * math.pi * float(case.window(x))
+            * scipy.special.jv(11, 4 * math.pi * math.sqrt(x * y)),
+            lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)
+        assert val == pytest.approx(ref, rel=1e-9, abs=1e-11)
+
+
+def test_maass_kernel_raises(delta_small):
+    maass = EigenformData("maass", None, 9.5, 7 / 64, 1, delta_small.lam, label="maass")
+    with pytest.raises(NotImplementedError, match="holomorphic"):
+        VoronoiCase(1, 1, 1, 10.0, maass)

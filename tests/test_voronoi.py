@@ -100,12 +100,6 @@ def test_case_rejects_bad_scale_and_tolerance(delta_large, name, value):
         VoronoiCase(1, 1, 1, form=delta_large, **kwargs)
 
 
-def test_case_rejects_maass_form(delta_large):
-    maass = EigenformData("maass", None, 9.5, 7 / 64, 1, delta_large.lam, label="maass")
-    with pytest.raises(NotImplementedError, match="holomorphic"):
-        VoronoiCase(1, 1, 1, 10.0, maass)
-
-
 @pytest.mark.parametrize("b,d,q,X", [(1, 1, 1, 10.0), (1, 2, 3, 10.0),
                                      (2, 3, 2, 20.0), (3, 4, 1, 10.0)])
 def test_small_grid_residuals(delta_large, b, d, q, X):
