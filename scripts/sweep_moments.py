@@ -14,7 +14,7 @@ import json
 import sys
 
 from momentlab.eigenforms import delta_coefficients
-from momentlab.lfunctions import triple_weight
+from momentlab.lfunctions import moment_table_length
 from momentlab.moments import sweep
 
 
@@ -28,11 +28,7 @@ def main() -> int:
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 
-    probe = delta_coefficients(10)
-    cut = max(triple_weight(probe, 0).cutoff(args.tol),
-              triple_weight(probe, 1).cutoff(args.tol))
-    n_need = max(int(cut * args.q_hi ** 2) + 1, 450_000)
-    form = delta_coefficients(n_need)
+    form = delta_coefficients(moment_table_length(delta_coefficients(10), args.q_hi, args.tol))
 
     def progress(row):
         print(f"q={row.q:4d}  moment={row.brute_re:+.6e}  "

@@ -24,14 +24,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load_form(selector: str, n_max: int):
+def _load_form(selector: str, q_hi: int, tol: float):
+    """The form named by selector, with lambda(n) for moments at q <= q_hi.
+
+    A coefficient file is read and validated once, at its own length.
+    """
     from .eigenforms import delta_coefficients, ingest_coefficients
+    from .lfunctions import moment_table_length
 
     if selector.startswith("builtin:"):
         name = selector.split(":", 1)[1]
         if name != "delta":
             raise ValueError(f"unknown builtin form {name!r}")
-        return delta_coefficients(n_max)
+        return delta_coefficients(moment_table_length(delta_coefficients(10), q_hi, tol))
     if selector.startswith("file:"):
         return ingest_coefficients(selector.split(":", 1)[1])
     raise ValueError("form selector must be builtin:<name> or file:<path>")
@@ -43,7 +48,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_moment(args) -> int:
-    from .lfunctions import triple_weight
     from .moments import MomentQuery, brute_moment, main_term, sweep
 
     try:
@@ -54,12 +58,7 @@ def cmd_moment(args) -> int:
         else:
             print("error: --q or --q-range required", file=sys.stderr)
             return EXIT_CONFIG
-        x_need = None
-        form = _load_form(args.form, 10)
-        x_need = int(math.ceil(max(triple_weight(form, 0).cutoff(args.tol),
-                                   triple_weight(form, 1).cutoff(args.tol))
-                               * q_hi * q_hi))
-        form = _load_form(args.form, max(x_need, 450_000))
+        form = _load_form(args.form, q_hi, args.tol)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -171,14 +171,16 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
     """lambda(0..n_max) of Delta, read-only: the cache hands the same array
     to every EigenformData.  delta_lambda.npy is written to a temporary file
     in the cache directory and moved into place, so no reader sees a
-    partial table."""
+    partial table.  A file that does not load (torn by a crash outside this
+    writer, or not an array file) is rebuilt and replaced like a missing one."""
     cache = _cache_dir() / "delta_lambda.npy"
-    lam = None
-    if cache.exists():
+    try:
         stored = np.load(cache)
-        if len(stored) >= n_max + 1:
-            lam = stored[:n_max + 1]
-    if lam is None:
+    except (FileNotFoundError, ValueError, EOFError):
+        stored = None
+    if stored is not None and len(stored) >= n_max + 1:
+        lam = stored[:n_max + 1]
+    else:
         eta = _eta24_float(n_max - 1)
         ns = np.arange(n_max + 1, dtype=np.float64)
         lam = np.zeros(n_max + 1)
@@ -276,24 +278,52 @@ def ingest_coefficients(path_or_name: str, kind: str | None = None,
     return form
 
 
-def validate_eigenform(form: EigenformData, tol: float = 1e-6) -> None:
-    """Hecke multiplicativity and Ramanujan-on-average checks."""
+_HECKE_TOL = 1e-6
+
+
+def validate_eigenform(form: EigenformData) -> None:
+    """Finiteness, Hecke multiplicativity and Ramanujan-on-average checks."""
     lam = form.lam
-    if abs(lam[1] - 1.0) > tol:
+    not_finite = np.flatnonzero(~np.isfinite(lam[1:])) + 1
+    if not_finite.size:
+        n = int(not_finite[0])
+        raise CoefficientError(f"lambda({n}) = {lam[n]} is not finite")
+    if abs(lam[1] - 1.0) > _HECKE_TOL:
         raise CoefficientError(f"lambda(1) = {lam[1]} != 1")
     n_max = form.n_max
-    for m in range(2, n_max + 1):
-        for n in range(m, n_max // m + 1):
-            expected = sum(lam[m * n // (d * d)] for d in divisors(math.gcd(m, n))
-                           if m * n % (d * d) == 0)
-            if abs(lam[m] * lam[n] - expected) > tol:
-                raise CoefficientError(
-                    f"Hecke multiplicativity violated at (m,n)=({m},{n}): "
-                    f"lambda({m})*lambda({n}) = {lam[m] * lam[n]:.9g} vs {expected:.9g}")
-    bound = np.array([divisor_count(n) * n ** form.theta for n in range(1, n_max + 1)])
+    first = next(_hecke_defects(lam, n_max, weight=0, exact=False), None)
+    if first is not None:
+        m, ns, lhs, rhs = first
+        raise CoefficientError(
+            f"Hecke multiplicativity violated at (m,n)=({m},{ns[0]}): "
+            f"lambda({m})*lambda({ns[0]}) = {lhs[0]:.9g} vs {rhs[0]:.9g}")
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    bound = divisor_count_sieve(n_max)[1:] * ns ** form.theta
     worst = np.max(np.abs(lam[1:]) - bound)
-    if worst > tol:
+    if worst > _HECKE_TOL:
         raise CoefficientError(f"|lambda(n)| exceeds d(n) n^theta by {worst}")
+
+
+def _hecke_defects(c: np.ndarray, n_max: int, weight: int, exact: bool):
+    """For each m >= 2 in ascending order with a violation, (m, n, lhs, rhs)
+    over the n >= m, mn <= n_max, ascending, where
+    c(m) c(n) != sum_{d | (m,n)} d^weight c(mn / d^2): exactly on an integer
+    vector, beyond _HECKE_TOL (NaN included) on a float one.
+
+    Each m is checked against all its n at once: the d = 1 term c(mn) is
+    the whole right side of a coprime pair, and each divisor d > 1 of m adds
+    its term to the n divisible by d, in ascending d.
+    """
+    for m in range(2, math.isqrt(n_max) + 1):
+        ns = np.arange(m, n_max // m + 1)
+        rhs = c[m * ns]
+        for d in divisors(m)[1:]:
+            hit = ns % d == 0
+            rhs[hit] += d**weight * c[m * ns[hit] // (d * d)]
+        lhs = c[m] * c[ns]
+        bad = lhs != rhs if exact else ~(np.abs(lhs - rhs) <= _HECKE_TOL)
+        if bad.any():
+            yield m, ns[bad], lhs[bad], rhs[bad]
 
 
 def hecke_violations(form: EigenformData, n_max: int) -> int:
@@ -302,26 +332,14 @@ def hecke_violations(form: EigenformData, n_max: int) -> int:
     For the built-in form the cleared-denominator identity
     tau(m) tau(n) = sum_{d | (m,n)} d^11 tau(mn / d^2) is checked in exact
     integers; otherwise the float lambda relation is checked to 1e-6.
-    Each m is checked against all its n at once: the d = 1 term c(mn) is
-    the whole right side of a coprime pair, and each divisor d > 1 of m adds
-    its term to the n divisible by d, in ascending d.
     """
     exact = form.tau_exact is not None and len(form.tau_exact) >= n_max
     if exact:
         c = np.array((0,) + tuple(form.tau_exact[:n_max]), dtype=object)
     else:
         c = form.lam
-    weight = 11 if exact else 0
-    bad = 0
-    for m in range(2, math.isqrt(n_max) + 1):
-        ns = np.arange(m, n_max // m + 1)
-        rhs = c[m * ns]
-        for d in divisors(m)[1:]:
-            hit = ns % d == 0
-            rhs[hit] += d**weight * c[m * ns[hit] // (d * d)]
-        lhs = c[m] * c[ns]
-        bad += int(np.count_nonzero(lhs != rhs if exact else np.abs(lhs - rhs) > 1e-6))
-    return bad
+    return sum(len(ns) for _, ns, _, _ in
+               _hecke_defects(c, n_max, weight=11 if exact else 0, exact=exact))
 
 
 def extend_by_hecke(form: EigenformData, n_max: int) -> EigenformData:

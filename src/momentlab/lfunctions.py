@@ -2,6 +2,10 @@
 independent oracle routes (Hurwitz-zeta Dirichlet values, a single twisted
 AFE, smoothed L(1, f)).
 
+The triple-product AFE of one character chi is chi F conj(chi), with F the
+residue-pair matrix of `moments`: the oracle routes check the same matrix
+the moment averages.
+
 The Mellin-Barnes weight V(x) is evaluated by trapezoid quadrature on a
 vertical line: Re s = 3 for x > 1, and Re s = -1/4 (past the 1/s pole,
 picking up the residue 1) for x <= 1 so small-x values are free of the
@@ -18,7 +22,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
-from .arith import divisor_count_sieve
 from .characters import CharacterGroup, GaussData, gauss_eps
 from .eigenforms import EigenformData
 
@@ -30,30 +33,6 @@ _GRID_PER_DECADE = 120
 
 class ParityVanishing(ValueError):
     """AFE requested for a character with root number epsilon(f, chi) = -1."""
-
-
-def _log_gamma_ratio_triple(form: EigenformData, parity_a: int):
-    """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0."""
-    a = parity_a
-    if form.is_holomorphic:
-        k = form.weight
-
-        def log_G(s):
-            val = -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
-            val = val + 2 * (-(s / 2) * np.log(np.pi)
-                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
-            return val
-    else:
-        kap = form.kappa
-
-        def log_G(s):
-            val = (-s * np.log(np.pi)
-                   + loggamma((0.5 + s + 1j * kap + a) / 2) - loggamma((0.5 + 1j * kap + a) / 2)
-                   + loggamma((0.5 + s - 1j * kap + a) / 2) - loggamma((0.5 - 1j * kap + a) / 2))
-            val = val + 2 * (-(s / 2) * np.log(np.pi)
-                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
-            return val
-    return log_G
 
 
 def _log_gamma_ratio_twist(form: EigenformData, parity_a: int):
@@ -71,6 +50,17 @@ def _log_gamma_ratio_twist(form: EigenformData, parity_a: int):
             return (-s * np.log(np.pi)
                     + loggamma((0.5 + s + 1j * kap + a) / 2) - loggamma((0.5 + 1j * kap + a) / 2)
                     + loggamma((0.5 + s - 1j * kap + a) / 2) - loggamma((0.5 - 1j * kap + a) / 2))
+    return log_G
+
+
+def _log_gamma_ratio_triple(form: EigenformData, parity_a: int):
+    """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0."""
+    a = parity_a
+    log_twist = _log_gamma_ratio_twist(form, parity_a)
+
+    def log_G(s):
+        return log_twist(s) + 2 * (-(s / 2) * np.log(np.pi)
+                                   + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
     return log_G
 
 
@@ -123,21 +113,18 @@ def _build_weight(log_G, label: str, T: float = _CONTOUR_T, h: float = _CONTOUR_
     xs_small = np.logspace(math.log10(_GRID_LO), 0.0, n_lo)
     xs_large = np.logspace(0.0, math.log10(_GRID_HI), n_hi)
 
-    # x <= 1: contour at Re s = -1/4 (past 1/s), residue 1 added back
-    _, g_left = _contour_values(log_G, -0.25, T, h)
-    v_small = np.empty_like(xs_small)
-    for i0 in range(0, len(xs_small), 256):
-        xs = xs_small[i0:i0 + 256]
-        phases = xs[:, None] ** (0.25 - 1j * np.arange(-T, T + h / 2, h))[None, :]
-        v_small[i0:i0 + 256] = 1.0 + (h / (2 * np.pi)) * np.real(phases @ g_left)
-
+    # x <= 1: contour at Re s = -1/4 (past 1/s), residue 1 added back;
     # x > 1: contour at Re s = 3
-    _, g_right = _contour_values(log_G, 3.0, T, h)
-    v_large = np.empty_like(xs_large)
-    for i0 in range(0, len(xs_large), 256):
-        xs = xs_large[i0:i0 + 256]
-        phases = xs[:, None] ** (-3.0 - 1j * np.arange(-T, T + h / 2, h))[None, :]
-        v_large[i0:i0 + 256] = (h / (2 * np.pi)) * np.real(phases @ g_right)
+    halves = []
+    for xs_half, c, residue in ((xs_small, -0.25, 1.0), (xs_large, 3.0, 0.0)):
+        t, g = _contour_values(log_G, c, T, h)
+        v = np.empty_like(xs_half)
+        for i0 in range(0, len(xs_half), 256):
+            xs = xs_half[i0:i0 + 256]
+            phases = xs[:, None] ** (-c - 1j * t)[None, :]
+            v[i0:i0 + 256] = residue + (h / (2 * np.pi)) * np.real(phases @ g)
+        halves.append(v)
+    v_small, v_large = halves
 
     grid_x = np.concatenate([xs_small, xs_large[1:]])
     grid_v = np.concatenate([v_small, v_large[1:]])
@@ -150,27 +137,24 @@ def _build_weight(log_G, label: str, T: float = _CONTOUR_T, h: float = _CONTOUR_
 _WEIGHT_CACHE: dict[tuple, WeightFunction] = {}
 
 
-def _form_key(form: EigenformData) -> tuple:
-    return (form.kind, form.weight, form.kappa)
+def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int,
+                   label: str) -> WeightFunction:
+    key = (log_gamma_ratio, form.kind, form.weight, form.kappa, parity_a)
+    if key not in _WEIGHT_CACHE:
+        _WEIGHT_CACHE[key] = _build_weight(log_gamma_ratio(form, parity_a), label)
+    return _WEIGHT_CACHE[key]
 
 
 def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
     """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
     if parity_a not in (0, 1):
         raise ValueError("parity exponent must be 0 or 1")
-    key = ("triple", _form_key(form), parity_a)
-    if key not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[key] = _build_weight(
-            _log_gamma_ratio_triple(form, parity_a), f"V[{form.kind},a={parity_a}]")
-    return _WEIGHT_CACHE[key]
+    return _cached_weight(_log_gamma_ratio_triple, form, parity_a,
+                          f"V[{form.kind},a={parity_a}]")
 
 
 def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
-    key = ("twist", _form_key(form), parity_a)
-    if key not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[key] = _build_weight(
-            _log_gamma_ratio_twist(form, parity_a), f"Vtwist[{form.kind}]")
-    return _WEIGHT_CACHE[key]
+    return _cached_weight(_log_gamma_ratio_twist, form, parity_a, f"Vtwist[{form.kind}]")
 
 
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
@@ -215,8 +199,11 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
     """L(1/2, f x chi) L(1/2, conj chi)^2 via the two-sum AFE.
 
     Requires a primitive character with eps(f, chi) = +1; truncates where the
-    weight has decayed below v_tol.
+    weight has decayed below v_tol.  The value is the quadratic form
+    chi F conj(chi) of the residue-pair matrix F that the moment averages.
     """
+    from .moments import residue_pair_matrix     # moments imports this module
+
     q = group.modulus
     if q == 1:
         raise ValueError("the twisted family starts at q >= 3; no twist mod 1")
@@ -227,36 +214,10 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
         raise ParityVanishing(
             "eps(f, chi) = -1: the triple product L-value pairs to zero by "
             "parity and the root-number-one AFE does not apply")
-    sigma = int(group.parity[index])
-    parity_a = 0 if sigma == 1 else 1
-    V = triple_weight(form, parity_a)
-    x_cut = V.cutoff(v_tol)
-    X = int(math.ceil(x_cut * q * q))
-    if form.n_max < X:
-        raise IndexError(f"AFE needs lambda up to {X} but table has {form.n_max}")
-
-    tau = divisor_count_sieve(X)
-    chi_vals = group.values[index]
-    ns = np.arange(X + 1, dtype=np.float64)
-    inv_sqrt = np.zeros(X + 1)
-    inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
-    chi_of = chi_vals[np.arange(X + 1) % q]
-    # V(mn / q^2) depends only on k = mn <= X: Vk[k - 1] = V(k / q^2)
-    Vk = V(ns[1:] / (q * q))
-
-    total = 0j
-    for m in range(1, X + 1):
-        cm = chi_of[m]
-        if cm == 0:
-            continue
-        n_hi = X // m
-        n_idx = np.arange(1, n_hi + 1)
-        weights = Vk[m - 1::m] * inv_sqrt[1:n_hi + 1] * inv_sqrt[m]
-        lam_m_tau_n = form.lam[m] * tau[1:n_hi + 1]
-        tau_m_lam_n = tau[m] * form.lam[1:n_hi + 1]
-        inner = np.sum((lam_m_tau_n + tau_m_lam_n) * weights * np.conj(chi_of[n_idx]))
-        total += cm * inner
-    return complex(total)
+    parity_a = 0 if group.parity[index] == 1 else 1
+    F = residue_pair_matrix(form, q, parity_a, v_tol)
+    chi = group.values[index]
+    return complex(chi @ F @ np.conj(chi))
 
 
 # ---------------------------------------------------------------------------
@@ -264,28 +225,28 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
 
 
 _BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
+_HURWITZ_SHIFT = 50      # terms summed directly before Euler-Maclaurin takes over
 
 
-def hurwitz_zeta(s: complex, x: float, shift: int = 50, corrections: int = 8) -> complex:
+def hurwitz_zeta(s: complex, x: float) -> complex:
     """Euler-Maclaurin Hurwitz zeta, accurate to ~1e-13 for s near 1/2."""
     if s == 1:
         raise ValueError("pole at s = 1")
-    total = sum((n + x) ** (-s) for n in range(shift))
-    K = shift + x
+    total = sum((n + x) ** (-s) for n in range(_HURWITZ_SHIFT))
+    K = _HURWITZ_SHIFT + x
     total += K ** (1 - s) / (s - 1) + 0.5 * K ** (-s)
     poch = s
     Kpow = K ** (-s - 1)
     fact = 1.0
-    for j in range(1, corrections + 1):
+    for j, bernoulli in enumerate(_BERNOULLI, 1):
         fact *= (2 * j - 1) * (2 * j)
-        total += _BERNOULLI[j - 1] / fact * poch * Kpow
+        total += bernoulli / fact * poch * Kpow
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         Kpow /= K * K
     return total
 
 
-def dirichlet_L_half(group: CharacterGroup, index: int,
-                     shift: int = 50, corrections: int = 8) -> complex:
+def dirichlet_L_half(group: CharacterGroup, index: int) -> complex:
     """L(1/2, chi) = q^{-1/2} sum_a chi(a) zeta_H(1/2, a/q); non-principal chi."""
     q = group.modulus
     if q > 10**4:
@@ -297,7 +258,7 @@ def dirichlet_L_half(group: CharacterGroup, index: int,
     for a in range(1, q + 1):
         c = group.values[index, a % q]
         if c != 0:
-            total += c * hurwitz_zeta(0.5, a / q, shift, corrections)
+            total += c * hurwitz_zeta(0.5, a / q)
     return total / math.sqrt(q)
 
 
@@ -363,13 +324,21 @@ def zeta_two() -> float:
     return math.pi**2 / 6.0
 
 
-def L_one_f(form: EigenformData, X: float = 1e4) -> float:
+_L_ONE_X = 1e4
+
+
+def _l_one_terms(X: float) -> int:
+    """The n <= 45 X that L_one_f sums: the weight is below 1e-16 past t = 45."""
+    return int(45 * X)
+
+
+def L_one_f(form: EigenformData, X: float = _L_ONE_X) -> float:
     """Smoothed sum_n lambda(n)/n with weight e^{-t}(1 + t + t^2/2).
 
     The polynomial factor cancels the Mellin poles at s = -1 and s = -2, so
     the smoothing error is O(X^{-3}).
     """
-    n_hi = int(45 * X)
+    n_hi = _l_one_terms(X)
     if form.n_max < n_hi:
         raise IndexError(f"L(1,f) needs lambda up to {n_hi}; table has {form.n_max}")
     ns = np.arange(1, n_hi + 1, dtype=np.float64)
@@ -377,3 +346,10 @@ def L_one_f(form: EigenformData, X: float = 1e4) -> float:
     w = np.exp(-t) * (1.0 + t + 0.5 * t * t)
     val = float(np.sum(form.lam[1:n_hi + 1] / ns * w))
     return val
+
+
+def moment_table_length(form: EigenformData, q_hi: int, v_tol: float) -> int:
+    """Table length a moment at every q <= q_hi needs: the triple-product AFE
+    of both parities at q_hi, and L_one_f at its default X."""
+    x_cut = max(triple_weight(form, 0).cutoff(v_tol), triple_weight(form, 1).cutoff(v_tol))
+    return max(math.ceil(x_cut * q_hi * q_hi), _l_one_terms(_L_ONE_X))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from momentlab.cli import EXIT_CONFIG, EXIT_OK, main
+from momentlab.cli import EXIT_CONFIG, EXIT_ITEM, EXIT_OK, main
 
 
 def test_exponent_default(capsys):
@@ -63,3 +63,24 @@ def test_moment_rejects_jobs_flag(capsys):
         main(["moment", "--q", "5", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, delta_small):
+    from momentlab import eigenforms
+
+    path = tmp_path / "form.txt"
+    lines = ["# kind holomorphic", "# weight 12"]
+    lines += [f"{n} {float(delta_small.lam[n])!r}" for n in range(1, 2001)]
+    path.write_text("\n".join(lines))
+    calls = []
+    real_ingest = eigenforms.ingest_coefficients
+
+    def counting_ingest(*args, **kwargs):
+        calls.append(args)
+        return real_ingest(*args, **kwargs)
+
+    monkeypatch.setattr(eigenforms, "ingest_coefficients", counting_ingest)
+    # the AFE at q = 5 fits in 2000 entries; L(1, f) of the main term does not
+    assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_ITEM
+    assert "L(1,f) needs lambda up to 450000" in capsys.readouterr().err
+    assert len(calls) == 1

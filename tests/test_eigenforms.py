@@ -91,6 +91,16 @@ def test_delta_cache_write_is_atomic(tmp_path, monkeypatch):
     assert loaded[2] == pytest.approx(-24 / 2**5.5, rel=1e-14)
 
 
+def test_torn_delta_cache_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    fresh = build(500)
+    cache = tmp_path / "delta_lambda.npy"
+    cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+    assert np.array_equal(build(400), fresh[:401])
+    assert np.array_equal(np.load(cache), fresh[:401])      # replaced by a whole file
+
+
 def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
     monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
     build = eigenforms._delta_lambda_cached.__wrapped__
@@ -102,9 +112,10 @@ def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
 
 def _hecke_violations_loop(form, n_max):
     """The earlier hecke_violations, kept as the reference: a double loop
-    with a divisor sum for every pair."""
+    with a divisor sum for every pair.  Returns the violating (m, n) in loop
+    order."""
     exact = form.tau_exact is not None and len(form.tau_exact) >= n_max
-    bad = 0
+    bad = []
     if exact:
         tau = [0] + list(form.tau_exact[:n_max])
         for m in range(2, n_max + 1):
@@ -112,14 +123,14 @@ def _hecke_violations_loop(form, n_max):
                 rhs = sum(d**11 * tau[m * n // (d * d)]
                           for d in divisors(math.gcd(m, n)))
                 if tau[m] * tau[n] != rhs:
-                    bad += 1
+                    bad.append((m, n))
     else:
         lam = form.lam
         for m in range(2, n_max + 1):
             for n in range(m, n_max // m + 1):
                 rhs = sum(lam[m * n // (d * d)] for d in divisors(math.gcd(m, n)))
                 if abs(lam[m] * lam[n] - rhs) > 1e-6:
-                    bad += 1
+                    bad.append((m, n))
     return bad
 
 
@@ -132,17 +143,40 @@ def test_hecke_exact_small():
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 25, 97])
 def test_hecke_violations_match_loop(n):
     """A wrong tau(n) or lambda(n) is counted exactly as the loop counts it,
-    on the exact path and on the float path."""
+    on the exact path and on the float path; validate_eigenform reports the
+    loop's first violating pair."""
     f = delta_coefficients(2000)
     tau = list(f.tau_exact)
     tau[n - 1] += 1
     lam = f.lam.copy()
     lam[n] += 1e-3
-    for form in (dataclasses.replace(f, tau_exact=tau),
-                 dataclasses.replace(f, lam=lam, tau_exact=None)):
+    float_form = dataclasses.replace(f, lam=lam, tau_exact=None)
+    for form in (dataclasses.replace(f, tau_exact=tau), float_form):
         want = _hecke_violations_loop(form, 2000)
-        assert want > 0
-        assert hecke_violations(form, 2000) == want
+        assert want
+        assert hecke_violations(form, 2000) == len(want)
+    m0, n0 = _hecke_violations_loop(float_form, 2000)[0]
+    match = r"lambda\(1\)" if n == 1 else rf"\(m,n\)=\({m0},{n0}\)"
+    with pytest.raises(CoefficientError, match=match):
+        validate_eigenform(float_form)
+
+
+def test_hecke_violations_count_nan():
+    f = delta_coefficients(2000)
+    lam = f.lam.copy()
+    lam[6] = np.nan                  # enters (2, 3) on the right and (6, n) on the left
+    assert hecke_violations(dataclasses.replace(f, lam=lam, tau_exact=None), 2000) > 0
+
+
+def test_ingest_rejects_non_finite(tmp_path, delta_small):
+    # 1999 is prime and 2 * 1999 > 2000: no Hecke pair reaches lambda(1999)
+    path = tmp_path / "nan.txt"
+    lines = ["# kind holomorphic", "# weight 12"]
+    lines += [f"{n} {'nan' if n == 1999 else repr(float(delta_small.lam[n]))}"
+              for n in range(1, 2001)]
+    path.write_text("\n".join(lines))
+    with pytest.raises(CoefficientError, match=r"lambda\(1999\)"):
+        ingest_coefficients(str(path))
 
 
 def test_deligne_bound_exact_small():

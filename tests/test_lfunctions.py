@@ -3,8 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
+from momentlab import lfunctions
 from momentlab.characters import build_group
+from momentlab.eigenforms import EigenformData
 from momentlab.lfunctions import (L_one_f, ParityVanishing, afe_triple_product,
                                   conjugate_index, dirichlet_L_half,
                                   dirichlet_fe_residual, hurwitz_zeta,
@@ -98,6 +101,64 @@ def test_weight_spline_matches_reference(delta_small):
         for x in (1e-6, 0.03, 0.7, 1.0, 2.5, 8.0):
             assert float(triple_weight(delta_small, a)(x)) == pytest.approx(
                 weight_V_reference(x, a, delta_small), abs=5e-11)
+
+
+def _log_gamma_ratio_triple_inline(form, parity_a):
+    """The triple Gamma factor with the twist factor written out in each
+    branch, as it was before it was built on the twist factor."""
+    a = parity_a
+    if form.is_holomorphic:
+        k = form.weight
+
+        def log_G(s):
+            val = -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
+            val = val + 2 * (-(s / 2) * np.log(np.pi)
+                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
+            return val
+    else:
+        kap = form.kappa
+
+        def log_G(s):
+            val = (-s * np.log(np.pi)
+                   + loggamma((0.5 + s + 1j * kap + a) / 2) - loggamma((0.5 + 1j * kap + a) / 2)
+                   + loggamma((0.5 + s - 1j * kap + a) / 2) - loggamma((0.5 - 1j * kap + a) / 2))
+            val = val + 2 * (-(s / 2) * np.log(np.pi)
+                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
+            return val
+    return log_G
+
+
+def _grid_v_two_loops(log_G, T=40.0, h=0.05):
+    """grid_v with one contour loop per half-line, as the weight was built
+    before one loop served both."""
+    xs_small = np.logspace(-12.0, 0.0, 12 * 120 + 1)
+    xs_large = np.logspace(0.0, 6.0, 6 * 120 + 1)
+    t = np.arange(-T, T + h / 2, h)
+    g_left = np.exp(log_G(-0.25 + 1j * t)) / (-0.25 + 1j * t)
+    v_small = np.empty_like(xs_small)
+    for i0 in range(0, len(xs_small), 256):
+        xs = xs_small[i0:i0 + 256]
+        phases = xs[:, None] ** (0.25 - 1j * np.arange(-T, T + h / 2, h))[None, :]
+        v_small[i0:i0 + 256] = 1.0 + (h / (2 * np.pi)) * np.real(phases @ g_left)
+    g_right = np.exp(log_G(3.0 + 1j * t)) / (3.0 + 1j * t)
+    v_large = np.empty_like(xs_large)
+    for i0 in range(0, len(xs_large), 256):
+        xs = xs_large[i0:i0 + 256]
+        phases = xs[:, None] ** (-3.0 - 1j * np.arange(-T, T + h / 2, h))[None, :]
+        v_large[i0:i0 + 256] = (h / (2 * np.pi)) * np.real(phases @ g_right)
+    return np.concatenate([v_small, v_large[1:]])
+
+
+@pytest.mark.parametrize("kind", ["delta", "maass"])
+def test_weight_grid_matches_two_loop_build(delta_small, kind):
+    # bit-identical: the same operations in the same order
+    form = delta_small if kind == "delta" else EigenformData(
+        "maass", None, 9.53, 7 / 64, 1, np.zeros(2), label="maass-9.53")
+    for a in (0, 1):
+        assert np.array_equal(triple_weight(form, a).grid_v,
+                              _grid_v_two_loops(_log_gamma_ratio_triple_inline(form, a)))
+        assert np.array_equal(twist_weight(form, a).grid_v,
+                              _grid_v_two_loops(lfunctions._log_gamma_ratio_twist(form, a)))
 
 
 def test_weight_rejects_nonpositive(delta_small):

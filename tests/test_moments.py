@@ -71,6 +71,45 @@ def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
     assert np.allclose(F, direct, rtol=1e-10, atol=1e-12 * np.abs(direct).max())
 
 
+def _afe_per_m_loop(group, index, form, v_tol=1e-12):
+    """The triple-product AFE summed over m one at a time, each m against
+    all n <= X / m at once; kept as the reference for afe_triple_product."""
+    from momentlab.arith import divisor_count_sieve
+    from momentlab.lfunctions import triple_weight
+    q = group.modulus
+    V = triple_weight(form, 0 if group.parity[index] == 1 else 1)
+    X = int(math.ceil(V.cutoff(v_tol) * q * q))
+    tau = divisor_count_sieve(X)
+    ns = np.arange(X + 1, dtype=np.float64)
+    inv_sqrt = np.zeros(X + 1)
+    inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
+    chi_of = group.values[index][np.arange(X + 1) % q]
+    # V(mn / q^2) depends only on k = mn <= X: Vk[k - 1] = V(k / q^2)
+    Vk = V(ns[1:] / (q * q))
+    total = 0j
+    for m in range(1, X + 1):
+        cm = chi_of[m]
+        if cm == 0:
+            continue
+        n_hi = X // m
+        n_idx = np.arange(1, n_hi + 1)
+        weights = Vk[m - 1::m] * inv_sqrt[1:n_hi + 1] * inv_sqrt[m]
+        lam_m_tau_n = form.lam[m] * tau[1:n_hi + 1]
+        tau_m_lam_n = tau[m] * form.lam[1:n_hi + 1]
+        inner = np.sum((lam_m_tau_n + tau_m_lam_n) * weights * np.conj(chi_of[n_idx]))
+        total += cm * inner
+    return complex(total)
+
+
+@pytest.mark.parametrize("q", [5, 7, 12, 13, 16])
+def test_afe_matches_per_m_loop(delta_small, q):
+    # chi F conj(chi) of the residue-pair matrix against the per-m sum
+    g = build_group(q)
+    for idx in g.primitive_indices(parity=1):
+        want = _afe_per_m_loop(g, idx, delta_small)
+        assert abs(afe_triple_product(g, idx, delta_small) - want) <= 1e-12 * abs(want)
+
+
 def test_brute_matches_per_character_afe(delta_small):
     # the quadratic-form evaluation equals the per-character AFE sum
     q = 5
@@ -81,8 +120,7 @@ def test_brute_matches_per_character_afe(delta_small):
     total = 0j
     for idx in g.primitive_indices(parity=1):
         chi = g.values[idx]
-        total += chi[2] * np.conj(chi[1]) * afe_triple_product(
-            g, idx, delta_small, v_tol=1e-9)
+        total += chi[2] * np.conj(chi[1]) * _afe_per_m_loop(g, idx, delta_small, v_tol=1e-9)
     total /= phi_star(q)
     assert abs(rep.m_even - total) < 1e-8 * max(abs(total), 1.0)
 
