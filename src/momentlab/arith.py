@@ -2,18 +2,18 @@
 
 Everything here is computed from an explicit factorization, so a single
 audited code path serves all multiplicative functions.  Inputs are desk
-scale (a few thousand in practice) but factorization is happy up to 2^63
-thanks to Miller-Rabin + Pollard rho behind the trial-division wheel.
+scale (a few thousand in practice); factorization is trial division on a
+2, 3, 5 wheel up to sqrt(n), for n <= 10^12, which takes at most about
+2.7 * 10^5 divisions.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-_MAX_INPUT = 2**63
+_MAX_INPUT = 10**12
 
 
 @dataclass(frozen=True)
@@ -46,69 +46,15 @@ class Factorization:
         return sorted(divs)
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3 * 10^24 with this witness set
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if _is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
-
-
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
-    """Exact factorization of n >= 1, deterministic for a given n."""
+    """Exact factorization of 1 <= n <= 10^12 by trial division on a wheel."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n > _MAX_INPUT:
-        raise OverflowError(f"factorize input {n} exceeds 2^63")
+        raise OverflowError(f"factorize input {n} exceeds 10^12")
     value = n
     out: dict[int, int] = {}
-    # wheel over small primes first; Pollard rho mops up the cofactor
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -116,13 +62,15 @@ def factorize(n: int) -> Factorization:
     p = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while p * p <= n and p < 10**6:
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += inc[i]
         i = (i + 1) % 8
-    _factor_into(n, out)
+    if n > 1:
+        # no prime below p divides n and p * p > n, so n is prime
+        out[n] = 1
     return Factorization(value, tuple(sorted(out.items())))
 
 

@@ -1,10 +1,13 @@
 """Dirichlet character groups mod q via CRT on prime-power components.
 
-Characters are stored as exact root-of-unity exponents (numerator over the
-group exponent) next to a complex table, so multiplicativity, parity, and
-orthogonality can be tested without floating noise.  Indexing is by exponent
-vectors on fixed component generators (for 2^e with e >= 3 the generators
-are -1 and 5), lexicographic with the first component most significant.
+Each prime power p^e || q contributes fixed generators of (Z/p^e)^*: -1 and
+5 for 2^e with e >= 3, 3 for 4, and the smallest suitable primitive root for
+odd p.  A unit's exponent vector is its discrete logs on these generators,
+read off its residue mod each p^e.  Characters are indexed by exponent
+vectors, lexicographic with the first component most significant, and are
+stored as exact root-of-unity exponents (numerator over the group exponent)
+next to a complex table, so multiplicativity, parity, and orthogonality can
+be tested without floating noise.
 """
 
 from __future__ import annotations
@@ -33,13 +36,6 @@ def _primitive_root_odd_prime_power(p: int, e: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class _Component:
-    prime_power: int      # p^e
-    generator: int        # generator residue mod q (lifted via CRT)
-    order: int
-
-
 @dataclass
 class CharacterGroup:
     """Full multiplicative character table mod q.
@@ -49,7 +45,6 @@ class CharacterGroup:
     """
 
     modulus: int
-    components: tuple[_Component, ...]
     group_exponent: int
     exponents: np.ndarray        # (n_chars, q) int64, -1 on non-units
     values: np.ndarray           # (n_chars, q) complex128, 0 on non-units
@@ -74,65 +69,6 @@ class CharacterGroup:
         if parity is not None:
             idx = idx[self.parity[idx] == parity]
         return [int(i) for i in idx]
-
-
-def _component_dlogs(q: int) -> tuple[list[_Component], list[np.ndarray]]:
-    """Generators with orders, and per-component discrete-log tables mod q."""
-    comps: list[_Component] = []
-    dlogs: list[np.ndarray] = []
-    units = [x for x in range(q) if math.gcd(x, q) == 1] if q > 1 else [0]
-    for p, e in factorize(q).factors:
-        pe = p**e
-        rest = q // pe
-        if p == 2 and e == 1:
-            continue  # trivial unit group mod 2
-        if p == 2 and e >= 3:
-            gens = [(pe - 1, 2), (5, 2 ** (e - 2))]
-        elif p == 2:  # e == 2
-            gens = [(3, 2)]
-        else:
-            gens = [(_primitive_root_odd_prime_power(p, e), euler_phi(pe))]
-        # discrete logs of every unit x (mod pe) on this generator system
-        if p == 2 and e >= 3:
-            table = -np.ones(pe, dtype=np.int64)  # combined (s, t) -> packed later
-            sign_log = -np.ones(pe, dtype=np.int64)
-            five_log = -np.ones(pe, dtype=np.int64)
-            val = 1
-            for t in range(2 ** (e - 2)):
-                sign_log[val] = 0
-                five_log[val] = t
-                sign_log[pe - val] = 1
-                five_log[pe - val] = t
-                val = val * 5 % pe
-            for g_res, order, log_tab in ((pe - 1, 2, sign_log), (5, 2 ** (e - 2), five_log)):
-                g_lift = _crt_lift(g_res, pe, rest, q)
-                comps.append(_Component(pe, g_lift, order))
-                dl = np.zeros(len(units), dtype=np.int64)
-                for j, x in enumerate(units):
-                    dl[j] = log_tab[x % pe]
-                dlogs.append(dl)
-        else:
-            g_res, order = gens[0]
-            log_tab = -np.ones(pe, dtype=np.int64)
-            val = 1
-            for t in range(order):
-                log_tab[val] = t
-                val = val * g_res % pe
-            g_lift = _crt_lift(g_res, pe, rest, q)
-            comps.append(_Component(pe, g_lift, order))
-            dl = np.zeros(len(units), dtype=np.int64)
-            for j, x in enumerate(units):
-                dl[j] = log_tab[x % pe]
-            dlogs.append(dl)
-    return comps, dlogs
-
-
-def _crt_lift(res: int, pe: int, rest: int, q: int) -> int:
-    """Residue mod q that is `res` mod pe and 1 mod rest."""
-    if rest == 1:
-        return res % q
-    inv = pow(pe, -1, rest)
-    return (res + pe * ((1 - res) * inv % rest)) % q
 
 
 # build_group keeps the groups it built while their tables take at most this
@@ -175,55 +111,57 @@ build_group.cache_info = _cache_info
 def _build_group(q: int) -> CharacterGroup:
     if q < 1:
         raise ValueError("modulus must be positive")
-    units = [x for x in range(q) if math.gcd(x, q) == 1] if q > 1 else [0]
-    comps, dlogs = _component_dlogs(q)
-    orders = [c.order for c in comps]
-    n_chars = math.prod(orders) if orders else 1
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)   # [0] for q = 1
+    orders: list[int] = []
+    dlogs = np.zeros((0, len(units)), dtype=np.int64)   # (n_gens, n_units)
+    for p, e in factorize(q).factors:
+        pe = p**e
+        if pe == 2:
+            continue  # trivial unit group mod 2
+        if pe == 4:
+            gens = [(3, 2)]
+        elif p == 2:
+            gens = [(pe - 1, 2), (5, 2 ** (e - 2))]
+        else:
+            gens = [(_primitive_root_odd_prime_power(p, e), euler_phi(pe))]
+        # log_tab[:, prod g_j^{t_j} mod pe] = t over every exponent vector t
+        ts = np.indices([order for _, order in gens]).reshape(len(gens), -1)
+        residues = np.ones(ts.shape[1], dtype=np.int64)
+        for (g, order), t in zip(gens, ts):
+            powers = np.array([pow(g, k, pe) for k in range(order)], dtype=np.int64)
+            residues = residues * powers[t] % pe
+        log_tab = -np.ones((len(gens), pe), dtype=np.int64)
+        log_tab[:, residues] = ts
+        dlogs = np.vstack([dlogs, log_tab[:, units % pe]])
+        orders += [order for _, order in gens]
+    n_chars = math.prod(orders)
     assert n_chars == euler_phi(q)
-    group_exp = math.lcm(*orders) if orders else 1
+    group_exp = math.lcm(*orders)
 
     # all exponent vectors, lexicographic (first component most significant)
-    if orders:
-        grids = np.indices(orders).reshape(len(orders), -1).T  # (n_chars, ncomp)
-    else:
-        grids = np.zeros((1, 0), dtype=np.int64)
-
-    exponents = -np.ones((n_chars, q if q > 1 else 1), dtype=np.int64)
-    unit_idx = np.array(units, dtype=np.int64)
-    if comps:
-        dl_mat = np.stack(dlogs)                        # (ncomp, n_units)
-        weights = np.array([group_exp // c.order for c in comps], dtype=np.int64)
-        nums = (grids * weights) @ dl_mat % group_exp   # (n_chars, n_units)
-    else:
-        nums = np.zeros((1, len(units)), dtype=np.int64)
-    exponents[:, unit_idx] = nums
+    grids = np.indices(orders).reshape(len(orders), n_chars).T   # (n_chars, n_gens)
+    weights = np.array([group_exp // order for order in orders], dtype=np.int64)
+    nums = (grids * weights) @ dlogs % group_exp   # (n_chars, n_units)
+    exponents = -np.ones((n_chars, q), dtype=np.int64)
+    exponents[:, units] = nums
     values = np.zeros(exponents.shape, dtype=np.complex128)
-    values[:, unit_idx] = np.exp(2j * np.pi * nums / group_exp)
+    values[:, units] = np.exp(2j * np.pi * nums / group_exp)
 
-    minus_one = (q - 1) % max(q, 1) if q > 1 else 0
-    parity = np.where(exponents[:, minus_one] == 0, 1, -1).astype(np.int8)
+    parity = np.where(exponents[:, q - 1] == 0, 1, -1).astype(np.int8)
 
+    # chi has conductor f iff f is the least divisor of q such that chi is
+    # trivial on the units = 1 mod f
     conductor = np.zeros(n_chars, dtype=np.int64)
-    for i in range(n_chars):
-        conductor[i] = _conductor(q, units, exponents[i])
+    for f in reversed(divisors(q)):
+        trivial = (exponents[:, units[units % f == 1 % f]] == 0).all(axis=1)
+        conductor[trivial] = f
     is_primitive = conductor == q
     assert int(is_primitive.sum()) == phi_star(q)
     # the cache hands these tables to every caller
     for arr in (exponents, values, parity, conductor, is_primitive):
         arr.flags.writeable = False
 
-    return CharacterGroup(q, tuple(comps), group_exp, exponents, values,
-                          parity, conductor, is_primitive)
-
-
-def _conductor(q: int, units: list[int], expo: np.ndarray) -> int:
-    if q == 1:
-        return 1
-    for f in divisors(q):
-        # chi factors through f iff chi is trivial on {x = 1 mod f}
-        if all(expo[x] == 0 for x in units if x % f == 1 % f):
-            return f
-    return q
+    return CharacterGroup(q, group_exp, exponents, values, parity, conductor, is_primitive)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_moment(args) -> int:
+    from .lfunctions import L_one_f
     from .moments import MomentQuery, brute_moment, main_term, sweep
 
     try:
@@ -59,7 +60,11 @@ def cmd_moment(args) -> int:
             print("error: --q or --q-range required", file=sys.stderr)
             return EXIT_CONFIG
         form = _load_form(args.form, q_hi, args.tol)
-    except (ValueError, OSError) as exc:
+        if not form.is_holomorphic:
+            raise ValueError(f"the main term exists for holomorphic forms only; "
+                             f"{form.label!r} is a {form.kind} form")
+        L1 = L_one_f(form)
+    except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -89,7 +94,7 @@ def cmd_moment(args) -> int:
                 continue
             try:
                 rep = brute_moment(form, query, v_tol=args.tol)
-                mt = main_term(form, query)
+                mt = main_term(form, query, L1=L1)
                 row = [q, args.a, args.b, _fmt(rep.moment),
                        _fmt(complex(rep.m_even).real), _fmt(complex(rep.m_odd).real),
                        _fmt(mt.value_theorem), _fmt(rep.moment / mt.value_theorem),
@@ -164,13 +169,16 @@ def _suite_voronoi(args) -> dict:
     form = delta_coefficients(2_200_000)
     worst = 0.0
     cells = []
-    for d in (1, 2, 3, 4, 5):
-        b = 1 if d == 1 else d - 1
-        for q in (1, 2, 3, 6):
-            for X in (10.0, 20.0, 40.0):
-                resid = voronoi_check(VoronoiCase(b, d, q, X, form))
-                worst = max(worst, resid)
-                cells.append(dict(b=b, d=d, q=q, X=X, residual=resid))
+    # the acceptance grid: every unit b <= max(d - 1, 1) for d <= 5
+    for d in range(1, 6):
+        for b in range(1, max(d - 1, 1) + 1):
+            if math.gcd(b, d) != 1:
+                continue
+            for q in (1, 2, 3, 6):
+                for X in (10.0, 20.0, 40.0):
+                    resid = voronoi_check(VoronoiCase(b, d, q, X, form))
+                    worst = max(worst, resid)
+                    cells.append(dict(b=b, d=d, q=q, X=X, residual=resid))
     return dict(suite="voronoi", cells=len(cells), max_residual=worst,
                 passed=bool(worst <= 1e-6))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import divisor_count, divisor_count_sieve, divisors, factorize, moebius
+from .arith import divisor_count_sieve, divisors, factorize, moebius
 
 _EXACT_LIMIT_DEFAULT = 10**4
 _FLOAT_MEMORY_CAP = 2**26  # entries; ~0.5 GB of float64 is the desk budget
@@ -235,29 +235,24 @@ def resolve_coefficient_path(path_or_name: str) -> Path:
                             "(also searched MOMENTLAB_COEFF_DIR)")
 
 
-def ingest_coefficients(path_or_name: str, kind: str | None = None,
-                        parameter: float | None = None,
-                        epsilon: int | None = None,
-                        theta: float | None = None) -> EigenformData:
+def ingest_coefficients(path_or_name: str) -> EigenformData:
     """Load and validate an eigenvalue table from a coefficient file.
 
-    Header lines '# kind ...', '# weight ...'/'# kappa ...', '# epsilon ...',
-    '# theta ...' provide defaults; explicit arguments override them.
+    Header lines '# kind ...', '# weight ...'/'# kappa ...', '# epsilon ...'
+    and '# theta ...' describe the form; epsilon defaults to 1 and theta to
+    0 (holomorphic) or 7/64 (Maass).
     """
     path = resolve_coefficient_path(path_or_name)
     meta, entries = _parse_coefficient_file(path)
-    kind = kind or meta.get("kind")
+    kind = meta.get("kind")
     if kind not in ("holomorphic", "maass"):
         raise CoefficientError(f"unknown or missing form kind {kind!r}")
-    if parameter is None:
-        key = "weight" if kind == "holomorphic" else "kappa"
-        if key not in meta:
-            raise CoefficientError(f"missing {key} for {kind} form")
-        parameter = float(meta[key])
-    if epsilon is None:
-        epsilon = int(meta.get("epsilon", "1"))
-    if theta is None:
-        theta = float(meta.get("theta", "0" if kind == "holomorphic" else str(7 / 64)))
+    key = "weight" if kind == "holomorphic" else "kappa"
+    if key not in meta:
+        raise CoefficientError(f"missing {key} for {kind} form")
+    parameter = float(meta[key])
+    epsilon = int(meta.get("epsilon", "1"))
+    theta = float(meta.get("theta", "0" if kind == "holomorphic" else str(7 / 64)))
     if kind == "maass" and epsilon == -1:
         raise CoefficientError(
             "Maass form with root number -1 rejected: the mixed moment "
@@ -364,34 +359,26 @@ def extend_by_hecke(form: EigenformData, n_max: int) -> EigenformData:
                          tau_exact=form.tau_exact)
 
 
-@dataclass(frozen=True)
-class VarpiTable:
-    """Coprime-removal coefficients varpi_lambda / varpi_tau for one modulus."""
-
-    q: int
-    entries: tuple[tuple[int, float, float], ...]   # (delta, varpi_lambda, varpi_tau)
-
-    def as_dict(self) -> dict[int, tuple[float, float]]:
-        return {d: (wl, wt) for d, wl, wt in self.entries}
-
-
-def varpi_table(form: EigenformData, q: int) -> VarpiTable:
-    """varpi_lambda(delta, q) = sum_{k l^2 = delta, k l | q} mu(l) mu(kl) lambda(k),
-    and the divisor-function analogue, over all delta = k l^2 with kl | q."""
-    acc: dict[int, tuple[float, float]] = {}
+def _varpi(c, q: int, weight: int) -> dict[int, object]:
+    """{delta: sum_{k l^2 = delta, kl | q} mu(l) mu(kl) l^weight c(k)} over the
+    k < len(c), accumulated in (kl, l) order, so exact on an integer vector."""
+    acc: dict[int, object] = {}
     for kl in divisors(q):
         for l in divisors(kl):
             k = kl // l
-            if form.n_max < k:
-                raise IndexError(f"varpi_table needs lambda({k}) but n_max={form.n_max}")
             coef = moebius(l) * moebius(kl)
-            if coef == 0:
-                continue
-            delta = k * l * l
-            wl, wt = acc.get(delta, (0.0, 0.0))
-            acc[delta] = (wl + coef * form.lam_at(k), wt + coef * divisor_count(k))
-    entries = tuple(sorted((d, wl, wt) for d, (wl, wt) in acc.items()))
-    return VarpiTable(q, entries)
+            if coef != 0 and k < len(c):
+                delta = k * l * l
+                acc[delta] = acc.get(delta, 0) + coef * l**weight * c[k]
+    return acc
+
+
+def varpi_table(form: EigenformData, q: int) -> list[tuple[int, float]]:
+    """Sorted (delta, varpi_lambda(delta, q)) over all delta = k l^2 with kl | q,
+    where varpi_lambda(delta, q) = sum_{k l^2 = delta, kl | q} mu(l) mu(kl) lambda(k)."""
+    if form.n_max < q:
+        raise IndexError(f"varpi_table needs lambda({q}) but n_max={form.n_max}")
+    return sorted((delta, float(w)) for delta, w in _varpi(form.lam, q, weight=0).items())
 
 
 def _coprime_removal_defect(c: np.ndarray, q: int, weight: int) -> int:
@@ -400,18 +387,15 @@ def _coprime_removal_defect(c: np.ndarray, q: int, weight: int) -> int:
           - [gcd(m, q) = 1] c(m) |,
     for a coefficient vector c with c[0] unused.
 
-    The left side is a Dirichlet convolution, so each admissible (k, l) adds
-    mu(l) mu(kl) l^weight c(k) c(j) at m = k l^2 j for every j at once.
+    The left side is the Dirichlet convolution of c with the coefficients
+    _varpi(c, q, weight) placed at delta = k l^2, so each delta adds
+    varpi(delta) c(j) at m = delta j for every j at once.  A k past the end
+    of c is skipped: its delta = k l^2 >= k is past the end too.
     """
     m_max = len(c) - 1
     total = np.zeros_like(c)
-    for kl in divisors(q):
-        for l in divisors(kl):
-            k = kl // l
-            kl2 = k * l * l
-            coef = moebius(l) * moebius(kl)
-            if coef != 0 and kl2 <= m_max:
-                total[kl2::kl2] += coef * l**weight * c[k] * c[1:m_max // kl2 + 1]
+    for delta, w in _varpi(c, q, weight).items():
+        total[delta::delta] += w * c[1:m_max // delta + 1]
     expected = np.where(np.gcd(np.arange(m_max + 1), q) == 1, c, 0)
     return int(np.abs(total[1:] - expected[1:]).sum())
 

@@ -248,7 +248,7 @@ def voronoi_rhs(case: VoronoiCase, phase_sign: int = PHASE_SIGN,
         raise ValueError("phase_sign must be +-1")
     spline = _cached_spline(case, truncation_factor)
     total = 0j
-    for delta, varpi_lam, _ in varpi_table(case.form, case.q).entries:
+    for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:
             continue
         g = math.gcd(delta, case.d)
@@ -270,7 +270,7 @@ def tail_certificate(case: VoronoiCase) -> float:
     ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
     env = np.abs(hankel_grid(case, ys))
     total = 0.0
-    for delta, varpi_lam, _ in varpi_table(case.form, case.q).entries:
+    for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:
             continue
         g = math.gcd(delta, case.d)

@@ -20,6 +20,21 @@ def test_factorize_roundtrip(n):
         assert all(p % r != 0 for r in range(2, min(p, 1000)) if r * r <= p)
 
 
+@pytest.mark.parametrize("n, factors", [
+    (999983**2, ((999983, 2),)),
+    (999983 * 999979, ((999979, 1), (999983, 1))),
+    (2**39, ((2, 39),)),
+    (10**12, ((2, 12), (5, 12))),
+])
+def test_factorize_exact_up_to_the_bound(n, factors):
+    assert factorize(n).factors == factors
+
+
+def test_factorize_rejects_input_past_the_bound():
+    with pytest.raises(OverflowError, match=r"10\^12"):
+        factorize(10**12 + 1)
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(6, ((3, 1), (2, 1)))   # primes out of order

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentlab.arith import euler_phi, phi_star
+from momentlab.arith import divisors, euler_phi, factorize, phi_star
 from momentlab import characters
-from momentlab.characters import (build_group, enumerated_orthogonality,
+from momentlab.characters import (_build_group, _primitive_root_odd_prime_power,
+                                  build_group, enumerated_orthogonality,
                                   gauss_eps, orthogonality_sum)
 
 
@@ -127,3 +128,98 @@ def test_group_cache_is_bounded_by_bytes(monkeypatch):
     big = build_group(109)           # alone over the bound, but kept
     assert list(characters._GROUPS) == [109]
     assert build_group(109) is big
+
+
+def _crt_lift(res, pe, rest, q):
+    """Residue mod q that is `res` mod pe and 1 mod rest."""
+    if rest == 1:
+        return res % q
+    inv = pow(pe, -1, rest)
+    return (res + pe * ((1 - res) * inv % rest)) % q
+
+
+def _reference_dlogs(q, units):
+    """The earlier per-unit construction, kept as the reference: generators
+    lifted to residues mod q, with orders, and the discrete logs of every
+    unit, one branch for 2^e (e >= 3) and one for the rest."""
+    gens, dlogs = [], []
+    for p, e in factorize(q).factors:
+        pe = p**e
+        rest = q // pe
+        if p == 2 and e == 1:
+            continue
+        if p == 2 and e >= 3:
+            sign_log = -np.ones(pe, dtype=np.int64)
+            five_log = -np.ones(pe, dtype=np.int64)
+            val = 1
+            for t in range(2 ** (e - 2)):
+                sign_log[val] = 0
+                five_log[val] = t
+                sign_log[pe - val] = 1
+                five_log[pe - val] = t
+                val = val * 5 % pe
+            for g_res, order, log_tab in ((pe - 1, 2, sign_log), (5, 2 ** (e - 2), five_log)):
+                gens.append((_crt_lift(g_res, pe, rest, q), order))
+                dlogs.append(np.array([log_tab[x % pe] for x in units], dtype=np.int64))
+        else:
+            if p == 2:
+                g_res, order = 3, 2
+            else:
+                g_res, order = _primitive_root_odd_prime_power(p, e), euler_phi(pe)
+            log_tab = -np.ones(pe, dtype=np.int64)
+            val = 1
+            for t in range(order):
+                log_tab[val] = t
+                val = val * g_res % pe
+            gens.append((_crt_lift(g_res, pe, rest, q), order))
+            dlogs.append(np.array([log_tab[x % pe] for x in units], dtype=np.int64))
+    return gens, dlogs
+
+
+def _reference_conductor(q, units, expo):
+    if q == 1:
+        return 1
+    for f in divisors(q):
+        if all(expo[x] == 0 for x in units if x % f == 1 % f):
+            return f
+    return q
+
+
+def _reference_tables(q):
+    units = [x for x in range(q) if math.gcd(x, q) == 1] if q > 1 else [0]
+    gens, dlogs = _reference_dlogs(q, units)
+    orders = [order for _, order in gens]
+    n_chars = math.prod(orders) if orders else 1
+    group_exp = math.lcm(*orders) if orders else 1
+    if orders:
+        grids = np.indices(orders).reshape(len(orders), -1).T
+        weights = np.array([group_exp // order for order in orders], dtype=np.int64)
+        nums = (grids * weights) @ np.stack(dlogs) % group_exp
+    else:
+        grids = np.zeros((1, 0), dtype=np.int64)
+        nums = np.zeros((1, len(units)), dtype=np.int64)
+    exponents = -np.ones((n_chars, q), dtype=np.int64)
+    exponents[:, units] = nums
+    values = np.zeros(exponents.shape, dtype=np.complex128)
+    values[:, units] = np.exp(2j * np.pi * nums / group_exp)
+    minus_one = (q - 1) % q if q > 1 else 0
+    parity = np.where(exponents[:, minus_one] == 0, 1, -1).astype(np.int8)
+    conductor = np.array([_reference_conductor(q, units, exponents[i])
+                          for i in range(n_chars)], dtype=np.int64)
+    tables = dict(exponents=exponents, values=values, parity=parity,
+                  conductor=conductor, is_primitive=conductor == q)
+    return tables, gens, grids, group_exp
+
+
+def test_tables_match_per_unit_construction():
+    for q in [*range(1, 301), 1000, 1024, 1728, 2310]:
+        ref, gens, grids, group_exp = _reference_tables(q)
+        g = _build_group(q)
+        assert g.group_exponent == group_exp
+        for name, want in ref.items():
+            got = getattr(g, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (q, name)
+        # character i sends the j-th generator, lifted to 1 mod the other
+        # prime powers, to e(grids[i, j] / order_j): the documented indexing
+        for j, (g_lift, order) in enumerate(gens):
+            assert np.array_equal(g.exponents[:, g_lift], grids[:, j] * (group_exp // order))

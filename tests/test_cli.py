@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from momentlab.cli import EXIT_CONFIG, EXIT_ITEM, EXIT_OK, main
+from momentlab.cli import EXIT_CONFIG, EXIT_OK, main
 
 
 def test_exponent_default(capsys):
@@ -65,13 +66,17 @@ def test_moment_rejects_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def _coefficient_file(path, form, kind="holomorphic", parameter="# weight 12"):
+    lines = [f"# kind {kind}", parameter]
+    lines += [f"{n} {float(form.lam[n])!r}" for n in range(1, 2001)]
+    path.write_text("\n".join(lines))
+    return path
+
+
 def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, delta_small):
     from momentlab import eigenforms
 
-    path = tmp_path / "form.txt"
-    lines = ["# kind holomorphic", "# weight 12"]
-    lines += [f"{n} {float(delta_small.lam[n])!r}" for n in range(1, 2001)]
-    path.write_text("\n".join(lines))
+    path = _coefficient_file(tmp_path / "form.txt", delta_small)
     calls = []
     real_ingest = eigenforms.ingest_coefficients
 
@@ -81,6 +86,50 @@ def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, del
 
     monkeypatch.setattr(eigenforms, "ingest_coefficients", counting_ingest)
     # the AFE at q = 5 fits in 2000 entries; L(1, f) of the main term does not
-    assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_ITEM
-    assert "L(1,f) needs lambda up to 450000" in capsys.readouterr().err
+    assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: L(1,f) needs lambda up to 450000; table has 2000"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["--q-range", "5:9"], ["--q-range", "5:9", "--sweep"]])
+def test_moment_short_table_fails_once(capsys, tmp_path, delta_small, argv):
+    path = _coefficient_file(tmp_path / "form.txt", delta_small)
+    assert main(["moment", *argv, "--form", f"file:{path}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: L(1,f) needs lambda up to 450000; table has 2000"]
+
+
+def test_moment_rejects_maass_form(capsys, tmp_path, delta_small):
+    # the table passes ingest's checks; the main term has no Maass constant
+    path = _coefficient_file(tmp_path / "f.txt", delta_small,
+                             kind="maass", parameter="# kappa 9.53")
+    assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the main term exists for holomorphic forms only; 'f' is a maass form"]
+
+
+def _acceptance_voronoi_cells():
+    """(b, d, q, X) of acceptance 5: d <= 5, every unit b <= max(d - 1, 1)."""
+    return {(b, d, q, X) for d in range(1, 6) for b in range(1, max(d - 1, 1) + 1)
+            if math.gcd(b, d) == 1 for q in (1, 2, 3, 6) for X in (10.0, 20.0, 40.0)}
+
+
+def test_verify_voronoi_checks_the_acceptance_grid(capsys, monkeypatch, delta_large):
+    from momentlab import voronoi
+
+    seen = []
+
+    def record(case):
+        seen.append((case.b, case.d, case.q, case.X))
+        return 0.0
+
+    monkeypatch.setattr(voronoi, "voronoi_check", record)
+    assert main(["verify", "voronoi"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["cells"] == 120 == len(seen)
+    assert set(seen) == _acceptance_voronoi_cells()

@@ -186,13 +186,41 @@ def test_deligne_bound_exact_small():
 
 
 def test_varpi_values(delta_small):
-    t = varpi_table(delta_small, 6).as_dict()
-    assert t[1] == (1.0, 1.0)
+    t = dict(varpi_table(delta_small, 6))
+    assert t[1] == 1.0
     # delta = 4 comes only from (k, l) = (1, 2): mu(2) mu(2) lambda(1) = 1
-    assert t[4] == (1.0, 1.0)
+    assert t[4] == 1.0
     # delta = 6 from (k,l) = (6,1): mu(1) mu(6) lambda(6)
-    assert t[6][0] == pytest.approx(float(delta_small.lam[6]))
+    assert t[6] == pytest.approx(float(delta_small.lam[6]))
     assert set(t) == {1, 2, 3, 4, 6, 9, 12, 18, 36}
+
+
+def _varpi_pairs(lam, q):
+    """varpi_lambda(delta, q) summed over every pair (k, l) with kl | q."""
+    acc = {}
+    for k in range(1, q + 1):
+        for l in range(1, q // k + 1):
+            if q % (k * l) == 0:
+                coef = moebius(l) * moebius(k * l)
+                if coef:
+                    acc[k * l * l] = acc.get(k * l * l, 0.0) + coef * float(lam[k])
+    return sorted(acc.items())
+
+
+def test_varpi_table_matches_pair_enumeration(delta_small):
+    for q in range(1, 201):
+        got = varpi_table(delta_small, q)
+        want = _varpi_pairs(delta_small.lam, q)
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        assert np.allclose([w for _, w in got], [w for _, w in want], rtol=1e-13, atol=0), q
+
+
+def test_varpi_table_needs_lambda_up_to_q(delta_small):
+    short = dataclasses.replace(delta_small, lam=delta_small.lam[:47])
+    # (k, l) = (46, 1): mu(1) mu(46) lambda(46), the last entry of the table
+    assert dict(varpi_table(short, 46))[46] == float(short.lam[46])
+    with pytest.raises(IndexError, match="needs lambda"):
+        varpi_table(short, 47)
 
 
 @pytest.mark.parametrize("q", [2, 3, 6, 12, 30])

@@ -8,15 +8,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_sweep_moments_script(tmp_path):
-    out = tmp_path / "sweep.csv"
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sweep_moments.py"),
-         "--q-lo", "5", "--q-hi", "13", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_sweep_moments_script(tmp_path):
+    out = tmp_path / "sweep.csv"
+    run = _run_script("sweep_moments.py", "--q-lo", "5", "--q-hi", "13", "--out", str(out))
     assert run.returncode == 0, run.stderr
     summary = json.loads(run.stdout)
     assert set(summary) == {"winner", "median_dev_theorem", "median_dev_corollary",
@@ -29,3 +31,17 @@ def test_sweep_moments_script(tmp_path):
     assert summary["rows"] == len(rows)
     assert all(float(r["main_theorem"]) > 0 for r in rows)
     assert len((tmp_path / "sweep.csv.jsonl").read_text().splitlines()) == len(rows)
+
+
+def test_aq_grid_script():
+    run = _run_script("aq_grid.py", "--qs", "101", "199")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith("max ratio: ")
+    assert run.stdout.splitlines()[-1].endswith(" cells")
+
+
+def test_voronoi_residuals_script(delta_large):
+    # delta_large puts the script's default 2.2M-entry table on disk first
+    run = _run_script("voronoi_residuals.py", "--d-max", "2", "--qs", "1", "6", "--xs", "10")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith("max residual: ")

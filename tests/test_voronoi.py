@@ -41,7 +41,7 @@ def _voronoi_rhs_per_cell(case, phase_sign=PHASE_SIGN, truncation_factor=1.0):
     phase per n."""
     spline = _cached_spline(case, truncation_factor)
     total = 0j
-    for delta, varpi_lam, _ in varpi_table(case.form, case.q).entries:
+    for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:
             continue
         g = math.gcd(delta, case.d)
