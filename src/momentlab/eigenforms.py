@@ -259,6 +259,8 @@ def ingest_coefficients(path_or_name: str) -> EigenformData:
             "vanishes identically by the chi <-> conj(chi) symmetry, so there "
             "is nothing to compute")
 
+    if not entries:
+        raise CoefficientError(f"{path} holds no 'n lambda(n)' rows")
     n_max = max(entries)
     if set(entries) != set(range(1, n_max + 1)):
         raise CoefficientError(f"{path}: coefficients must cover n = 1..{n_max} without gaps")

@@ -1,9 +1,13 @@
 """Kloosterman sums, Weil-bound certification, the cusp-sum identity, and
 brute-force shifted convolution sums with empirical bound ratios.
 
-All bound ratios instantiate the q^epsilon factor as (log q)^2 and are
-reported, not asserted against 1; the only hard assertions are theorem-backed
-(Weil) or exact (support vanishing).
+Two kernels carry the sums.  ``_kloosterman_table`` gathers the c-th roots of
+unity at (m x + n xbar) mod c for arrays of (m, n) and sums over the units x.
+``_congruent_pairs`` sums alpha_m beta_n over the pairs with bm = +an, -an and
+both (mod d), bm != an, from residue-class sums of beta: A_q adds the + and -
+sums (a pair in both counts twice), each d-term of E_{M,N} takes their union
+(once).  Bound ratios take the q^epsilon factor as (log q)^2 and are reported,
+not asserted; the hard assertions are the Weil bound and exact vanishing.
 """
 
 from __future__ import annotations
@@ -14,9 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisor_count, divisor_count_sieve, divisors, euler_phi, moebius, phi_star
+from .arith import (divisor_count, divisor_count_sieve, divisors, euler_phi,
+                    is_admissible, moebius, phi_star)
 from .eigenforms import EigenformData
 from .special import BumpFunction, standard_window
+
+_PAIR_BUDGET = 10**7   # candidate (m, n) pairs one brute-force sum may visit
+
+
+def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units mod c, ascending, and their inverses (at c = 1 the unit 0)."""
+    x = np.arange(c)
+    units = x[np.gcd(x, c) == 1]
+    return units, np.array([pow(int(t), -1, c) for t in units], dtype=np.int64)
+
+
+def _kloosterman_table(ms, ns, c: int) -> np.ndarray:
+    """S(m, n; c) for the broadcast integer arrays ms, ns: the c-th roots of
+    unity gathered at (m x + n xbar) mod c and summed over the units x."""
+    units, inv = _unit_inverses(c)
+    roots = np.exp(2j * np.pi * np.arange(c) / c)
+    return np.sum(roots[(ms[..., None] * units + ns[..., None] * inv) % c], axis=-1)
 
 
 def kloosterman(m: int, n: int, c: int) -> float:
@@ -30,16 +52,7 @@ def kloosterman(m: int, n: int, c: int) -> float:
         raise ValueError("modulus must be positive")
     if c > 10**6:
         raise ValueError("modulus capped at 1e6 for direct summation")
-    if c == 1:
-        return 1.0
-    x = np.arange(c)
-    units = np.gcd(x, c) == 1
-    x = x[units]
-    # batched modular inverse: x^{phi(c)-1} mod c via Python pow (exact)
-    phi = euler_phi(c)
-    inv = np.array([pow(int(v), phi - 1, c) for v in x], dtype=np.int64)
-    phase = (m * x + n * inv) % c
-    total = np.sum(np.exp(2j * np.pi * phase / c))
+    total = complex(_kloosterman_table(np.asarray(m), np.asarray(n), c))
     if abs(total.imag) > 1e-9 * c:
         raise ArithmeticError(f"S({m},{n};{c}) imaginary part {total.imag:.3e}")
     return float(total.real)
@@ -52,11 +65,8 @@ def kloosterman_cusp(m: int, n: int, u: int, v: int, w: int) -> complex:
     """
     if math.gcd(u, v) != 1 or math.gcd(w, v) != 1:
         raise ValueError("(u, v) = (w, v) = 1 required")
-    uw = u * w
-    u_inv = pow(u, -1, v) if v > 1 else 0
-    v_inv = pow(v, -1, uw) if uw > 1 else 0
-    prefactor = np.exp(2j * np.pi * n * u_inv / v) if v > 1 else 1.0 + 0j
-    return complex(prefactor * kloosterman(m * v_inv if uw > 1 else m, n, uw))
+    prefactor = np.exp(2j * np.pi * n * pow(u, -1, v) / v)
+    return complex(prefactor * kloosterman(m * pow(v, -1, u * w), n, u * w))
 
 
 @dataclass(frozen=True)
@@ -70,28 +80,16 @@ class WeilReport:
 def weil_certify(c_max: int = 500, grid: int = 20) -> WeilReport:
     """|S(m,n;c)| <= d(c) (m,n,c)^{1/2} c^{1/2} on a grid; violation is fatal.
 
-    For each c all grid^2 sums come at once from a table of the c-th roots of
-    unity indexed by (m x + n xbar) mod c; cells are scanned in (c, m, n)
-    order, and the first violation, or the first cell of the largest ratio,
-    is the one reported.
+    For each c all grid^2 sums come at once from ``_kloosterman_table``;
+    cells are scanned in (c, m, n) order, and the first violation, or the
+    first cell of the largest ratio, is the one reported.
     """
     if c_max > 500:
         raise ValueError("certification capped at c <= 500")
-    best = 0.0
-    arg = (0, 0, 0)
-    cells = 0
+    best, arg, cells = 0.0, (0, 0, 0), 0
     ms = np.arange(1, grid + 1)
     for c in range(1, c_max + 1):
-        if c == 1:
-            s = np.ones((grid, grid))
-        else:
-            x = np.arange(c)
-            units = x[np.gcd(x, c) == 1]
-            phi = euler_phi(c)
-            inv = np.array([pow(int(t), phi - 1, c) for t in units], dtype=np.int64)
-            roots = np.exp(2j * np.pi * np.arange(c) / c)
-            idx = (ms[:, None, None] * units + ms[None, :, None] * inv) % c
-            s = np.sum(roots[idx], axis=-1).real
+        s = _kloosterman_table(ms[:, None], ms[None, :], c).real
         bound = divisor_count(c) * np.sqrt(np.gcd(ms[:, None], np.gcd(ms[None, :], c)) * c)
         ratio = np.abs(s) / bound
         cells += ratio.size
@@ -139,44 +137,42 @@ def _support_ranges(query: ConvolutionQuery):
     return m_lo, m_hi, n_lo, n_hi
 
 
-def shifted_conv_Aq(query: ConvolutionQuery, form: EigenformData,
-                    budget: int = 10**7) -> float:
+def _congruent_pairs(alpha, bm, beta, an, d: int) -> tuple[float, float, float]:
+    """Sums of alpha_m beta_n over the pairs bm != an with bm = +an, bm = -an
+    or both (mod d), an strictly ascending.  S[r] sums beta over the class
+    an = r; the diagonal beta at an = bm leaves the + class, and the - class
+    when it is the same class (2 bm = 0 mod d), which is when a pair is in both.
+    """
+    if an.size == 0:
+        return 0.0, 0.0, 0.0
+    S = np.bincount(an % d, weights=beta, minlength=d)
+    at = np.minimum(np.searchsorted(an, bm), an.size - 1)
+    diag = np.where(an[at] == bm, beta[at], 0.0)
+    same = (2 * bm) % d == 0
+    plus = S[bm % d] - diag
+    minus = S[-bm % d] - diag * same
+    return float(alpha @ plus), float(alpha @ minus), float(alpha @ (plus * same))
+
+
+def shifted_conv_Aq(query: ConvolutionQuery, form: EigenformData) -> float:
     """A_q = sum over bm = +-an (mod q), bm != an, of
-    lambda(m) tau(n) W(bm/M) W(an/N), by direct congruence enumeration."""
+    lambda(m) tau(n) W(bm/M) W(an/N), a pair in both classes counted twice."""
     a, b, q = query.a, query.b, query.q
     W = query.windows()
     m_lo, m_hi, n_lo, n_hi = _support_ranges(query)
     n_count = max(0, n_hi - n_lo + 1)
     # pairs surviving the congruence: roughly 2/q of the rectangle
     est = (m_hi - m_lo + 1) * (2 * (n_count // q + 1))
-    if est > budget:
-        raise ValueError(f"candidate pair estimate {est} exceeds budget {budget}")
+    if est > _PAIR_BUDGET:
+        raise ValueError(f"candidate pair estimate {est} exceeds budget {_PAIR_BUDGET}")
     if m_hi > form.n_max:
         raise IndexError(f"need lambda up to {m_hi}")
     tau = divisor_count_sieve(max(n_hi, 1))
-    ns = np.arange(n_lo, n_hi + 1)
-    an = a * ns
-    wn = W(an / query.N) * tau[ns]
-    an_mod = an % q
-    # bucket n by residue class of an mod q
-    order = np.argsort(an_mod, kind="stable")
-    an_mod_sorted = an_mod[order]
-    starts = np.searchsorted(an_mod_sorted, np.arange(q + 1))
-    wms = W(b * np.arange(m_lo, m_hi + 1) / query.M).tolist()
-    total = 0.0
-    for m, wm in zip(range(m_lo, m_hi + 1), wms):
-        if wm == 0.0:
-            continue
-        bm = b * m
-        lam_w = float(form.lam[m]) * wm
-        for sgn in (1, -1):
-            r = (sgn * bm) % q
-            sel = order[starts[r]:starts[r + 1]]
-            if sel.size == 0:
-                continue
-            mask = an[sel] != bm
-            total += lam_w * float(np.sum(wn[sel[mask]]))
-    return total
+    ms, ns = np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1)
+    alpha = form.lam[ms] * W(b * ms / query.M)
+    beta = W(a * ns / query.N) * tau[ns]
+    plus, minus, _ = _congruent_pairs(alpha, b * ms, beta, a * ns, q)
+    return plus + minus
 
 
 def aq_vanishing_certificate(query: ConvolutionQuery) -> bool:
@@ -202,59 +198,35 @@ def thmAq_bound(query: ConvolutionQuery) -> float:
                   + abq**0.25 * M * N**0.5 / ((a * b)**0.5 * q**0.75))
 
 
-def thmAq_ratio(query: ConvolutionQuery, form: EigenformData) -> float:
-    return abs(shifted_conv_Aq(query, form)) / thmAq_bound(query)
-
-
 # ---------------------------------------------------------------------------
 # E_{M,N} and trivial bounds
 
 
-def emn_brute(M: float, N: float, a: int, b: int, q: int, form: EigenformData,
-              window1: BumpFunction | None = None,
-              window2: BumpFunction | None = None,
-              budget: int = 10**7) -> float:
+def emn_brute(M: float, N: float, a: int, b: int, q: int, form: EigenformData) -> float:
     """E_{M,N} = (1/phi*(q)) sum_{d|q} phi(d) mu(q/d) (MN)^{-1/2}
-    sum_{bm = +-an (d), bm != an, (mn,q)=1} lambda(m) tau(n) W1(m/M) W2(n/N)."""
-    W1 = window1 or standard_window()
-    W2 = window2 or standard_window()
-    lo1, hi1 = W1.support
-    lo2, hi2 = W2.support
-    m_lo, m_hi = max(1, int(lo1 * M)), int(math.ceil(hi1 * M))
-    n_lo, n_hi = max(1, int(lo2 * N)), int(math.ceil(hi2 * N))
-    if (m_hi - m_lo + 1) * (n_hi - n_lo + 1) > budget * q:
+    sum_{bm = +-an (d), bm != an, (mn,q)=1} lambda(m) tau(n) W(m/M) W(n/N),
+    W the standard window and a pair in both classes counted once."""
+    if not is_admissible(q):
+        raise ValueError(f"q = {q} = 2 (mod 4) has no primitive characters")
+    W = standard_window()
+    lo, hi = W.support
+    m_lo, m_hi = max(1, int(lo * M)), int(math.ceil(hi * M))
+    n_lo, n_hi = max(1, int(lo * N)), int(math.ceil(hi * N))
+    if (m_hi - m_lo + 1) * (n_hi - n_lo + 1) > _PAIR_BUDGET * q:
         raise ValueError("pair budget exceeded")
     if m_hi > form.n_max:
         raise IndexError(f"need lambda up to {m_hi}")
     tau = divisor_count_sieve(max(n_hi, 1))
-    ns = np.arange(n_lo, n_hi + 1)
-    ns = ns[np.gcd(ns, q) == 1]
-    wn = W2(ns / N) * tau[ns]
-    an = a * ns
-    wms = W1(np.arange(m_lo, m_hi + 1) / M).tolist()
+    ms, ns = np.arange(m_lo, m_hi + 1), np.arange(n_lo, n_hi + 1)
+    ms, ns = ms[np.gcd(ms, q) == 1], ns[np.gcd(ns, q) == 1]
+    alpha = form.lam[ms] * W(ms / M)
+    beta = W(ns / N) * tau[ns]
     total = 0.0
     for d in divisors(q):
         mu = moebius(q // d)
-        if mu == 0:
-            continue
-        an_mod = an % d
-        order = np.argsort(an_mod, kind="stable")
-        starts = np.searchsorted(an_mod[order], np.arange(d + 1))
-        inner = 0.0
-        for m, wm in zip(range(m_lo, m_hi + 1), wms):
-            if math.gcd(m, q) != 1:
-                continue
-            if wm == 0.0:
-                continue
-            bm = b * m
-            lam_w = float(form.lam[m]) * wm
-            residues = {(bm) % d, (-bm) % d}
-            for r in residues:
-                sel = order[starts[r]:starts[r + 1]]
-                if sel.size:
-                    mask = an[sel] != bm
-                    inner += lam_w * float(np.sum(wn[sel[mask]]))
-        total += euler_phi(d) * mu * inner
+        if mu:
+            plus, minus, both = _congruent_pairs(alpha, b * ms, beta, a * ns, d)
+            total += euler_phi(d) * mu * (plus + minus - both)
     return total / (phi_star(q) * math.sqrt(M * N))
 
 
@@ -271,30 +243,29 @@ def trivial_bounds(M: float, N: float, a: int, b: int, q: int,
 # Bilinear incomplete Kloosterman sums
 
 
-def bilinear_incomplete(alpha, beta, c: int, q: int,
-                        A: int | None = None, B: int | None = None) -> tuple[float, float]:
+def bilinear_incomplete(alpha, beta, c: int, q: int) -> tuple[float, float]:
     """(value, bound_ratio) for sum_{a<=A} alpha_a |sum_{b<=B, (b,q)=1}
-    beta_b e(c a b^{-1} / q)|, against the incomplete-Kloosterman bilinear
-    bound with epsilon factor (log q)^2."""
+    beta_b e(c a b^{-1} / q)|, A = len(alpha) and B = len(beta), against the
+    incomplete-Kloosterman bilinear bound with epsilon factor (log q)^2."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
-    A = A or len(alpha)
-    B = B or len(beta)
+    A, B = len(alpha), len(beta)
     if A > 10**4 or B > 10**4:
         raise ValueError("A, B capped at 1e4")
-    if math.gcd(c, q) != 1:
-        raise ValueError("(c, q) = 1 required")
+    if not 1 <= q <= 10**6 or math.gcd(c, q) != 1:
+        raise ValueError("1 <= q <= 1e6 and (c, q) = 1 required")
+    units, inv = _unit_inverses(q)
+    xbar = np.zeros(q, dtype=np.int64)
+    xbar[units] = inv
     bs = np.arange(1, B + 1)
     unit = np.gcd(bs, q) == 1
-    binv = np.array([pow(int(bb), -1, q) if u else 0 for bb, u in zip(bs, unit)],
-                    dtype=np.int64)
     # inner[a] = sum_{b <= B, (b,q)=1} beta_b e(c a b^{-1} / q)
-    mat_phase = np.exp(2j * np.pi * (np.outer(np.arange(1, A + 1), c * binv) % q) / q)
-    inner_vals = mat_phase @ (beta[:B] * unit)
-    value = complex(np.sum(alpha[:A] * np.abs(inner_vals)))
+    mat_phase = np.exp(2j * np.pi * (np.outer(np.arange(1, A + 1), c * xbar[bs % q]) % q) / q)
+    inner_vals = mat_phase @ (beta * unit)
+    value = complex(np.sum(alpha * np.abs(inner_vals)))
     value = value.real if abs(value.imag) < 1e-12 * max(abs(value), 1.0) else abs(value)
-    l2 = float(np.linalg.norm(alpha[:A]))
-    linf = float(np.max(np.abs(beta[:B]))) if B else 0.0
+    l2 = float(np.linalg.norm(alpha))
+    linf = float(np.max(np.abs(beta))) if B else 0.0
     eps = math.log(max(q, 3)) ** 2
     bound = (l2 * linf * A**0.5 * B * eps
              * (A**-0.5 * B**-0.25 * q**0.25 + A**-0.5 + q**-0.5 + B**-0.5))

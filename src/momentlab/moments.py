@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import (divisor_count_sieve, divisors, euler_phi, factorize,
                     is_admissible, moebius, phi_star)
-from .characters import build_group
+from .characters import build_group, orthogonality_sum
 from .eigenforms import EigenformData
 from .lfunctions import L_one_f, triple_weight, zeta_two
 
@@ -168,7 +168,7 @@ def divisor_route_moment(form: EigenformData, query: MomentQuery,
         results[sigma] = acc / (2 * pstar)
     phys = results[form.epsilon]
     return MomentReport(query, results[1], results[-1], float(phys),
-                        phi_star(q), time.time() - t0)
+                        int(orthogonality_sum(q, 1, 1, form.epsilon)), time.time() - t0)
 
 
 # ---------------------------------------------------------------------------

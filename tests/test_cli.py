@@ -92,6 +92,15 @@ def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, del
     assert len(calls) == 1
 
 
+def test_moment_header_only_coefficient_file(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# kind holomorphic\n# weight 12\n")
+    assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path} holds no 'n lambda(n)' rows"]
+
+
 @pytest.mark.parametrize("argv", [["--q-range", "5:9"], ["--q-range", "5:9", "--sweep"]])
 def test_moment_short_table_fails_once(capsys, tmp_path, delta_small, argv):
     path = _coefficient_file(tmp_path / "form.txt", delta_small)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from momentlab import expsums
-from momentlab.arith import divisor_count
+from momentlab.arith import (divisor_count, divisor_count_sieve, divisors, euler_phi,
+                             moebius, phi_star)
 from momentlab.expsums import (ConvolutionQuery, aq_vanishing_certificate,
                                bilinear_incomplete, emn_brute, kloosterman,
                                kloosterman_cusp, shifted_conv_Aq, thmAq_bound,
-                               thmAq_ratio, trivial_bounds, weil_certify)
-from momentlab.special import interval_bump
+                               trivial_bounds, weil_certify)
+from momentlab.special import interval_bump, standard_window
 
 
 def _kloosterman_brute(m, n, c):
@@ -124,6 +125,31 @@ def test_weil_certify_small():
         weil_certify(c_max=501)
 
 
+def _kloosterman_per_c(ms, ns, c):
+    """S(m, n; c) over the grid ms x ns built per modulus: units and their
+    inverses x^{phi(c)-1}, the c-th roots gathered at (m x + n xbar) mod c,
+    and c = 1 as the all-ones table."""
+    if c == 1:
+        return np.ones((len(ms), len(ns)), dtype=np.complex128)
+    x = np.arange(c)
+    units = x[np.gcd(x, c) == 1]
+    phi = euler_phi(c)
+    inv = np.array([pow(int(t), phi - 1, c) for t in units], dtype=np.int64)
+    roots = np.exp(2j * np.pi * np.arange(c) / c)
+    return np.sum(roots[(ms[:, None, None] * units + ns[None, :, None] * inv) % c], axis=-1)
+
+
+def test_kloosterman_table_matches_per_c_construction():
+    ms = np.arange(1, 21)
+    for c in range(1, 201):
+        assert np.array_equal(expsums._kloosterman_table(ms[:, None], ms[None, :], c),
+                              _kloosterman_per_c(ms, ms, c))
+    for c in (1, 2, 12, 97, 199, 997, 1000):
+        for m, n in ((1, 1), (2, 3), (0, 5), (7, 0), (-3, 4)):
+            assert kloosterman(m, n, c) == float(
+                _kloosterman_per_c(np.array([m]), np.array([n]), c)[0, 0].real)
+
+
 def test_aq_vanishing(delta_small):
     # windows supported in [M, 2M], [N, 2N] with 2M, 2N < q/2
     q = 101
@@ -136,8 +162,6 @@ def test_aq_vanishing(delta_small):
 def test_aq_q1_matches_full_rectangle(delta_small):
     # q = 1: every pair with bm != an enters twice (once per sign) in the
     # congruence enumeration, since +an and -an hit the same residue class 0.
-    from momentlab.arith import divisor_count_sieve
-    from momentlab.special import standard_window
     W = standard_window()
     M = N = 30.0
     query = ConvolutionQuery(1, 1, M, N, 1)
@@ -156,14 +180,14 @@ def test_aq_bound_and_ratio_finite(delta_small):
     query = ConvolutionQuery(1, 2, 120.0, 60.0, 101)
     bound = thmAq_bound(query)
     assert bound > 0
-    r = thmAq_ratio(query, delta_small)
+    r = abs(shifted_conv_Aq(query, delta_small)) / bound
     assert math.isfinite(r) and r >= 0
 
 
 def test_aq_budget_guard(delta_small):
     query = ConvolutionQuery(1, 1, 1e7, 1e7, 3)
     with pytest.raises(ValueError):
-        shifted_conv_Aq(query, delta_small, budget=10**4)
+        shifted_conv_Aq(query, delta_small)
 
 
 def test_emn_brute_within_trivial_bounds(delta_small):
@@ -196,3 +220,95 @@ def test_bilinear_guards():
         bilinear_incomplete([1.0], [1.0], 5, 10)     # (c, q) != 1
     with pytest.raises(ValueError):
         bilinear_incomplete(np.ones(2 * 10**4), [1.0], 1, 7)
+
+
+def test_emn_rejects_inadmissible_modulus(delta_small):
+    for q in (2, 6):
+        with pytest.raises(ValueError, match="no primitive characters"):
+            emn_brute(20.0, 20.0, 1, 1, q, delta_small)
+
+
+def _shifted_conv_loop(query, form):
+    """A_q by bucketing n per residue of an mod q and looping over m, each
+    sign's class visited on its own (a pair in both classes counts twice)."""
+    a, b, q, W = query.a, query.b, query.q, query.windows()
+    m_lo, m_hi, n_lo, n_hi = expsums._support_ranges(query)
+    tau = divisor_count_sieve(max(n_hi, 1))
+    ns = np.arange(n_lo, n_hi + 1)
+    an = a * ns
+    wn = W(an / query.N) * tau[ns]
+    order = np.argsort(an % q, kind="stable")
+    starts = np.searchsorted((an % q)[order], np.arange(q + 1))
+    wms = W(b * np.arange(m_lo, m_hi + 1) / query.M).tolist()
+    total = 0.0
+    for m, wm in zip(range(m_lo, m_hi + 1), wms):
+        if wm == 0.0:
+            continue
+        bm = b * m
+        lam_w = float(form.lam[m]) * wm
+        for sgn in (1, -1):
+            r = (sgn * bm) % q
+            sel = order[starts[r]:starts[r + 1]]
+            if sel.size:
+                total += lam_w * float(np.sum(wn[sel[an[sel] != bm]]))
+    return total
+
+
+def _emn_loop(M, N, a, b, q, form):
+    """E_{M,N} by the same bucketing per d | q over the residue set
+    {bm, -bm} mod d (a pair in both classes counts once)."""
+    W = standard_window()
+    lo, hi = W.support
+    m_lo, m_hi = max(1, int(lo * M)), int(math.ceil(hi * M))
+    n_lo, n_hi = max(1, int(lo * N)), int(math.ceil(hi * N))
+    tau = divisor_count_sieve(max(n_hi, 1))
+    ns = np.arange(n_lo, n_hi + 1)
+    ns = ns[np.gcd(ns, q) == 1]
+    wn = W(ns / N) * tau[ns]
+    an = a * ns
+    wms = W(np.arange(m_lo, m_hi + 1) / M).tolist()
+    total = 0.0
+    for d in divisors(q):
+        mu = moebius(q // d)
+        if mu == 0:
+            continue
+        order = np.argsort(an % d, kind="stable")
+        starts = np.searchsorted((an % d)[order], np.arange(d + 1))
+        inner = 0.0
+        for m, wm in zip(range(m_lo, m_hi + 1), wms):
+            if math.gcd(m, q) != 1 or wm == 0.0:
+                continue
+            bm = b * m
+            lam_w = float(form.lam[m]) * wm
+            for r in {bm % d, -bm % d}:
+                sel = order[starts[r]:starts[r + 1]]
+                if sel.size:
+                    inner += lam_w * float(np.sum(wn[sel[an[sel] != bm]]))
+        total += euler_phi(d) * mu * inner
+    return total / (phi_star(q) * math.sqrt(M * N))
+
+
+_SHAPES = ((30.0, 30.0), (60.0, 15.0), (15.0, 60.0), (10.0, 1000.0))   # last: an > bm
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 12, 101, 199, 401, 1009])
+def test_aq_matches_per_m_loop(delta_small, q):
+    for M, N in _SHAPES:
+        for a, b in ((1, 1), (1, 2), (3, 2), (2, 5)):
+            query = ConvolutionQuery(a, b, M, N, q)
+            ref = _shifted_conv_loop(query, delta_small)
+            assert abs(shifted_conv_Aq(query, delta_small) - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 5, 8, 9, 12, 17, 35, 60, 101])
+def test_emn_matches_per_m_loop(delta_small, q):
+    for M, N in _SHAPES:
+        for a, b in ((1, 1), (1, 2), (3, 2)):
+            ref = _emn_loop(M, N, a, b, q, delta_small)
+            assert abs(emn_brute(M, N, a, b, q, delta_small) - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def test_emn_with_no_coprime_n(delta_small):
+    # every n in [2, 12] shares a prime with 4620 = 4 * 3 * 5 * 7 * 11
+    assert emn_brute(4.0, 4.0, 1, 1, 4620, delta_small) == 0.0
+    assert _emn_loop(4.0, 4.0, 1, 1, 4620, delta_small) == 0.0

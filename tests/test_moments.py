@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from momentlab.arith import is_admissible
 from momentlab.characters import build_group
 from momentlab.lfunctions import afe_triple_product
 from momentlab.moments import (MomentQuery, brute_moment, c_ab,
@@ -134,6 +136,17 @@ def test_routes_agree(delta_small, q, a, b):
     r2 = divisor_route_moment(delta_small, query, F_by_parity=F)
     assert abs(r1.moment - r2.moment) < 1e-8 * max(abs(r1.moment), 1.0)
     assert abs(complex(r1.m_odd).real - complex(r2.m_odd).real) < 1e-8 * max(abs(r1.moment), 1.0)
+
+
+def test_routes_report_the_same_chars_used(delta_small):
+    # both count the primitive characters of the form's parity; the matrix
+    # F does not enter the count, so zeros stand in for it
+    for form in (delta_small, dataclasses.replace(delta_small, epsilon=-1)):
+        for q in filter(is_admissible, range(3, 101)):
+            F = {1: np.zeros((q, q)), -1: np.zeros((q, q))}
+            query = MomentQuery(q, 1, 1)
+            brute = brute_moment(form, query, F_by_parity=F).chars_used
+            assert divisor_route_moment(form, query, F_by_parity=F).chars_used == brute
 
 
 def test_moment_is_real(delta_small):
