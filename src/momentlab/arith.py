@@ -34,10 +34,6 @@ class Factorization:
         if prod != self.value:
             raise ValueError(f"factor product {prod} != value {self.value}")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def divisors(self) -> list[int]:
         """All positive divisors, sorted."""
         divs = [1]

@@ -43,8 +43,20 @@ def _load_form(selector: str, q_hi: int, tol: float):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    parts = text.split(":")
+    if (len(parts) != 2 or not all(p.strip().isdigit() for p in parts)
+            or int(parts[0]) > int(parts[1])):
+        raise ValueError(f"--q-range expects lo:hi with integers lo <= hi, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _flag_value(value, default: int, flag: str) -> int:
+    """A --q-max or --c-max value: the suite's default when unset, else >= 1."""
+    if value is None:
+        return default
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def cmd_moment(args) -> int:
@@ -54,7 +66,7 @@ def cmd_moment(args) -> int:
     try:
         if args.q_range:
             q_lo, q_hi = _parse_range(args.q_range)
-        elif args.q:
+        elif args.q is not None:
             q_lo = q_hi = args.q
         else:
             print("error: --q or --q-range required", file=sys.stderr)
@@ -71,9 +83,13 @@ def cmd_moment(args) -> int:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.sweep:
-            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol,
-                            csv_path=args.out or None,
-                            jsonl_path=(args.out + ".jsonl") if args.out else None)
+            try:
+                summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol,
+                                csv_path=args.out or None,
+                                jsonl_path=(args.out + ".jsonl") if args.out else None)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             info = dict(winner=summary.winner,
                         median_dev_theorem=summary.median_dev_theorem,
                         median_dev_corollary=summary.median_dev_corollary,
@@ -112,7 +128,7 @@ def cmd_moment(args) -> int:
 def _suite_orthogonality(args) -> dict:
     from .characters import enumerated_orthogonality, orthogonality_sum
 
-    q_max = args.q_max or 60
+    q_max = _flag_value(args.q_max, 60, "--q-max")
     worst = 0.0
     for q in range(3, q_max + 1):
         if q % 4 == 2:
@@ -131,7 +147,7 @@ def _suite_orthogonality(args) -> dict:
 def _suite_hecke(args) -> dict:
     from .eigenforms import delta_coefficients, hecke_violations
 
-    n = args.q_max or 10_000
+    n = _flag_value(args.q_max, 10_000, "--q-max")
     bad = hecke_violations(delta_coefficients(n), n)
     return dict(suite="hecke", n_max=n, violations=bad, passed=bad == 0)
 
@@ -139,27 +155,38 @@ def _suite_hecke(args) -> dict:
 def _suite_weil(args) -> dict:
     from .expsums import weil_certify
 
-    rep = weil_certify(args.c_max or 500)
+    rep = weil_certify(_flag_value(args.c_max, 500, "--c-max"))
     return dict(suite="weil", c_max=rep.c_max, max_ratio=rep.max_ratio,
                 passed=bool(rep.max_ratio <= 1.0 + 1e-9))
 
 
 def _suite_afe(args) -> dict:
+    """The triple-product AFE against the product of the two oracle routes,
+    and each route's functional equation L(chi) = eps L(conj chi), from one
+    evaluation of each route per even primitive chi (a set closed under
+    conjugation)."""
     from .characters import build_group
     from .eigenforms import delta_coefficients
     from .lfunctions import (afe_triple_product, conjugate_index,
-                             dirichlet_L_half, twisted_L_half)
+                             dirichlet_L_half, root_numbers, twisted_L_half)
 
     form = delta_coefficients(40_000)
-    worst = 0.0
+    worst = fe_dirichlet = fe_twisted = 0.0
     for q in (5, 7, 13):
         group = build_group(q)
-        for i in group.primitive_indices(parity=1):
+        even = group.primitive_indices(parity=1)
+        L = {i: dirichlet_L_half(group, i) for i in even}
+        Lf = {i: twisted_L_half(group, i, form) for i in even}
+        for i in even:
+            j = conjugate_index(group, i)
             triple = afe_triple_product(group, i, form)
-            prod = (twisted_L_half(group, i, form)
-                    * dirichlet_L_half(group, conjugate_index(group, i)) ** 2)
-            worst = max(worst, abs(triple - prod) / abs(triple))
-    return dict(suite="afe", max_rel_residual=worst, passed=bool(worst <= 1e-6))
+            worst = max(worst, abs(triple - Lf[i] * L[j] ** 2) / abs(triple))
+            rn = root_numbers(group, i, form)
+            fe_dirichlet = max(fe_dirichlet, abs(L[i] - rn.eps_of_chi * L[j]))
+            fe_twisted = max(fe_twisted, abs(Lf[i] - rn.eps_twist * Lf[j]))
+    return dict(suite="afe", max_rel_residual=worst,
+                max_fe_residual_dirichlet=fe_dirichlet, max_fe_residual_twisted=fe_twisted,
+                passed=bool(worst <= 1e-6 and fe_dirichlet <= 1e-10 and fe_twisted <= 1e-9))
 
 
 def _suite_voronoi(args) -> dict:
@@ -183,8 +210,41 @@ def _suite_voronoi(args) -> dict:
                 passed=bool(worst <= 1e-6))
 
 
+def _suite_shifted(args) -> dict:
+    """Acceptance 10's exact vanishing and A_q grid, E_{M,N} against the
+    trivial bounds, and the bilinear incomplete-Kloosterman bound.  Ratios are
+    reported, not gated.  A_q counts a pair in both classes bm = +an, -an
+    (mod q) twice, E_{M,N} once."""
+    from .eigenforms import delta_coefficients
+    from .expsums import (ConvolutionQuery, aq_grid_report, aq_vanishing_certificate,
+                          bilinear_incomplete, emn_brute, shifted_conv_Aq, trivial_bounds)
+    from .special import interval_bump
+
+    form = delta_coefficients(40_000)
+    # window supports below q/2 leave no off-diagonal pair: A_q is exactly 0
+    cells = [ConvolutionQuery(1, 1, q / 8.0, q / 8.0, q, window=interval_bump(1.0))
+             for q in (211, 401, 1009)]
+    certified = all(map(aq_vanishing_certificate, cells))
+    vanishing = [abs(shifted_conv_Aq(query, form)) for query in cells]
+    aq = [row["ratio"] for row in aq_grid_report(form, (101, 199, 401))]
+    emn = [abs(emn_brute(M, N, 1, 1, q, form))
+           / min(trivial_bounds(M, N, 1, 1, q, theta_f=form.theta))
+           for q in (9, 17, 35) for M, N in ((25.0, 25.0), (40.0, 20.0), (20.0, 40.0))]
+    bilinear = [bilinear_incomplete([1.0] * (q // 2), [1.0] * (q // 2), 1, q)[1]
+                for q in (23, 101, 401)]
+    ratios = aq + emn + bilinear
+    return dict(suite="shifted", vanishing_cells=len(cells),
+                vanishing_max_abs=max(vanishing),
+                aq_max_ratio=max(aq), aq_overlap="a pair in both classes counts twice",
+                emn_max_ratio=max(emn), emn_overlap="a pair in both classes counts once",
+                bilinear_max_ratio=max(bilinear),
+                passed=bool(certified and max(vanishing) == 0.0
+                            and all(map(math.isfinite, ratios))))
+
+
 _SUITES = dict(orthogonality=_suite_orthogonality, hecke=_suite_hecke,
-               weil=_suite_weil, afe=_suite_afe, voronoi=_suite_voronoi)
+               weil=_suite_weil, afe=_suite_afe, voronoi=_suite_voronoi,
+               shifted=_suite_shifted)
 
 
 def cmd_verify(args) -> int:
@@ -192,7 +252,11 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; have {sorted(_SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    report = _SUITES[args.suite](args)
+    try:
+        report = _SUITES[args.suite](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps(report, sort_keys=True, default=float))
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{args.suite}: {status}", file=sys.stderr)
@@ -235,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_moment)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", help="orthogonality|hecke|weil|afe|voronoi")
+    pv.add_argument("suite", help="|".join(_SUITES))
     pv.add_argument("--q-max", type=int)
     pv.add_argument("--c-max", type=int)
     pv.set_defaults(func=cmd_verify)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import divisor_count_sieve, divisors, factorize, moebius
+from .arith import divisor_count_sieve, divisors, moebius
 
 _EXACT_LIMIT_DEFAULT = 10**4
 _FLOAT_MEMORY_CAP = 2**26  # entries; ~0.5 GB of float64 is the desk budget
@@ -51,7 +51,7 @@ class EigenformData:
         if not 1 <= n <= self.n_max:
             raise IndexError(
                 f"lambda({n}) not tabulated for {self.label} (n_max={self.n_max}); "
-                "rebuild with a larger table or extend_by_hecke")
+                "rebuild with a larger table")
         return float(self.lam[n])
 
     @property
@@ -337,28 +337,6 @@ def hecke_violations(form: EigenformData, n_max: int) -> int:
         c = form.lam
     return sum(len(ns) for _, ns, _, _ in
                _hecke_defects(c, n_max, weight=11 if exact else 0, exact=exact))
-
-
-def extend_by_hecke(form: EigenformData, n_max: int) -> EigenformData:
-    """Extend a prime-power-complete table multiplicatively to n_max.
-
-    Requires lambda(p^e) to be present for every prime power p^e <= n_max;
-    this is the explicit opt-in alternative to failing loudly on short tables.
-    """
-    if n_max <= form.n_max:
-        return form
-    lam = np.zeros(n_max + 1)
-    lam[:form.n_max + 1] = form.lam
-    for n in range(form.n_max + 1, n_max + 1):
-        p, e = factorize(n).factors[0]
-        pe = p**e
-        if pe == n:
-            raise CoefficientError(
-                f"cannot extend: lambda({n}) is a prime power beyond the table")
-        lam[n] = lam[pe] * lam[n // pe]
-    return EigenformData(form.kind, form.weight, form.kappa, form.theta,
-                         form.epsilon, lam, label=form.label,
-                         tau_exact=form.tau_exact)
 
 
 def _varpi(c, q: int, weight: int) -> dict[int, object]:

@@ -1,5 +1,5 @@
-"""Kloosterman sums, Weil-bound certification, the cusp-sum identity, and
-brute-force shifted convolution sums with empirical bound ratios.
+"""Kloosterman sums, Weil-bound certification, and brute-force shifted
+convolution sums with empirical bound ratios.
 
 Two kernels carry the sums.  ``_kloosterman_table`` gathers the c-th roots of
 unity at (m x + n xbar) mod c for arrays of (m, n) and sums over the units x.
@@ -39,34 +39,6 @@ def _kloosterman_table(ms, ns, c: int) -> np.ndarray:
     units, inv = _unit_inverses(c)
     roots = np.exp(2j * np.pi * np.arange(c) / c)
     return np.sum(roots[(ms[..., None] * units + ns[..., None] * inv) % c], axis=-1)
-
-
-def kloosterman(m: int, n: int, c: int) -> float:
-    """S(m, n; c) = sum over units x mod c of e((m x + n x^{-1}) / c).
-
-    Exact root-of-unity phases summed in double precision (pairwise via
-    numpy, which keeps the error well under c * 1e-15); the imaginary part
-    must cancel and is checked.
-    """
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if c > 10**6:
-        raise ValueError("modulus capped at 1e6 for direct summation")
-    total = complex(_kloosterman_table(np.asarray(m), np.asarray(n), c))
-    if abs(total.imag) > 1e-9 * c:
-        raise ArithmeticError(f"S({m},{n};{c}) imaginary part {total.imag:.3e}")
-    return float(total.real)
-
-
-def kloosterman_cusp(m: int, n: int, u: int, v: int, w: int) -> complex:
-    """Cusp-pair Kloosterman sum at modulus u sqrt(v) w for the cusp 1/u:
-
-        e(n u^{-1 mod v} / v) * S(m v^{-1 mod uw}, n; u w)
-    """
-    if math.gcd(u, v) != 1 or math.gcd(w, v) != 1:
-        raise ValueError("(u, v) = (w, v) = 1 required")
-    prefactor = np.exp(2j * np.pi * n * pow(u, -1, v) / v)
-    return complex(prefactor * kloosterman(m * pow(v, -1, u * w), n, u * w))
 
 
 @dataclass(frozen=True)

@@ -262,15 +262,6 @@ def dirichlet_L_half(group: CharacterGroup, index: int) -> complex:
     return total / math.sqrt(q)
 
 
-def dirichlet_fe_residual(group: CharacterGroup, index: int) -> float:
-    """|L(1/2, chi) - eps(chi) L(1/2, conj chi)| for primitive chi."""
-    rn = gauss_eps(group, index)
-    L = dirichlet_L_half(group, index)
-    conj_index = conjugate_index(group, index)
-    Lbar = dirichlet_L_half(group, conj_index)
-    return abs(L - rn.eps * Lbar)
-
-
 def conjugate_index(group: CharacterGroup, index: int) -> int:
     target = group.exponents[index].copy()
     units = target >= 0
@@ -306,14 +297,6 @@ def twisted_L_half(group: CharacterGroup, index: int, form: EigenformData) -> co
     first = np.sum(lam * w * chi_n)
     second = np.sum(lam * w * np.conj(chi_n))
     return complex(first + rn.eps_twist * second)
-
-
-def twisted_fe_residual(group: CharacterGroup, index: int, form: EigenformData) -> float:
-    """Internal functional-equation consistency of the balanced twisted AFE."""
-    rn = root_numbers(group, index, form)
-    L = twisted_L_half(group, index, form)
-    Lbar = twisted_L_half(group, conjugate_index(group, index), form)
-    return abs(L - rn.eps_twist * Lbar)
 
 
 # ---------------------------------------------------------------------------

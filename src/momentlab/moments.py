@@ -336,7 +336,8 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
         if progress:
             progress(rows[-1])
     if not rows:
-        raise ValueError("empty sweep range")
+        raise ValueError(f"empty sweep range: no admissible q >= 3 in [{q_lo}, {q_hi}] "
+                         f"prime to ab = {a * b}")
 
     qs = np.array([r.q for r in rows], dtype=np.float64)
     top = qs >= qs.max() / 2

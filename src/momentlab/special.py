@@ -95,9 +95,6 @@ class BumpFunction:
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def scaled(self, scale: float) -> "BumpFunction":
-        return BumpFunction(self.lo * scale, self.p1 * scale, self.p2 * scale, self.hi * scale)
-
 
 @lru_cache(maxsize=32)
 def _derivative_bounds(lo, p1, p2, hi) -> tuple[float, ...]:

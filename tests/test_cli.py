@@ -142,3 +142,74 @@ def test_verify_voronoi_checks_the_acceptance_grid(capsys, monkeypatch, delta_la
     rep = json.loads(capsys.readouterr().out)
     assert rep["cells"] == 120 == len(seen)
     assert set(seen) == _acceptance_voronoi_cells()
+
+
+def test_verify_weil_rejects_c_max_past_the_cap(capsys):
+    assert main(["verify", "weil", "--c-max", "501"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: certification capped at c <= 500"]
+
+
+@pytest.mark.parametrize("argv", [["hecke", "--q-max", "0"], ["orthogonality", "--q-max", "-1"],
+                                  ["weil", "--c-max", "0"]])
+def test_verify_rejects_bounds_below_one(capsys, argv):
+    # 0 is a value, not "unset": it must not fall back to the suite's default
+    assert main(["verify", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {argv[1]} must be at least 1, got {argv[2]}"]
+
+
+@pytest.mark.parametrize("q_range", ["5", "5:", "a:9", "10:5"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_moment_rejects_malformed_q_range(capsys, q_range, sweep):
+    assert main(["moment", "--q-range", q_range, *sweep]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --q-range expects lo:hi with integers lo <= hi, got {q_range!r}"]
+
+
+def test_moment_sweep_without_admissible_q(capsys):
+    assert main(["moment", "--sweep", "--q-range", "6:6"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: empty sweep range: no admissible q >= 3 in [6, 6] prime to ab = 1"]
+
+
+def test_verify_shifted(capsys):
+    assert main(["verify", "shifted"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is True
+    assert rep["vanishing_cells"] == 3 and rep["vanishing_max_abs"] == 0.0
+    for key in ("aq_max_ratio", "emn_max_ratio", "bilinear_max_ratio"):
+        assert math.isfinite(rep[key]) and rep[key] >= 0
+    assert rep["aq_overlap"] == "a pair in both classes counts twice"
+    assert rep["emn_overlap"] == "a pair in both classes counts once"
+
+
+def test_verify_afe_evaluates_each_route_once_per_character(capsys, monkeypatch):
+    from momentlab import lfunctions
+
+    calls = {"dirichlet_L_half": 0, "twisted_L_half": 0}
+
+    def counting(name):
+        real = getattr(lfunctions, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lfunctions, name, counting(name))
+    assert main(["verify", "afe"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    # even primitive characters: 1 mod 5, 2 mod 7, 5 mod 13
+    assert calls == {"dirichlet_L_half": 8, "twisted_L_half": 8}
+    assert rep["passed"] is True
+    assert rep["max_rel_residual"] <= 1e-6
+    assert rep["max_fe_residual_dirichlet"] <= 1e-10
+    assert rep["max_fe_residual_twisted"] <= 1e-9

@@ -9,7 +9,7 @@ from momentlab import eigenforms
 from momentlab.arith import divisor_count, divisor_count_sieve, divisors, moebius
 from momentlab.eigenforms import (CoefficientError, coprime_removal_exact_delta,
                                   coprime_removal_exact_tau, delta_coefficients,
-                                  extend_by_hecke, hecke_violations,
+                                  hecke_violations,
                                   ingest_coefficients, ramanujan_tau_exact,
                                   validate_eigenform, varpi_table)
 
@@ -299,17 +299,6 @@ def test_ingest_rejects_odd_maass(tmp_path, delta_small):
     path.write_text("\n".join(lines))
     with pytest.raises(CoefficientError):
         ingest_coefficients(str(path))
-
-
-def test_extend_by_hecke(delta_small):
-    # 90..96 contains no prime powers, so a table through 89 extends
-    f = delta_coefficients(89)
-    g = extend_by_hecke(f, 96)
-    full = delta_coefficients(96)
-    assert np.allclose(g.lam[:97], full.lam[:97], atol=1e-12)
-    # 67 is prime: a table ending at 66 cannot be extended past it
-    with pytest.raises(CoefficientError):
-        extend_by_hecke(delta_coefficients(66), 90)
 
 
 def test_lam_at_bounds(delta_small):

@@ -6,14 +6,12 @@ import pytest
 from scipy.special import loggamma
 
 from momentlab import lfunctions
-from momentlab.characters import build_group
+from momentlab.characters import build_group, gauss_eps
 from momentlab.eigenforms import EigenformData
 from momentlab.lfunctions import (L_one_f, ParityVanishing, afe_triple_product,
-                                  conjugate_index, dirichlet_L_half,
-                                  dirichlet_fe_residual, hurwitz_zeta,
+                                  conjugate_index, dirichlet_L_half, hurwitz_zeta,
                                   root_numbers, triple_weight, twist_weight,
-                                  twisted_L_half, twisted_fe_residual,
-                                  WeightFunction, weight_V_reference,
+                                  twisted_L_half, WeightFunction, weight_V_reference,
                                   zeta_two)
 
 mpmath.mp.dps = 30
@@ -44,9 +42,12 @@ def test_dirichlet_L_half_vs_mpmath():
 
 @pytest.mark.parametrize("q", [5, 7, 13])
 def test_dirichlet_functional_equation(q):
+    # L(1/2, chi) = eps L(1/2, conj chi), eps = i^{-a} eps_chi, both parities
     g = build_group(q)
     for idx in g.primitive_indices():
-        assert dirichlet_fe_residual(g, idx) < 1e-10
+        L = dirichlet_L_half(g, idx)
+        Lbar = dirichlet_L_half(g, conjugate_index(g, idx))
+        assert abs(L - gauss_eps(g, idx).eps * Lbar) < 1e-10
 
 
 def test_conjugate_index_involution():
@@ -197,9 +198,12 @@ def test_afe_real_for_real_character(delta_small):
 
 
 def test_twisted_fe_internal_consistency(delta_small):
+    # L(1/2, f x chi) = eps(f x chi) L(1/2, f x conj chi)
     g = build_group(7)
     for idx in g.primitive_indices(parity=1):
-        assert twisted_fe_residual(g, idx, delta_small) < 1e-9
+        L = twisted_L_half(g, idx, delta_small)
+        Lbar = twisted_L_half(g, conjugate_index(g, idx), delta_small)
+        assert abs(L - root_numbers(g, idx, delta_small).eps_twist * Lbar) < 1e-9
 
 
 def test_cross_route_single_character(delta_small):
