@@ -80,45 +80,47 @@ def cmd_moment(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.sweep:
-            try:
-                summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol,
-                                csv_path=args.out or None,
-                                jsonl_path=(args.out + ".jsonl") if args.out else None)
-            except ValueError as exc:
+    if args.sweep:
+        try:
+            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol,
+                            csv_path=args.out or None,
+                            jsonl_path=(args.out + ".jsonl") if args.out else None)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        info = dict(winner=summary.winner,
+                    median_dev_theorem=summary.median_dev_theorem,
+                    median_dev_corollary=summary.median_dev_corollary,
+                    error_exponent_fit=summary.error_exponent_fit,
+                    rows=len(summary.rows))
+        print(json.dumps(info, sort_keys=True))
+        return EXIT_OK
+    # every q is validated before --out is opened, so a rejected q leaves no file
+    queries = []
+    for q in range(q_lo, q_hi + 1):
+        try:
+            queries.append(MomentQuery(q, args.a, args.b))
+        except ValueError as exc:
+            if q_lo == q_hi:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            info = dict(winner=summary.winner,
-                        median_dev_theorem=summary.median_dev_theorem,
-                        median_dev_corollary=summary.median_dev_corollary,
-                        error_exponent_fit=summary.error_exponent_fit,
-                        rows=len(summary.rows))
-            print(json.dumps(info, sort_keys=True))
-            return EXIT_OK
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
         failures = 0
         print("q,a,b,moment,m_even,m_odd,main_theorem,ratio_theorem,chars_used",
               file=out)
-        for q in range(q_lo, q_hi + 1):
-            try:
-                query = MomentQuery(q, args.a, args.b)
-            except ValueError as exc:
-                if q_lo == q_hi:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
-                continue
+        for query in queries:
             try:
                 rep = brute_moment(form, query, v_tol=args.tol)
                 mt = main_term(form, query, L1=L1)
-                row = [q, args.a, args.b, _fmt(rep.moment),
+                row = [query.q, args.a, args.b, _fmt(rep.moment),
                        _fmt(complex(rep.m_even).real), _fmt(complex(rep.m_odd).real),
                        _fmt(mt.value_theorem), _fmt(rep.moment / mt.value_theorem),
                        rep.chars_used]
                 print(",".join(str(c) for c in row), file=out)
             except (ArithmeticError, IndexError) as exc:
                 failures += 1
-                print(f"item q={q} failed: {exc}", file=sys.stderr)
+                print(f"item q={query.q} failed: {exc}", file=sys.stderr)
         return EXIT_ITEM if failures else EXIT_OK
     finally:
         if out is not sys.stdout:
@@ -155,7 +157,11 @@ def _suite_hecke(args) -> dict:
 def _suite_weil(args) -> dict:
     from .expsums import weil_certify
 
-    rep = weil_certify(_flag_value(args.c_max, 500, "--c-max"))
+    c_max = _flag_value(args.c_max, 500, "--c-max")
+    try:
+        rep = weil_certify(c_max)
+    except AssertionError as exc:      # weil_certify stops at the first violating cell
+        return dict(suite="weil", c_max=c_max, violation=str(exc), passed=False)
     return dict(suite="weil", c_max=rep.c_max, max_ratio=rep.max_ratio,
                 passed=bool(rep.max_ratio <= 1.0 + 1e-9))
 

@@ -7,7 +7,11 @@ are grid maxima of those jets, checked against finite differences and an
 mpmath oracle in the test suite.
 
 The Hankel transform of a window, with the kernel 2 pi i^k J_{k-1} of a
-holomorphic form, is voronoi.hankel_grid; Maass kernels are not supported.
+holomorphic form, lives in voronoi: the dual spline is built from FFTs of
+Hankel's expansion of the Bessel kernel (voronoi._hankel_uniform), and
+voronoi.hankel_grid, Gauss-Legendre with jv, is its oracle and serves the
+small arguments, the cutoff scan and the tail certificate.  Maass kernels
+are not supported.
 """
 
 from __future__ import annotations

@@ -149,6 +149,75 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     return (1j ** (k % 4)) * 2.0 * math.pi * out
 
 
+# Hankel's expansion (DLMF 10.17.5) replaces jv wherever z = 4 pi u s >= z0
+# at every node s of the window.  For real z and K >= nu - 1/2 terms, the
+# remainders of its even and odd parts are bounded by their first omitted
+# terms (DLMF 10.17(iii)), so K is the first k >= nu - 1/2 with
+# |a_k(nu)| z0^-k below the tolerance, 1e-17 of the leading amplitude.  At
+# z0 = 25 the terms are still shrinking there (K = 25 for weight 12), and the
+# head left to hankel_grid is 10 z0 sqrt(hi/lo) spline points.
+_HANKEL_Z0 = 25.0
+_HANKEL_TOL = 1e-17
+# FFT length: the smallest power of two with L du >= 5 u_max.  The trapezoid
+# rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so the worst alias
+# sits at (L du - u_max)^2 >= 16 u_max^2 = 16 y_cut, where the window's
+# transform, already down to tail_tol at y_cut, is at its rounding floor.
+_ALIAS_FACTOR = 5
+
+
+def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
+    """hankel_grid(case, us**2) on a uniform grid us = linspace(0, u_max, n),
+    by FFTs.  With x = s^2 the transform is 2 pi i^k times
+    integral 2 s V(s^2) J_nu(4 pi u s) ds, taken by the trapezoid rule on
+    s_j = sqrt(lo) + j ds with 4 pi du ds = 2 pi / L; the integrand is smooth
+    and compactly supported, so the rule converges faster than any power.
+    Term k of Hankel's expansion of J_nu = Re H1_nu is then
+    (4 pi u)^(-k-1/2) times sum_j c_j s_j^(-k-1/2) e(2 u s_j), one real FFT
+    of length L for every u at once.  The u with 4 pi u sqrt(lo) < z0 stay
+    on hankel_grid.  The terms are built one at a time in one buffer, so
+    memory stays at a few length-L vectors."""
+    k = int(case.form.weight)
+    nu = k - 1
+    lo, hi = case.window.support
+    root_lo = math.sqrt(lo)
+    coeffs, term = [1.0], 1.0                     # a_j(nu) for j <= K; |a_j| z0^-j
+    while len(coeffs) < nu + 0.5 or term >= _HANKEL_TOL:
+        j = len(coeffs)
+        coeffs.append(coeffs[-1] * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j))
+        term = abs(coeffs[-1]) * _HANKEL_Z0 ** -j
+        if term > 1e2 or j > 2.0 * _HANKEL_Z0 + nu:
+            # from weight 20 on the series at z0 loses over two digits to
+            # cancellation, or diverges before it reaches the tolerance
+            return hankel_grid(case, us**2)
+    coeffs.pop()                                  # a_K, the first omitted term
+    n = len(us)
+    w = 4.0 * math.pi * root_lo * us              # z at the left end of the support
+    head = int(np.searchsorted(w, _HANKEL_Z0))
+    out = np.empty(n, dtype=np.complex128)
+    out[:head] = hankel_grid(case, us[:head] ** 2)
+    if head == n:
+        return out
+    du = us[1] - us[0]
+    L = 1 << math.ceil(math.log2(_ALIAS_FACTOR * (n - 1)))
+    ds = 1.0 / (2.0 * L * du)
+    s = root_lo + ds * np.arange(int(math.ceil((math.sqrt(hi) - root_lo) / ds)) + 1)
+    t = s / root_lo                               # z = w t, t >= 1
+    buf = np.zeros(L)
+    c = buf[:len(s)]                              # c_j t_j^-j, zero-padded to L
+    c[:] = ds * 2.0 * s * case.window(s * s) / np.sqrt(t)
+    inv_t, inv_w = 1.0 / t, 1.0 / w[head:]
+    power = np.ones(n - head)                     # w^-j
+    acc = np.zeros(n - head, dtype=np.complex128)
+    for j, a in enumerate(coeffs):
+        acc += (1j ** (j % 4) * a) * power * np.fft.rfft(buf)[head:n].conj()
+        c *= inv_t
+        power *= inv_w
+    phase = np.exp(1j * (w[head:] - (nu / 2.0 + 0.25) * math.pi))
+    bessel_sum = math.sqrt(2.0 / math.pi) * (phase * acc * np.sqrt(inv_w)).real
+    out[head:] = (1j ** (k % 4)) * 2.0 * math.pi * bessel_sum
+    return out
+
+
 def dual_cutoff(case: VoronoiCase) -> float:
     """y beyond which the transform envelope stays below tail_tol."""
     ys = np.logspace(-6, 6, 300) / case.X
@@ -168,8 +237,10 @@ _RESIDUE_CAP = 2**16
 
 class _DualSpline:
     """Quintic spline of the transform in u = sqrt(y); one per (case, y_cut),
-    shared by every delta branch of the dual sum.  It also keeps the residue
-    sums R of the branches it has served (see residue_sums)."""
+    shared by every delta branch of the dual sum.  Its values on the uniform
+    u-grid come from _hankel_uniform (FFTs; hankel_grid only below z0).  It
+    also keeps the residue sums R of the branches it has served (see
+    residue_sums)."""
 
     def __init__(self, case: VoronoiCase, y_cut: float):
         from scipy.interpolate import make_interp_spline
@@ -183,7 +254,7 @@ class _DualSpline:
         step = 0.1 / (4.0 * math.pi * math.sqrt(hi))
         n_pts = int(self.u_max / step) + 8
         us = np.linspace(0.0, self.u_max, n_pts)
-        vals = hankel_grid(case, us**2)
+        vals = _hankel_uniform(case, us)
         if np.max(np.abs(vals.imag)) < 1e-14 * max(np.max(np.abs(vals.real)), 1e-30):
             vals = vals.real
         self._spline = make_interp_spline(us, vals, k=5)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from momentlab.cli import EXIT_CONFIG, EXIT_OK, main
+from momentlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE, main
 
 
 def test_exponent_default(capsys):
@@ -45,6 +45,17 @@ def test_moment_single_q(capsys, tmp_path):
 
 def test_moment_rejects_inadmissible_q(capsys):
     assert main(["moment", "--q", "6"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("out", [[], ["--out"]])
+def test_moment_rejected_q_writes_nothing(capsys, tmp_path, out):
+    path = tmp_path / "x.csv"
+    argv = ["moment", "--q", "6"] + [a for flag in out for a in (flag, str(path))]
+    assert main(argv) == EXIT_CONFIG
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: q = 6 = 2 (mod 4) has no primitive characters"]
 
 
 def test_moment_requires_q(capsys):
@@ -149,6 +160,18 @@ def test_verify_weil_rejects_c_max_past_the_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: certification capped at c <= 500"]
+
+
+def test_verify_weil_reports_a_violation(capsys, monkeypatch):
+    from momentlab import expsums
+
+    monkeypatch.setattr(expsums, "divisor_count", lambda c: 0.25)
+    assert main(["verify", "weil", "--c-max", "10"]) == EXIT_SUITE
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["passed"] is False and rep["c_max"] == 10
+    assert rep["violation"].startswith("Weil bound violated at S(1,1;1) = 1.0")
+    assert captured.err.splitlines() == ["weil: FAIL"]
 
 
 @pytest.mark.parametrize("argv", [["hecke", "--q-max", "0"], ["orthogonality", "--q-max", "-1"],

@@ -232,6 +232,70 @@ def test_dual_cutoff_scales_inversely_with_X(delta_large):
     assert c40 * 40.0 == pytest.approx(c10 * 10.0, rel=0.35)
 
 
+def _build_spline(case, truncation_factor):
+    """A fresh _DualSpline of case, the u-grid it was built on and the
+    lengths of the real FFTs that built it."""
+    grids, ffts = [], []
+    fast, rfft = voronoi._hankel_uniform, np.fft.rfft
+    y_cut = dual_cutoff(case) * truncation_factor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_hankel_uniform", lambda case, us: grids.append(us) or fast(case, us))
+        mp.setattr(np.fft, "rfft", lambda a: ffts.append(len(a)) or rfft(a))
+        spline = voronoi._DualSpline(case, y_cut)
+    return spline, grids[0], ffts
+
+
+@pytest.mark.parametrize("truncation_factor", [1.0, 2.0])
+@pytest.mark.parametrize("X", [10.0, 40.0])
+def test_spline_matches_hankel_grid_on_its_grid(delta_large, X, truncation_factor):
+    case = VoronoiCase(1, 1, 1, X, delta_large)
+    spline, us, _ = _build_spline(case, truncation_factor)
+    ref = hankel_grid(case, us**2)
+    assert np.max(np.abs(spline(us**2) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_spline_build_leaves_only_the_head_to_hankel_grid(delta_large, monkeypatch):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    y_cut = dual_cutoff(case)
+    sizes = []
+    real = voronoi.hankel_grid
+    monkeypatch.setattr(voronoi, "hankel_grid",
+                        lambda case, ys: sizes.append(len(ys)) or real(case, ys))
+    voronoi._DualSpline(case, y_cut)
+    assert 0 < sum(sizes) < 1000
+
+
+@pytest.mark.parametrize("truncation_factor,L_expected", [(1.0, 2**17), (2.0, 2**18)])
+def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, truncation_factor,
+                                                             L_expected):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    _, us, ffts = _build_spline(case, truncation_factor)
+    K, L = len(ffts), ffts[0]
+    assert set(ffts) == {L} and (K, L) == (25, L_expected)
+    # L: the smallest power of two with L du >= 5 u_max
+    assert L & (L - 1) == 0
+    assert L >= voronoi._ALIAS_FACTOR * (len(us) - 1) > L // 2
+    # K: the first k >= nu - 1/2 with |a_k(nu)| z0^-k below the tolerance
+    nu, z0, tol = 11, voronoi._HANKEL_Z0, voronoi._HANKEL_TOL
+    a = [1.0]
+    for j in range(1, K + 1):
+        a.append(a[-1] * (4 * nu * nu - (2 * j - 1) ** 2) / (8 * j))
+    terms = [abs(a_j) * z0 ** -j for j, a_j in enumerate(a)]
+    assert K >= nu - 0.5 and terms[K] < tol
+    assert all(t >= tol for t in terms[math.ceil(nu - 0.5):K])
+
+
+@pytest.mark.parametrize("weight,fast", [(18.0, True), (20.0, False)])
+def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, weight, fast):
+    form = EigenformData("holomorphic", weight, None, 0.0, 1, delta_large.lam, label="w")
+    case = VoronoiCase(1, 1, 1, 10.0, form)
+    us = np.linspace(0.0, 40.0, 400)      # past the cutoff, u = 34 at X = 10
+    ref = hankel_grid(case, us**2)
+    out = voronoi._hankel_uniform(case, us)
+    assert np.array_equal(out, ref) != fast
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_lhs_is_plain_sum(delta_large):
     case = VoronoiCase(1, 1, 2, 10.0, delta_large)
     val = voronoi_lhs(case)
