@@ -71,6 +71,16 @@ def cmd_moment(args) -> int:
         else:
             print("error: --q or --q-range required", file=sys.stderr)
             return EXIT_CONFIG
+        # every q is validated before the table is built or --out is opened,
+        # so a rejected single q returns at once and leaves no file; a sweep
+        # names an empty range itself
+        queries = []
+        for q in range(q_lo, q_hi + 1):
+            try:
+                queries.append(MomentQuery(q, args.a, args.b))
+            except ValueError:
+                if q_lo == q_hi and not args.sweep:
+                    raise
         form = _load_form(args.form, q_hi, args.tol)
         if not form.is_holomorphic:
             raise ValueError(f"the main term exists for holomorphic forms only; "
@@ -95,15 +105,6 @@ def cmd_moment(args) -> int:
                     rows=len(summary.rows))
         print(json.dumps(info, sort_keys=True))
         return EXIT_OK
-    # every q is validated before --out is opened, so a rejected q leaves no file
-    queries = []
-    for q in range(q_lo, q_hi + 1):
-        try:
-            queries.append(MomentQuery(q, args.a, args.b))
-        except ValueError as exc:
-            if q_lo == q_hi:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         failures = 0

@@ -11,6 +11,14 @@ vertical line: Re s = 3 for x > 1, and Re s = -1/4 (past the 1/s pole,
 picking up the residue 1) for x <= 1 so small-x values are free of the
 x^{-c} cancellation blow-up.  Values are memoized on a log-spaced grid
 with cubic-spline interpolation.
+
+The grid is uniform in log x with step D = ln 10 / 120, and the contour
+nodes t_k = t_0 + k h are uniform in t with h D = 2 pi / L (L = 6549,
+h = 0.0500000496).  On each half-line, with x_m = e^{+-m D} the m-th grid
+point away from x = 1, x_m^{-c - i t_k} = x_m^{-c} e^{-+i t_0 m D}
+e^{-+2 pi i k m / L}: one length-L FFT gives the sum at every grid point
+at once.  `weight_V_reference` stays a direct sum over a refined contour,
+the oracle of the FFT build.
 """
 
 from __future__ import annotations
@@ -25,10 +33,13 @@ from scipy.special import loggamma
 from .characters import CharacterGroup, GaussData, gauss_eps
 from .eigenforms import EigenformData
 
-_CONTOUR_T = 40.0
-_CONTOUR_H = 0.05
 _GRID_LO, _GRID_HI = 1e-12, 1e6
 _GRID_PER_DECADE = 120
+_GRID_STEP = math.log(10) / _GRID_PER_DECADE
+# the FFT length L that puts a contour step near 0.05 on the grid: h D = 2 pi / L
+_CONTOUR_FFT_LEN = round(2 * math.pi / (0.05 * _GRID_STEP))
+_CONTOUR_T = 40.0
+_CONTOUR_H = 2 * math.pi / (_CONTOUR_FFT_LEN * _GRID_STEP)
 
 
 class ParityVanishing(ValueError):
@@ -78,8 +89,8 @@ class WeightFunction:
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if np.any(x <= 0):
-            raise ValueError("weight argument must be positive")
+        if not np.all(np.isfinite(x) & (x > 0)):
+            raise ValueError("weight argument must be positive and finite")
         out = np.empty_like(x)
         lo = x < _GRID_LO
         hi = x > _GRID_HI
@@ -107,27 +118,32 @@ def _contour_values(log_G, c: float, T: float, h: float):
     return t, np.exp(log_G(s)) / s
 
 
-def _build_weight(log_G, label: str, T: float = _CONTOUR_T, h: float = _CONTOUR_H) -> WeightFunction:
+def _build_weight(log_G, label: str) -> WeightFunction:
     n_lo = int(round(-math.log10(_GRID_LO))) * _GRID_PER_DECADE + 1
     n_hi = int(round(math.log10(_GRID_HI))) * _GRID_PER_DECADE + 1
     xs_small = np.logspace(math.log10(_GRID_LO), 0.0, n_lo)
     xs_large = np.logspace(0.0, math.log10(_GRID_HI), n_hi)
 
     # x <= 1: contour at Re s = -1/4 (past 1/s), residue 1 added back;
-    # x > 1: contour at Re s = 3
+    # x > 1: contour at Re s = 3.  Both halves run away from x = 1,
+    # x_m = e^{sign m D}, so the phases that round worst meet the smallest x^{-c}
     halves = []
-    for xs_half, c, residue in ((xs_small, -0.25, 1.0), (xs_large, 3.0, 0.0)):
-        t, g = _contour_values(log_G, c, T, h)
-        v = np.empty_like(xs_half)
-        for i0 in range(0, len(xs_half), 256):
-            xs = xs_half[i0:i0 + 256]
-            phases = xs[:, None] ** (-c - 1j * t)[None, :]
-            v[i0:i0 + 256] = residue + (h / (2 * np.pi)) * np.real(phases @ g)
-        halves.append(v)
-    v_small, v_large = halves
+    for xs_half, c, residue, sign in ((xs_small[::-1], -0.25, 1.0, -1),
+                                      (xs_large, 3.0, 0.0, 1)):
+        t, g = _contour_values(log_G, c, _CONTOUR_T, _CONTOUR_H)
+        # sum_k g_k e^{-2 pi i sign k m / L} for every m at once;
+        # len(t) and len(xs_half) are both <= L, so nothing wraps around
+        sums = (np.fft.fft(g, _CONTOUR_FFT_LEN) if sign > 0
+                else np.fft.ifft(g, _CONTOUR_FFT_LEN, norm="forward"))[:len(xs_half)]
+        m_step = np.arange(len(xs_half)) * _GRID_STEP
+        phases = xs_half ** -c * np.exp(-1j * sign * t[0] * m_step)
+        halves.append(residue + (_CONTOUR_H / (2 * np.pi)) * np.real(phases * sums))
+    v_small, v_large = halves[0][::-1], halves[1]
 
     grid_x = np.concatenate([xs_small, xs_large[1:]])
     grid_v = np.concatenate([v_small, v_large[1:]])
+    # shared through _WEIGHT_CACHE by every later caller
+    grid_x.flags.writeable = grid_v.flags.writeable = False
     return WeightFunction(label,
                           CubicSpline(np.log(xs_small), v_small),
                           CubicSpline(np.log(xs_large), v_large),
@@ -139,6 +155,8 @@ _WEIGHT_CACHE: dict[tuple, WeightFunction] = {}
 
 def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int,
                    label: str) -> WeightFunction:
+    if parity_a not in (0, 1):
+        raise ValueError("parity exponent must be 0 or 1")
     key = (log_gamma_ratio, form.kind, form.weight, form.kappa, parity_a)
     if key not in _WEIGHT_CACHE:
         _WEIGHT_CACHE[key] = _build_weight(log_gamma_ratio(form, parity_a), label)
@@ -147,14 +165,13 @@ def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int,
 
 def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
     """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
-    if parity_a not in (0, 1):
-        raise ValueError("parity exponent must be 0 or 1")
     return _cached_weight(_log_gamma_ratio_triple, form, parity_a,
                           f"V[{form.kind},a={parity_a}]")
 
 
 def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
-    return _cached_weight(_log_gamma_ratio_twist, form, parity_a, f"Vtwist[{form.kind}]")
+    return _cached_weight(_log_gamma_ratio_twist, form, parity_a,
+                          f"Vtwist[{form.kind},a={parity_a}]")
 
 
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:

@@ -99,7 +99,7 @@ def test_acceptance_4_afe_cross_route(delta_small):
                 dirichlet_L_half(g, conjugate_index(g, idx)) ** 2
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-6
-    assert time.time() - t0 < 120.0
+    assert time.time() - t0 < 10.0
 
 
 def test_acceptance_5_voronoi_grid(delta_large):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from momentlab import cli
 from momentlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE, main
 
 
@@ -56,6 +57,16 @@ def test_moment_rejected_q_writes_nothing(capsys, tmp_path, out):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: q = 6 = 2 (mod 4) has no primitive characters"]
+
+
+def test_moment_rejects_q_before_loading_the_form(capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the coefficient table was loaded for a rejected q")
+
+    monkeypatch.setattr(cli, "_load_form", no_load)
+    assert main(["moment", "--q", "6"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: q = 6 = 2 (mod 4) has no primitive characters"]
 
 
 def test_moment_requires_q(capsys):

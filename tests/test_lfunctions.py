@@ -129,37 +129,50 @@ def _log_gamma_ratio_triple_inline(form, parity_a):
     return log_G
 
 
-def _grid_v_two_loops(log_G, T=40.0, h=0.05):
-    """grid_v with one contour loop per half-line, as the weight was built
-    before one loop served both."""
-    xs_small = np.logspace(-12.0, 0.0, 12 * 120 + 1)
-    xs_large = np.logspace(0.0, 6.0, 6 * 120 + 1)
-    t = np.arange(-T, T + h / 2, h)
-    g_left = np.exp(log_G(-0.25 + 1j * t)) / (-0.25 + 1j * t)
-    v_small = np.empty_like(xs_small)
-    for i0 in range(0, len(xs_small), 256):
-        xs = xs_small[i0:i0 + 256]
-        phases = xs[:, None] ** (0.25 - 1j * np.arange(-T, T + h / 2, h))[None, :]
-        v_small[i0:i0 + 256] = 1.0 + (h / (2 * np.pi)) * np.real(phases @ g_left)
-    g_right = np.exp(log_G(3.0 + 1j * t)) / (3.0 + 1j * t)
-    v_large = np.empty_like(xs_large)
-    for i0 in range(0, len(xs_large), 256):
-        xs = xs_large[i0:i0 + 256]
-        phases = xs[:, None] ** (-3.0 - 1j * np.arange(-T, T + h / 2, h))[None, :]
-        v_large[i0:i0 + 256] = (h / (2 * np.pi)) * np.real(phases @ g_right)
-    return np.concatenate([v_small, v_large[1:]])
+def _grid_v_direct(log_G):
+    """grid_v as the direct sum of the contour nodes against a dense power
+    matrix, at the same nodes as the FFT build."""
+    h = lfunctions._CONTOUR_H
+    halves = []
+    for xs, c, residue in ((np.logspace(-12.0, 0.0, 12 * 120 + 1), -0.25, 1.0),
+                           (np.logspace(0.0, 6.0, 6 * 120 + 1), 3.0, 0.0)):
+        t = np.arange(-40.0, 40.0 + h / 2, h)
+        g = np.exp(log_G(c + 1j * t)) / (c + 1j * t)
+        phases = xs[:, None] ** (-c - 1j * t)[None, :]
+        halves.append(residue + (h / (2 * np.pi)) * np.real(phases @ g))
+    return np.concatenate([halves[0], halves[1][1:]])
+
+
+_MAASS_9_53 = EigenformData("maass", None, 9.53, 7 / 64, 1, np.zeros(2), label="maass-9.53")
 
 
 @pytest.mark.parametrize("kind", ["delta", "maass"])
-def test_weight_grid_matches_two_loop_build(delta_small, kind):
-    # bit-identical: the same operations in the same order
-    form = delta_small if kind == "delta" else EigenformData(
-        "maass", None, 9.53, 7 / 64, 1, np.zeros(2), label="maass-9.53")
+def test_weight_grid_matches_direct_sum(delta_small, kind):
+    # the FFT against the dense power-matrix sum at the same nodes
+    form = delta_small if kind == "delta" else _MAASS_9_53
     for a in (0, 1):
-        assert np.array_equal(triple_weight(form, a).grid_v,
-                              _grid_v_two_loops(_log_gamma_ratio_triple_inline(form, a)))
-        assert np.array_equal(twist_weight(form, a).grid_v,
-                              _grid_v_two_loops(lfunctions._log_gamma_ratio_twist(form, a)))
+        for V, log_G in ((triple_weight(form, a), _log_gamma_ratio_triple_inline(form, a)),
+                         (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(form, a))):
+            ref = _grid_v_direct(log_G)
+            assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
+            direct = WeightFunction("direct", None, None, V.grid_x, ref)
+            for tol in (1e-8, 1e-9, 1e-12, 1e-14):
+                assert V.cutoff(tol) == direct.cutoff(tol)
+
+
+def test_weight_contour_is_aligned_with_the_grid():
+    # h D = 2 pi / L, and L covers the nodes and each half-line, so no sum wraps
+    L, h = lfunctions._CONTOUR_FFT_LEN, lfunctions._CONTOUR_H
+    D = math.log(10) / 120
+    assert L * h * D == pytest.approx(2 * math.pi, rel=1e-15)
+    assert h == pytest.approx(0.05, rel=1e-6)
+    t, _ = lfunctions._contour_values(lambda s: 0 * s, 3.0, lfunctions._CONTOUR_T, h)
+    assert L >= len(t) == 1601
+    V = twist_weight(_MAASS_9_53, 0)
+    assert np.allclose(np.diff(np.log(V.grid_x)), D, rtol=1e-9, atol=0)
+    n_small = int(np.count_nonzero(V.grid_x <= 1.0))
+    assert L >= n_small == 1441
+    assert L >= len(V.grid_x) - n_small + 1 == 721
 
 
 def test_weight_rejects_nonpositive(delta_small):
@@ -167,6 +180,34 @@ def test_weight_rejects_nonpositive(delta_small):
         triple_weight(delta_small, 0)(-1.0)
     with pytest.raises(ValueError):
         triple_weight(delta_small, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weight_rejects_nonfinite(delta_small, bad):
+    # a NaN fails every range mask, so its output slot used to stay unwritten
+    V = triple_weight(delta_small, 0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        V(np.array([bad, 0.5, bad]))
+    with pytest.raises(ValueError, match="positive and finite"):
+        V(bad)
+
+
+def test_twist_weight_checks_parity(delta_small):
+    cached = len(lfunctions._WEIGHT_CACHE)
+    for a in (2, -1):
+        with pytest.raises(ValueError, match="parity"):
+            twist_weight(delta_small, a)
+    assert len(lfunctions._WEIGHT_CACHE) == cached
+    assert twist_weight(delta_small, 0).label != twist_weight(delta_small, 1).label
+
+
+def test_cached_weight_arrays_are_read_only(delta_small):
+    V = triple_weight(delta_small, 0)
+    v0 = float(V.grid_v[0])
+    for arr in (V.grid_x, V.grid_v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert triple_weight(delta_small, 0).grid_v[0] == v0
 
 
 def test_root_numbers_delta(delta_small):
