@@ -61,7 +61,7 @@ def _flag_value(value, default: int, flag: str) -> int:
 
 def cmd_moment(args) -> int:
     from .lfunctions import L_one_f
-    from .moments import MomentQuery, brute_moment, main_term, sweep
+    from .moments import MomentQuery, brute_moment, main_term, sweep, sweep_moduli
 
     try:
         if args.q_range:
@@ -72,8 +72,8 @@ def cmd_moment(args) -> int:
             print("error: --q or --q-range required", file=sys.stderr)
             return EXIT_CONFIG
         # every q is validated before the table is built or --out is opened,
-        # so a rejected single q returns at once and leaves no file; a sweep
-        # names an empty range itself
+        # so a rejected single q or an empty sweep range returns at once and
+        # leaves no file
         queries = []
         for q in range(q_lo, q_hi + 1):
             try:
@@ -81,6 +81,8 @@ def cmd_moment(args) -> int:
             except ValueError:
                 if q_lo == q_hi and not args.sweep:
                     raise
+        if args.sweep:
+            sweep_moduli(q_lo, q_hi, args.a, args.b)
         form = _load_form(args.form, q_hi, args.tol)
         if not form.is_holomorphic:
             raise ValueError(f"the main term exists for holomorphic forms only; "

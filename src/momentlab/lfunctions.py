@@ -10,15 +10,18 @@ The Mellin-Barnes weight V(x) is evaluated by trapezoid quadrature on a
 vertical line: Re s = 3 for x > 1, and Re s = -1/4 (past the 1/s pole,
 picking up the residue 1) for x <= 1 so small-x values are free of the
 x^{-c} cancellation blow-up.  Values are memoized on a log-spaced grid
-with cubic-spline interpolation.
+with cubic-spline interpolation in log x.  The Gamma factors use
+special._log_gamma and the splines special._UniformSpline: NumPy only.
 
 The grid is uniform in log x with step D = ln 10 / 120, and the contour
 nodes t_k = t_0 + k h are uniform in t with h D = 2 pi / L (L = 6549,
 h = 0.0500000496).  On each half-line, with x_m = e^{+-m D} the m-th grid
 point away from x = 1, x_m^{-c - i t_k} = x_m^{-c} e^{-+i t_0 m D}
 e^{-+2 pi i k m / L}: one length-L FFT gives the sum at every grid point
-at once.  `weight_V_reference` stays a direct sum over a refined contour,
-the oracle of the FFT build.
+at once, and at every integer m, since the sum is L-periodic in m.  So the
+30 points past each end of a half-line that its spline needs come free.
+`weight_V_reference` stays a direct sum over a refined contour, the oracle
+of the FFT build.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import loggamma
 
 from .characters import CharacterGroup, GaussData, gauss_eps
 from .eigenforms import EigenformData
+from .special import _BERNOULLI, _SPLINE_PAD, _UniformSpline, _log_gamma
 
 _GRID_LO, _GRID_HI = 1e-12, 1e6
 _GRID_PER_DECADE = 120
@@ -53,14 +55,16 @@ def _log_gamma_ratio_twist(form: EigenformData, parity_a: int):
         k = form.weight
 
         def log_G(s):
-            return -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
+            return -s * np.log(2 * np.pi) + _log_gamma(k / 2 + s) - _log_gamma(k / 2)
     else:
         kap = form.kappa
 
         def log_G(s):
             return (-s * np.log(np.pi)
-                    + loggamma((0.5 + s + 1j * kap + a) / 2) - loggamma((0.5 + 1j * kap + a) / 2)
-                    + loggamma((0.5 + s - 1j * kap + a) / 2) - loggamma((0.5 - 1j * kap + a) / 2))
+                    + _log_gamma((0.5 + s + 1j * kap + a) / 2)
+                    - _log_gamma((0.5 + 1j * kap + a) / 2)
+                    + _log_gamma((0.5 + s - 1j * kap + a) / 2)
+                    - _log_gamma((0.5 - 1j * kap + a) / 2))
     return log_G
 
 
@@ -71,7 +75,7 @@ def _log_gamma_ratio_triple(form: EigenformData, parity_a: int):
 
     def log_G(s):
         return log_twist(s) + 2 * (-(s / 2) * np.log(np.pi)
-                                   + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
+                                   + _log_gamma((0.5 + s + a) / 2) - _log_gamma((0.5 + a) / 2))
     return log_G
 
 
@@ -80,8 +84,8 @@ class WeightFunction:
     """Memoized inverse-Mellin weight x -> (1/2 pi i) int G(s) x^{-s} ds / s."""
 
     label: str
-    _spline_small: CubicSpline      # over log x in [log 1e-12, 0]
-    _spline_large: CubicSpline      # over log x in [0, log 1e6]
+    _spline_small: _UniformSpline   # over log x in [log 1e-12, 0]
+    _spline_large: _UniformSpline   # over log x in [0, log 1e6]
     grid_x: np.ndarray
     grid_v: np.ndarray
 
@@ -121,33 +125,31 @@ def _contour_values(log_G, c: float, T: float, h: float):
 def _build_weight(log_G, label: str) -> WeightFunction:
     n_lo = int(round(-math.log10(_GRID_LO))) * _GRID_PER_DECADE + 1
     n_hi = int(round(math.log10(_GRID_HI))) * _GRID_PER_DECADE + 1
-    xs_small = np.logspace(math.log10(_GRID_LO), 0.0, n_lo)
-    xs_large = np.logspace(0.0, math.log10(_GRID_HI), n_hi)
+    pad = _SPLINE_PAD[3]
 
     # x <= 1: contour at Re s = -1/4 (past 1/s), residue 1 added back;
     # x > 1: contour at Re s = 3.  Both halves run away from x = 1,
     # x_m = e^{sign m D}, so the phases that round worst meet the smallest x^{-c}
-    halves = []
-    for xs_half, c, residue, sign in ((xs_small[::-1], -0.25, 1.0, -1),
-                                      (xs_large, 3.0, 0.0, 1)):
+    splines, cores = [], []
+    for n, c, residue, sign in ((n_lo, -0.25, 1.0, -1), (n_hi, 3.0, 0.0, 1)):
         t, g = _contour_values(log_G, c, _CONTOUR_T, _CONTOUR_H)
-        # sum_k g_k e^{-2 pi i sign k m / L} for every m at once;
-        # len(t) and len(xs_half) are both <= L, so nothing wraps around
+        # sum_k g_k e^{-2 pi i sign k m / L} for every m mod L at once
         sums = (np.fft.fft(g, _CONTOUR_FFT_LEN) if sign > 0
-                else np.fft.ifft(g, _CONTOUR_FFT_LEN, norm="forward"))[:len(xs_half)]
-        m_step = np.arange(len(xs_half)) * _GRID_STEP
-        phases = xs_half ** -c * np.exp(-1j * sign * t[0] * m_step)
-        halves.append(residue + (_CONTOUR_H / (2 * np.pi)) * np.real(phases * sums))
-    v_small, v_large = halves[0][::-1], halves[1]
+                else np.fft.ifft(g, _CONTOUR_FFT_LEN, norm="forward"))
+        m = np.arange(-pad, n + pad)
+        phases = np.exp(-sign * m * _GRID_STEP * (c + 1j * t[0]))    # x_m^-c e^{-+i t_0 m D}
+        vals = residue + (_CONTOUR_H / (2 * np.pi)) * np.real(phases * sums[m % _CONTOUR_FFT_LEN])
+        if sign < 0:                              # increasing x
+            m, vals = m[::-1], vals[::-1]
+        splines.append(_UniformSpline(sign * m[0] * _GRID_STEP, _GRID_STEP, vals, 3))
+        cores.append(vals[pad:-pad])
 
-    grid_x = np.concatenate([xs_small, xs_large[1:]])
-    grid_v = np.concatenate([v_small, v_large[1:]])
+    grid_x = np.concatenate([np.logspace(math.log10(_GRID_LO), 0.0, n_lo),
+                             np.logspace(0.0, math.log10(_GRID_HI), n_hi)[1:]])
+    grid_v = np.concatenate([cores[0], cores[1][1:]])
     # shared through _WEIGHT_CACHE by every later caller
     grid_x.flags.writeable = grid_v.flags.writeable = False
-    return WeightFunction(label,
-                          CubicSpline(np.log(xs_small), v_small),
-                          CubicSpline(np.log(xs_large), v_large),
-                          grid_x, grid_v)
+    return WeightFunction(label, *splines, grid_x, grid_v)
 
 
 _WEIGHT_CACHE: dict[tuple, WeightFunction] = {}
@@ -241,7 +243,6 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
 # Oracle route 1: L(1/2, chi) through Hurwitz zeta
 
 
-_BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
 _HURWITZ_SHIFT = 50      # terms summed directly before Euler-Maclaurin takes over
 
 

@@ -313,15 +313,25 @@ class SweepSummary:
     error_exponent_fit: float    # slope of log |M - MT| against log q (top half)
 
 
+def sweep_moduli(q_lo: int, q_hi: int, a: int = 1, b: int = 1) -> list[int]:
+    """The q a sweep visits: admissible, >= 3 and prime to ab, in [q_lo, q_hi].
+    An empty range is an error, raised before any table is built."""
+    qs = [q for q in range(q_lo, q_hi + 1)
+          if is_admissible(q) and math.gcd(a * b, q) == 1 and q >= 3]
+    if not qs:
+        raise ValueError(f"empty sweep range: no admissible q >= 3 in [{q_lo}, {q_hi}] "
+                         f"prime to ab = {a * b}")
+    return qs
+
+
 def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
           v_tol: float = 1e-9, csv_path=None, jsonl_path=None,
           progress=None) -> SweepSummary:
     """Moment vs main term across admissible q in [q_lo, q_hi]."""
     rows: list[SweepRow] = []
+    moduli = sweep_moduli(q_lo, q_hi, a, b)
     L1 = L_one_f(form)
-    for q in range(q_lo, q_hi + 1):
-        if not is_admissible(q) or math.gcd(a * b, q) != 1 or q < 3:
-            continue
+    for q in moduli:
         query = MomentQuery(q, a, b)
         rep = brute_moment(form, query, v_tol=v_tol)
         mt = main_term(form, query, L1=L1)
@@ -335,9 +345,6 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
             rep.chars_used, rep.seconds))
         if progress:
             progress(rows[-1])
-    if not rows:
-        raise ValueError(f"empty sweep range: no admissible q >= 3 in [{q_lo}, {q_hi}] "
-                         f"prime to ab = {a * b}")
 
     qs = np.array([r.q for r in rows], dtype=np.float64)
     top = qs >= qs.max() / 2

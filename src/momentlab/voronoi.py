@@ -19,16 +19,14 @@ that H comes from, and shared by every cell that asks for the same (D, d').
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
 from .eigenforms import EigenformData, varpi_table
-from .special import BumpFunction, interval_bump
+from .special import (_HANKEL_TOL, _HANKEL_Z0, _SPLINE_PAD, BumpFunction, _UniformSpline,
+                      _bessel_j, _hankel_coefficients, interval_bump)
 
 PHASE_SIGN = -1   # empirically fixed: J-kernel branch carries e(-(conj) n/d')
 
@@ -78,7 +76,9 @@ def voronoi_lhs(case: VoronoiCase) -> complex:
 
 _GL_ORDER = 80
 _MIN_PANELS = 4            # resolves the bump window itself, whatever X is
-_BLOCK_ELEMENTS = 2**20    # rows x nodes of one Bessel block: 8 MB of float64
+# rows x nodes of one Bessel block: _bessel_j holds about 7 float64 arrays of
+# that size (the arguments, its branch copies and its recurrence), 8 MB in all
+_BLOCK_ELEMENTS = 2**17
 
 
 @lru_cache(maxsize=1)
@@ -105,16 +105,6 @@ def _composite_nodes(lo: float, hi: float, n_panels: int):
     return xs, ws
 
 
-def _bessel_block(order: int, ys: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """sum_j J_order(4 pi sqrt(y x_j)) w_j for each y.  Runs on worker
-    threads, so it calls only NumPy and SciPy, nothing of this package.
-    einsum sums each row the same way whatever the block (a BLAS
-    matrix-vector product does not), so a value does not depend on which
-    other y share its block."""
-    mat = scipy.special.jv(order, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
-    return np.einsum("ij,j->i", mat, ws)
-
-
 def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     """Dual-side transform of the window at a vector of arguments:
     2 pi i^k integral V(x) J_{k-1}(4 pi sqrt(x y)) dx, by composite
@@ -123,10 +113,11 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     max(4, ceil(2 sqrt(hi y) / 20)) panels of 80 nodes.
 
     The y that need the same panel count share one node set and are
-    evaluated in row blocks of at most 2^20 matrix elements on a thread
-    pool with one worker per usable core.  Each value depends only on its
-    own y, and no block matrix is larger than 8 MB.  Nodes and window
-    weights are computed on the calling thread."""
+    evaluated in row blocks of at most _BLOCK_ELEMENTS matrix elements, so
+    no block needs more than 8 MB.  Each value depends only on its own y:
+    the Bessel kernel works element by element, and einsum sums each row
+    the same way whatever the block (a BLAS matrix-vector product does not).
+    A thread pool over the blocks measured slower on 2 cores."""
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ys) & (ys >= 0.0)):
         raise ValueError("hankel_grid needs finite y >= 0")
@@ -134,30 +125,21 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     lo, hi = case.window.support
     panels = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.sqrt(hi * ys) / 20.0)).astype(np.int64)
     out = np.empty(len(ys))
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        blocks = []
-        for n_panels in np.unique(panels):
-            rows = np.flatnonzero(panels == n_panels)
-            xs, ws = _composite_nodes(lo, hi, int(n_panels))
-            ws = ws * case.window(xs)
-            step = max(1, _BLOCK_ELEMENTS // len(xs))
-            for i in range(0, len(rows), step):
-                idx = rows[i:i + step]
-                blocks.append((idx, pool.submit(_bessel_block, k - 1, ys[idx], xs, ws)))
-        for idx, block in blocks:
-            out[idx] = block.result()
+    for n_panels in np.unique(panels):
+        rows = np.flatnonzero(panels == n_panels)
+        xs, ws = _composite_nodes(lo, hi, int(n_panels))
+        ws = ws * case.window(xs)
+        step = max(1, _BLOCK_ELEMENTS // len(xs))
+        for i in range(0, len(rows), step):
+            idx = rows[i:i + step]
+            mat = _bessel_j(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys[idx], xs)))
+            out[idx] = np.einsum("ij,j->i", mat, ws)
     return (1j ** (k % 4)) * 2.0 * math.pi * out
 
 
-# Hankel's expansion (DLMF 10.17.5) replaces jv wherever z = 4 pi u s >= z0
-# at every node s of the window.  For real z and K >= nu - 1/2 terms, the
-# remainders of its even and odd parts are bounded by their first omitted
-# terms (DLMF 10.17(iii)), so K is the first k >= nu - 1/2 with
-# |a_k(nu)| z0^-k below the tolerance, 1e-17 of the leading amplitude.  At
-# z0 = 25 the terms are still shrinking there (K = 25 for weight 12), and the
+# Hankel's expansion (special._hankel_coefficients) replaces the Bessel
+# kernel wherever z = 4 pi u s >= z0 = 25 at every node s of the window; the
 # head left to hankel_grid is 10 z0 sqrt(hi/lo) spline points.
-_HANKEL_Z0 = 25.0
-_HANKEL_TOL = 1e-17
 # FFT length: the smallest power of two with L du >= 5 u_max.  The trapezoid
 # rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so the worst alias
 # sits at (L du - u_max)^2 >= 16 u_max^2 = 16 y_cut, where the window's
@@ -166,8 +148,8 @@ _ALIAS_FACTOR = 5
 
 
 def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
-    """hankel_grid(case, us**2) on a uniform grid us = linspace(0, u_max, n),
-    by FFTs.  With x = s^2 the transform is 2 pi i^k times
+    """hankel_grid(case, us**2) on a uniform grid us = j du, j < n, by FFTs.
+    With x = s^2 the transform is 2 pi i^k times
     integral 2 s V(s^2) J_nu(4 pi u s) ds, taken by the trapezoid rule on
     s_j = sqrt(lo) + j ds with 4 pi du ds = 2 pi / L; the integrand is smooth
     and compactly supported, so the rule converges faster than any power.
@@ -180,16 +162,11 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     nu = k - 1
     lo, hi = case.window.support
     root_lo = math.sqrt(lo)
-    coeffs, term = [1.0], 1.0                     # a_j(nu) for j <= K; |a_j| z0^-j
-    while len(coeffs) < nu + 0.5 or term >= _HANKEL_TOL:
-        j = len(coeffs)
-        coeffs.append(coeffs[-1] * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j))
-        term = abs(coeffs[-1]) * _HANKEL_Z0 ** -j
-        if term > 1e2 or j > 2.0 * _HANKEL_Z0 + nu:
-            # from weight 20 on the series at z0 loses over two digits to
-            # cancellation, or diverges before it reaches the tolerance
-            return hankel_grid(case, us**2)
-    coeffs.pop()                                  # a_K, the first omitted term
+    coeffs = _hankel_coefficients(nu, _HANKEL_Z0)
+    if coeffs is None:
+        # from weight 20 on the series at z0 loses over two digits to
+        # cancellation, or diverges before it reaches the tolerance
+        return hankel_grid(case, us**2)
     n = len(us)
     w = 4.0 * math.pi * root_lo * us              # z at the left end of the support
     head = int(np.searchsorted(w, _HANKEL_Z0))
@@ -243,28 +220,34 @@ class _DualSpline:
     residue_sums)."""
 
     def __init__(self, case: VoronoiCase, y_cut: float):
-        from scipy.interpolate import make_interp_spline
-
         _, hi = case.window.support
         self.y_cut = y_cut
-        self.u_max = math.sqrt(y_cut)
+        u_max = math.sqrt(y_cut)
         # phase 4 pi sqrt(x) u advances at most 4 pi sqrt(hi) per unit u;
         # 0.1 rad per sample with a degree-5 spline keeps the
         # interpolation error near 1e-9 of the local amplitude
         step = 0.1 / (4.0 * math.pi * math.sqrt(hi))
-        n_pts = int(self.u_max / step) + 8
-        us = np.linspace(0.0, self.u_max, n_pts)
+        n_pts = int(u_max / step) + 8
+        du = u_max / (n_pts - 1)
+        # the knots run pad samples past u_max, where the FFTs cost nothing
+        # more, so the spline keeps its accuracy up to the last
+        # sqrt(n / D) <= sqrt(u_max^2 + 1 / D) of a dual sum; below u = 0
+        # they come from H(-u) = (-1)^(k-1) H(u)
+        pad = _SPLINE_PAD[5]
+        us = du * np.arange(n_pts + pad)
         vals = _hankel_uniform(case, us)
         if np.max(np.abs(vals.imag)) < 1e-14 * max(np.max(np.abs(vals.real)), 1e-30):
             vals = vals.real
-        self._spline = make_interp_spline(us, vals, k=5)
+        mirror = (-1) ** (int(case.form.weight) - 1) * vals[pad:0:-1]
+        self._spline = _UniformSpline(-pad * du, du, np.concatenate([mirror, vals]), 5)
+        self.u_end = float(us[-1])
         self._residues: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.residues_stored = 0
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        """H(y) up to the last knot, 0 past it."""
         u = np.sqrt(y)
-        out = self._spline(np.clip(u, 0.0, self.u_max))
-        return np.where(u <= self.u_max, out, 0.0)
+        return np.where(u <= self.u_end, self._spline(u), 0.0)
 
     def residue_sums(self, lam: np.ndarray, D: int, d_prime: int) -> np.ndarray:
         """R[r] = sum of lam[n] H(n/D) over 1 <= n <= ceil(D y_cut), n = r mod d'.

@@ -213,6 +213,16 @@ def test_moment_sweep_without_admissible_q(capsys):
         "error: empty sweep range: no admissible q >= 3 in [6, 6] prime to ab = 1"]
 
 
+def test_moment_sweep_rejects_empty_range_before_loading_the_form(capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the coefficient table was loaded for an empty sweep range")
+
+    monkeypatch.setattr(cli, "_load_form", no_load)
+    assert main(["moment", "--sweep", "--q-range", "6:6"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: empty sweep range: no admissible q >= 3 in [6, 6] prime to ab = 1"]
+
+
 def test_verify_shifted(capsys):
     assert main(["verify", "shifted"]) == EXIT_OK
     rep = json.loads(capsys.readouterr().out)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from momentlab import lfunctions
+from momentlab import lfunctions, special
 from momentlab.characters import build_group, gauss_eps
 from momentlab.eigenforms import EigenformData
 from momentlab.lfunctions import (L_one_f, ParityVanishing, afe_triple_product,
@@ -208,6 +208,34 @@ def test_cached_weight_arrays_are_read_only(delta_small):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert triple_weight(delta_small, 0).grid_v[0] == v0
+
+
+def test_cached_weight_spline_coefficients_are_read_only(delta_small):
+    v = triple_weight(delta_small, 0)(0.5)
+    for spline in (triple_weight(delta_small, 0)._spline_small,
+                   triple_weight(delta_small, 0)._spline_large):
+        with pytest.raises(ValueError):
+            spline.coeffs[...] = 0.0
+    assert triple_weight(delta_small, 0)(0.5) == v != 0.0
+
+
+@pytest.mark.parametrize("kind", ["delta", "maass"])
+def test_log_gamma_matches_scipy_on_the_contours(delta_small, kind):
+    # every Gamma argument the weights put on both contours (and the
+    # oracle's doubled one), with the normalising constants
+    h = lfunctions._CONTOUR_H
+    t = np.arange(-2 * lfunctions._CONTOUR_T, 2 * lfunctions._CONTOUR_T + h / 4, h / 2)
+    s = np.concatenate([-0.25 + 1j * t, 3.0 + 1j * t, [0.0]])
+    args = []
+    for a in (0, 1):
+        args.append((0.5 + s + a) / 2)
+        if kind == "delta":
+            args.append(delta_small.weight / 2 + s)
+        else:
+            kap = _MAASS_9_53.kappa
+            args += [(0.5 + s + 1j * kap + a) / 2, (0.5 + s - 1j * kap + a) / 2]
+    z = np.concatenate(args)
+    assert np.max(np.abs(np.exp(special._log_gamma(z) - loggamma(z)) - 1.0)) <= 1e-12
 
 
 def test_root_numbers_delta(delta_small):

@@ -8,11 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.interpolate
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentlab
+from momentlab import special
 from momentlab.eigenforms import EigenformData
 from momentlab.special import BumpFunction, interval_bump, standard_window
 from momentlab.voronoi import VoronoiCase, hankel_grid
@@ -118,3 +120,82 @@ def test_maass_kernel_raises(delta_small):
     maass = EigenformData("maass", None, 9.5, 7 / 64, 1, delta_small.lam, label="maass")
     with pytest.raises(NotImplementedError, match="holomorphic"):
         VoronoiCase(1, 1, 1, 10.0, maass)
+
+
+@pytest.mark.parametrize("n", [0, 1, 11, 19])
+def test_bessel_j_matches_mpmath(n):
+    z0 = special._bessel_plan(n)[0]
+    zs = np.r_[0.0, 1e-300, 1e-12, 1e-3, np.linspace(0.01, 1.5 * z0, 90),
+               np.nextafter(z0, 0.0), z0, np.geomspace(z0, 2e4, 60)]
+    ours = special._bessel_j(n, zs)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(n, mpmath.mpf(float(z)))) for z in zs])
+    assert np.max(np.abs(ours - ref)) <= 1e-14
+    assert ours[0] == (1.0 if n == 0 else 0.0)
+
+
+def test_bessel_branch_point_grows_with_order():
+    # Hankel's expansion at z0 = 25 cancels too much from order 19 on, where
+    # voronoi._hankel_uniform gives way to hankel_grid
+    z0 = {n: special._bessel_plan(n)[0] for n in (0, 11, 19, 29)}
+    assert z0[0] == z0[11] == special._HANKEL_Z0 < z0[19] < z0[29]
+    assert special._hankel_coefficients(19, special._HANKEL_Z0) is None
+
+
+def test_bessel_j_is_elementwise():
+    zs = np.r_[0.0, np.geomspace(1e-3, 2e4, 257)]
+    batch = special._bessel_j(19, zs)
+    for i in range(len(zs)):
+        assert batch[i] == special._bessel_j(19, zs[i:i + 1])[0]
+
+
+def _smooth(x):
+    return np.sin(3.0 * x) * np.exp(-0.1 * x) + 0.5 * np.cos(0.7 * x)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_uniform_spline_matches_scipy(degree):
+    pad, n, dx = special._SPLINE_PAD[degree], 400, 0.05
+    x = (np.arange(-pad, n + pad) - 7) * dx
+    f = _smooth(x)
+    spline = special._UniformSpline(x[0], dx, f, degree)
+    assert np.max(np.abs(spline(x) - f)) <= 1e-14 * np.max(np.abs(f))
+    core = x[pad:-pad]
+    ref = (scipy.interpolate.CubicSpline(core, f[pad:-pad]) if degree == 3
+           else scipy.interpolate.make_interp_spline(core, f[pad:-pad], k=5))
+    # inside, away from the ends where the scipy splines' end conditions act
+    xi = np.linspace(core[2 * pad], core[-2 * pad - 1], 4001)
+    assert np.max(np.abs(spline(xi) - ref(xi))) <= 1e-12 * np.max(np.abs(f))
+    # with the pad, the ends of the core are as good as the inside
+    edge = np.linspace(core[0], core[pad], 1001)
+    inside_error = np.max(np.abs(spline(xi) - _smooth(xi)))
+    assert np.max(np.abs(spline(edge) - _smooth(edge))) <= 2.0 * inside_error
+
+
+def test_uniform_spline_is_read_only_and_clamped():
+    x = np.arange(100) * 0.1
+    spline = special._UniformSpline(0.0, 0.1, np.cos(x), 3)
+    with pytest.raises(ValueError):
+        spline.coeffs[0, 0] = 1.0
+    assert spline(np.array([-1.0, 50.0])).tolist() == spline(np.array([0.0, x[-1]])).tolist()
+
+
+def test_runtime_does_not_import_scipy():
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from momentlab import (arith, characters, cli, eigenforms, expsums, lfunctions,\n"
+            "                       moments, special, voronoi)\n"
+            "delta = eigenforms.delta_coefficients(40_000)\n"
+            "v = lfunctions.triple_weight(delta, 0)(np.array([1e-3, 0.5, 2.0]))\n"
+            "assert np.all(np.isfinite(v))\n"
+            "assert voronoi.voronoi_check(voronoi.VoronoiCase(1, 1, 1, 10.0, delta)) < 1e-6\n"
+            "print(sorted(m for m, mod in sys.modules.items()\n"
+            "             if m.split('.')[0] == 'scipy' and mod is not None))\n")
+    src = str(Path(momentlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

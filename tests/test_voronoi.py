@@ -254,6 +254,15 @@ def test_spline_matches_hankel_grid_on_its_grid(delta_large, X, truncation_facto
     assert np.max(np.abs(spline(us**2) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_cached_spline_coefficients_are_read_only(delta_large):
+    case = VoronoiCase(1, 1, 1, 10.0, delta_large)
+    spline = _cached_spline(case, 1.0)
+    before = spline(np.array([0.5, 4.0]))
+    with pytest.raises(ValueError):
+        spline._spline.coeffs[...] = 0.0
+    assert np.array_equal(_cached_spline(case, 1.0)(np.array([0.5, 4.0])), before)
+
+
 def test_spline_build_leaves_only_the_head_to_hankel_grid(delta_large, monkeypatch):
     case = VoronoiCase(1, 1, 1, 20.0, delta_large)
     y_cut = dual_cutoff(case)
