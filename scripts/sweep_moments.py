@@ -36,8 +36,7 @@ def main() -> int:
               f"[{row.seconds:.2f}s]", file=sys.stderr)
 
     summary = sweep(form, args.q_lo, args.q_hi, args.a, args.b,
-                    v_tol=args.tol, csv_path=args.out,
-                    jsonl_path=args.out + ".jsonl", progress=progress)
+                    v_tol=args.tol, out=args.out, progress=progress)
     print(json.dumps(dict(winner=summary.winner,
                           median_dev_theorem=summary.median_dev_theorem,
                           median_dev_corollary=summary.median_dev_corollary,

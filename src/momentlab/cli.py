@@ -60,8 +60,8 @@ def _flag_value(value, default: int, flag: str) -> int:
 
 
 def cmd_moment(args) -> int:
-    from .lfunctions import L_one_f
-    from .moments import MomentQuery, brute_moment, main_term, sweep, sweep_moduli
+    from .lfunctions import L_one_f, check_tolerance
+    from .moments import brute_moment, main_term, moment_queries, sweep
 
     try:
         if args.q_range:
@@ -71,18 +71,10 @@ def cmd_moment(args) -> int:
         else:
             print("error: --q or --q-range required", file=sys.stderr)
             return EXIT_CONFIG
-        # every q is validated before the table is built or --out is opened,
-        # so a rejected single q or an empty sweep range returns at once and
-        # leaves no file
-        queries = []
-        for q in range(q_lo, q_hi + 1):
-            try:
-                queries.append(MomentQuery(q, args.a, args.b))
-            except ValueError:
-                if q_lo == q_hi and not args.sweep:
-                    raise
-        if args.sweep:
-            sweep_moduli(q_lo, q_hi, args.a, args.b)
+        # q and tol are checked before the table is built or --out opened,
+        # so a rejected input returns at once and leaves no file
+        queries = moment_queries(q_lo, q_hi, args.a, args.b)
+        check_tolerance(args.tol)
         form = _load_form(args.form, q_hi, args.tol)
         if not form.is_holomorphic:
             raise ValueError(f"the main term exists for holomorphic forms only; "
@@ -94,9 +86,7 @@ def cmd_moment(args) -> int:
 
     if args.sweep:
         try:
-            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol,
-                            csv_path=args.out or None,
-                            jsonl_path=(args.out + ".jsonl") if args.out else None)
+            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol, out=args.out)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

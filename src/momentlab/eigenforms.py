@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import divisor_count_sieve, divisors, moebius
 
-_EXACT_LIMIT_DEFAULT = 10**4
+_EXACT_LIMIT = 10**4     # the float table is checked against exact tau up to here
 _FLOAT_MEMORY_CAP = 2**26  # entries; ~0.5 GB of float64 is the desk budget
 
 
@@ -146,13 +146,13 @@ def _cache_dir() -> Path:
     return path
 
 
-def delta_coefficients(n_max: int, exact_limit: int | None = None) -> EigenformData:
+def delta_coefficients(n_max: int) -> EigenformData:
     """EigenformData for Delta: lambda(n) = tau(n) / n^{11/2}, theta = 0."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > _FLOAT_MEMORY_CAP:
         raise MemoryError(f"n_max={n_max} beyond the desk memory budget")
-    exact_limit = min(exact_limit or _EXACT_LIMIT_DEFAULT, n_max)
+    exact_limit = min(_EXACT_LIMIT, n_max)
 
     lam = _delta_lambda_cached(n_max)
     tau_exact = list(ramanujan_tau_exact(exact_limit))
@@ -172,15 +172,16 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
     to every EigenformData.  delta_lambda.npy is written to a temporary file
     in the cache directory and moved into place, so no reader sees a
     partial table.  A file that does not load (torn by a crash outside this
-    writer, or not an array file) is rebuilt and replaced like a missing one."""
+    writer, or not an array file) is rebuilt and replaced like a missing one.
+    The file is mapped and only its prefix copied out, so no table keeps it."""
     cache = _cache_dir() / "delta_lambda.npy"
     try:
-        stored = np.load(cache)
+        stored = np.load(cache, mmap_mode="r")
+        lam = np.array(stored[:n_max + 1]) if len(stored) > n_max else None
+        del stored
     except (FileNotFoundError, ValueError, EOFError):
-        stored = None
-    if stored is not None and len(stored) >= n_max + 1:
-        lam = stored[:n_max + 1]
-    else:
+        lam = None
+    if lam is None:
         eta = _eta24_float(n_max - 1)
         ns = np.arange(n_max + 1, dtype=np.float64)
         lam = np.zeros(n_max + 1)

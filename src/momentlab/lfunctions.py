@@ -42,6 +42,7 @@ _GRID_STEP = math.log(10) / _GRID_PER_DECADE
 _CONTOUR_FFT_LEN = round(2 * math.pi / (0.05 * _GRID_STEP))
 _CONTOUR_T = 40.0
 _CONTOUR_H = 2 * math.pi / (_CONTOUR_FFT_LEN * _GRID_STEP)
+_AFE_TOL = 1e-12     # afe_triple_product truncates where |V| stays below this
 
 
 class ParityVanishing(ValueError):
@@ -79,11 +80,16 @@ def _log_gamma_ratio_triple(form: EigenformData, parity_a: int):
     return log_G
 
 
+def check_tolerance(tol: float) -> None:
+    """A weight tolerance must be finite and > 0: at 0 or NaN the cutoff is x = 1e6."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+
+
 @dataclass
 class WeightFunction:
     """Memoized inverse-Mellin weight x -> (1/2 pi i) int G(s) x^{-s} ds / s."""
 
-    label: str
     _spline_small: _UniformSpline   # over log x in [log 1e-12, 0]
     _spline_large: _UniformSpline   # over log x in [0, log 1e6]
     grid_x: np.ndarray
@@ -110,6 +116,7 @@ class WeightFunction:
 
     def cutoff(self, tol: float) -> float:
         """Smallest grid x beyond which |V| stays below tol."""
+        check_tolerance(tol)
         above = np.flatnonzero(~(np.abs(self.grid_v) < tol))   # NaN counts as above
         if above.size == 0:
             return float(self.grid_x[0])
@@ -122,7 +129,7 @@ def _contour_values(log_G, c: float, T: float, h: float):
     return t, np.exp(log_G(s)) / s
 
 
-def _build_weight(log_G, label: str) -> WeightFunction:
+def _build_weight(log_G) -> WeightFunction:
     n_lo = int(round(-math.log10(_GRID_LO))) * _GRID_PER_DECADE + 1
     n_hi = int(round(math.log10(_GRID_HI))) * _GRID_PER_DECADE + 1
     pad = _SPLINE_PAD[3]
@@ -149,31 +156,28 @@ def _build_weight(log_G, label: str) -> WeightFunction:
     grid_v = np.concatenate([cores[0], cores[1][1:]])
     # shared through _WEIGHT_CACHE by every later caller
     grid_x.flags.writeable = grid_v.flags.writeable = False
-    return WeightFunction(label, *splines, grid_x, grid_v)
+    return WeightFunction(*splines, grid_x, grid_v)
 
 
 _WEIGHT_CACHE: dict[tuple, WeightFunction] = {}
 
 
-def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int,
-                   label: str) -> WeightFunction:
+def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int) -> WeightFunction:
     if parity_a not in (0, 1):
         raise ValueError("parity exponent must be 0 or 1")
     key = (log_gamma_ratio, form.kind, form.weight, form.kappa, parity_a)
     if key not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[key] = _build_weight(log_gamma_ratio(form, parity_a), label)
+        _WEIGHT_CACHE[key] = _build_weight(log_gamma_ratio(form, parity_a))
     return _WEIGHT_CACHE[key]
 
 
 def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
     """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
-    return _cached_weight(_log_gamma_ratio_triple, form, parity_a,
-                          f"V[{form.kind},a={parity_a}]")
+    return _cached_weight(_log_gamma_ratio_triple, form, parity_a)
 
 
 def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
-    return _cached_weight(_log_gamma_ratio_twist, form, parity_a,
-                          f"Vtwist[{form.kind},a={parity_a}]")
+    return _cached_weight(_log_gamma_ratio_twist, form, parity_a)
 
 
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
@@ -213,12 +217,11 @@ def root_numbers(group: CharacterGroup, index: int, form: EigenformData) -> Root
 # Triple-product AFE
 
 
-def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
-                       v_tol: float = 1e-12) -> complex:
+def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData) -> complex:
     """L(1/2, f x chi) L(1/2, conj chi)^2 via the two-sum AFE.
 
     Requires a primitive character with eps(f, chi) = +1; truncates where the
-    weight has decayed below v_tol.  The value is the quadratic form
+    weight has decayed below _AFE_TOL.  The value is the quadratic form
     chi F conj(chi) of the residue-pair matrix F that the moment averages.
     """
     from .moments import residue_pair_matrix     # moments imports this module
@@ -234,7 +237,7 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData,
             "eps(f, chi) = -1: the triple product L-value pairs to zero by "
             "parity and the root-number-one AFE does not apply")
     parity_a = 0 if group.parity[index] == 1 else 1
-    F = residue_pair_matrix(form, q, parity_a, v_tol)
+    F = residue_pair_matrix(form, q, parity_a, _AFE_TOL)
     chi = group.values[index]
     return complex(chi @ F @ np.conj(chi))
 

@@ -30,6 +30,9 @@ from .characters import build_group, orthogonality_sum
 from .eigenforms import EigenformData
 from .lfunctions import L_one_f, triple_weight, zeta_two
 
+_REALNESS_TOL = 1e-8   # |Im| of the brute moment against its character sum's size
+_C_AB_TOL = 1e-12      # the certified tail of each local factor of c_ab
+
 
 @dataclass(frozen=True)
 class MomentQuery:
@@ -40,12 +43,13 @@ class MomentQuery:
     b: int = 1
 
     def __post_init__(self):
+        # the shifts first: a rule that no q can meet is the one to report
+        if self.a < 1 or self.b < 1:
+            raise ValueError("shift parameters must be positive")
         if self.q < 3:
             raise ValueError("modulus must be at least 3")
         if not is_admissible(self.q):
             raise ValueError(f"q = {self.q} = 2 (mod 4) has no primitive characters")
-        if self.a < 1 or self.b < 1:
-            raise ValueError("shift parameters must be positive")
         if math.gcd(self.a * self.b, self.q) != 1:
             raise ValueError("(ab, q) = 1 required")
 
@@ -105,8 +109,7 @@ def residue_pair_matrix(form: EigenformData, q: int, parity_a: int,
 
 def brute_moment(form: EigenformData, query: MomentQuery,
                  v_tol: float = 1e-12,
-                 F_by_parity: dict[int, np.ndarray] | None = None,
-                 realness_tol: float = 1e-8) -> MomentReport:
+                 F_by_parity: dict[int, np.ndarray] | None = None) -> MomentReport:
     """Per-character route: average chi(b) conj(chi(a)) chi F chi^*."""
     t0 = time.time()
     q, a, b = query.q, query.a, query.b
@@ -131,7 +134,7 @@ def brute_moment(form: EigenformData, query: MomentQuery,
     # the moment can vanish structurally for special (q, a, b); judge the
     # imaginary part against the pre-cancellation size of the character sum
     scale = max(abs(phys), gross, 1e-30)
-    if abs(phys.imag) > realness_tol * scale:
+    if abs(phys.imag) > _REALNESS_TOL * scale:
         raise ArithmeticError(
             f"moment should be real; got imaginary part {phys.imag:.3e} "
             f"against magnitude {scale:.3e}")
@@ -185,7 +188,7 @@ class MainTerm:
     c_ab_tail_bound: float
 
 
-def c_ab(form: EigenformData, a: int, b: int, tol: float = 1e-12) -> tuple[float, float]:
+def c_ab(form: EigenformData, a: int, b: int) -> tuple[float, float]:
     """sum over a1 | a^inf, b1 | b^inf of lambda(a a1 b1) tau(b a1 b1)/(a1 b1),
     with a certified tail bound from |lambda(p^k)| <= k + 1.
 
@@ -221,12 +224,12 @@ def c_ab(form: EigenformData, a: int, b: int, tol: float = 1e-12) -> tuple[float
             # with ratio <= (1 + 1/(e+1))^3 / p < 1 once e is moderate
             t_e = (e + 1) * (alpha + e + 1) * (beta + e + 1) / p**e
             ratio = (1 + 1 / (e + 1)) ** 3 / p
-            if e >= 8 and ratio < 1 and t_e / (1 - ratio) < tol:
+            if e >= 8 and ratio < 1 and t_e / (1 - ratio) < _C_AB_TOL:
                 tail_p = t_e / (1 - ratio)
                 break
-        rel_tail += tail_p / max(abs(local), tol)
+        rel_tail += tail_p / max(abs(local), _C_AB_TOL)
         total *= local
-    return total, abs(total) * rel_tail + rel_tail * tol
+    return total, abs(total) * rel_tail + rel_tail * _C_AB_TOL
 
 
 def main_term(form: EigenformData, query: MomentQuery,
@@ -313,30 +316,35 @@ class SweepSummary:
     error_exponent_fit: float    # slope of log |M - MT| against log q (top half)
 
 
-def sweep_moduli(q_lo: int, q_hi: int, a: int = 1, b: int = 1) -> list[int]:
-    """The q a sweep visits: admissible, >= 3 and prime to ab, in [q_lo, q_hi].
-    An empty range is an error, raised before any table is built."""
-    qs = [q for q in range(q_lo, q_hi + 1)
-          if is_admissible(q) and math.gcd(a * b, q) == 1 and q >= 3]
-    if not qs:
-        raise ValueError(f"empty sweep range: no admissible q >= 3 in [{q_lo}, {q_hi}] "
-                         f"prime to ab = {a * b}")
-    return qs
+def moment_queries(q_lo: int, q_hi: int, a: int, b: int) -> list[MomentQuery]:
+    """The queries (q; a, b), q in [q_lo, q_hi], that MomentQuery accepts.  A
+    range with none is an error naming the rules its q broke (for one q,
+    MomentQuery's own), raised before any table is built."""
+    queries, broken = [], {}
+    for q in range(q_lo, q_hi + 1):
+        try:
+            queries.append(MomentQuery(q, a, b))
+        except ValueError as exc:
+            if q_lo == q_hi:
+                raise
+            broken[str(exc)] = None
+    if not queries:
+        raise ValueError(f"no valid q in [{q_lo}, {q_hi}]: {'; '.join(broken)}")
+    return queries
 
 
 def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
-          v_tol: float = 1e-9, csv_path=None, jsonl_path=None,
-          progress=None) -> SweepSummary:
-    """Moment vs main term across admissible q in [q_lo, q_hi]."""
+          v_tol: float = 1e-9, out: str | None = None, progress=None) -> SweepSummary:
+    """Moment vs main term across the valid q in [q_lo, q_hi]; with out, the
+    rows are written to out as CSV and to out + ".jsonl" as JSON lines."""
     rows: list[SweepRow] = []
-    moduli = sweep_moduli(q_lo, q_hi, a, b)
+    queries = moment_queries(q_lo, q_hi, a, b)
     L1 = L_one_f(form)
-    for q in moduli:
-        query = MomentQuery(q, a, b)
+    for query in queries:
         rep = brute_moment(form, query, v_tol=v_tol)
         mt = main_term(form, query, L1=L1)
         rows.append(SweepRow(
-            q, a, b, form.label,
+            query.q, a, b, form.label,
             rep.moment, float(complex(rep.m_even).imag if form.epsilon == 1
                               else complex(rep.m_odd).imag),
             float(complex(rep.m_even).real), float(complex(rep.m_odd).real),
@@ -358,14 +366,13 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
     mask = top & (dev > 0)
     slope = float(np.polyfit(np.log(qs[mask]), np.log(dev[mask]), 1)[0]) if mask.sum() > 2 else float("nan")
 
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+    if out:
+        with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([f.name for f in SweepRow.__dataclass_fields__.values()])
             for r in rows:
                 w.writerow([getattr(r, f) for f in SweepRow.__dataclass_fields__])
-    if jsonl_path:
-        with open(jsonl_path, "w") as fh:
+        with open(out + ".jsonl", "w") as fh:
             for r in rows:
                 fh.write(json.dumps({f: getattr(r, f) for f in SweepRow.__dataclass_fields__}) + "\n")
     return SweepSummary(rows, winner, med_th, med_co, slope)

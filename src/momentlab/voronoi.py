@@ -1,10 +1,11 @@
 """Numerical verification of the coprime-twisted Voronoi summation formula
-for holomorphic forms.
+for holomorphic forms, with the window interval_bump(X) supported on [X, 2X].
 
 The dual side couples the Bessel kernel to the inverted additive phase; the
 classical convention pairs the J-kernel branch with e(-conj(.) n / d'), and
 the numerical experiment in the test suite confirms that choice (the
-opposite sign leaves an O(1) residual).  PHASE_SIGN records it.
+opposite sign leaves an O(1) residual).  PHASE_SIGN records it.  The dual
+sum is truncated where the transform stays below TAIL_TOL.
 
 Coprimality to q is removed with the varpi(delta, q) coefficients, so every
 delta branch is a dual sum over n of lambda(n) H(n/D) e(-+conj(delta' b) n/d')
@@ -29,34 +30,31 @@ from .special import (_HANKEL_TOL, _HANKEL_Z0, _SPLINE_PAD, BumpFunction, _Unifo
                       _bessel_j, _hankel_coefficients, interval_bump)
 
 PHASE_SIGN = -1   # empirically fixed: J-kernel branch carries e(-(conj) n/d')
+TAIL_TOL = 1e-8   # the dual sum stops where |transform| stays below this
 
 
 @dataclass
 class VoronoiCase:
     """One instance of the summation formula: phase b/d, coprimality to q,
-    window supported on [X, 2X]."""
+    and the window interval_bump(X), supported on [X, 2X]."""
 
     b: int
     d: int
     q: int
     X: float
     form: EigenformData
-    window: BumpFunction = field(default=None)  # type: ignore[assignment]
-    tail_tol: float = 1e-8
+    window: BumpFunction = field(init=False)
 
     def __post_init__(self):
-        for name in ("X", "tail_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {name}={value}")
+        if not (math.isfinite(self.X) and self.X > 0):
+            raise ValueError(f"X must be finite and > 0, got X={self.X}")
         if self.d < 1 or self.q < 1:
             raise ValueError("d, q must be positive")
         if math.gcd(self.b, self.d) != 1:
             raise ValueError("(b, d) = 1 required")
         if not self.form.is_holomorphic:
             raise NotImplementedError("dual kernels implemented for holomorphic forms")
-        if self.window is None:
-            self.window = interval_bump(self.X)
+        self.window = interval_bump(self.X)
 
 
 def voronoi_lhs(case: VoronoiCase) -> complex:
@@ -143,7 +141,7 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
 # FFT length: the smallest power of two with L du >= 5 u_max.  The trapezoid
 # rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so the worst alias
 # sits at (L du - u_max)^2 >= 16 u_max^2 = 16 y_cut, where the window's
-# transform, already down to tail_tol at y_cut, is at its rounding floor.
+# transform, already down to TAIL_TOL at y_cut, is at its rounding floor.
 _ALIAS_FACTOR = 5
 
 
@@ -196,9 +194,9 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
 
 
 def dual_cutoff(case: VoronoiCase) -> float:
-    """y beyond which the transform envelope stays below tail_tol."""
+    """y beyond which the transform envelope stays below TAIL_TOL."""
     ys = np.logspace(-6, 6, 300) / case.X
-    above = np.flatnonzero(~(np.abs(hankel_grid(case, ys)) < case.tail_tol))  # NaN counts as above
+    above = np.flatnonzero(~(np.abs(hankel_grid(case, ys)) < TAIL_TOL))  # NaN counts as above
     if above.size == 0:
         return float(ys[0])
     if above[-1] == len(ys) - 1:
@@ -280,27 +278,22 @@ class _DualSpline:
 _SPLINE_CACHE: dict[tuple, _DualSpline] = {}
 
 
-def _cached_spline(case: VoronoiCase, truncation_factor: float) -> _DualSpline:
-    """Spline cache keyed by everything the transform depends on: the window
-    shape, the form, the tail tolerance, and the truncation."""
-    key = (case.form.label, case.form.weight,
-           case.window.lo, case.window.p1, case.window.p2, case.window.hi,
-           case.tail_tol, truncation_factor)
+def _cached_spline(case: VoronoiCase) -> _DualSpline:
+    """Spline cache keyed by everything the transform depends on: the form's
+    weight and the window, which is interval_bump(X)."""
+    key = (case.form.weight, case.X)
     if key not in _SPLINE_CACHE:
-        _SPLINE_CACHE[key] = _DualSpline(case, dual_cutoff(case) * truncation_factor)
+        _SPLINE_CACHE[key] = _DualSpline(case, dual_cutoff(case))
         while len(_SPLINE_CACHE) > 16:
             _SPLINE_CACHE.pop(next(iter(_SPLINE_CACHE)))
     return _SPLINE_CACHE[key]
 
 
-def voronoi_rhs(case: VoronoiCase, phase_sign: int = PHASE_SIGN,
-                truncation_factor: float = 1.0) -> complex:
+def voronoi_rhs(case: VoronoiCase) -> complex:
     """Dual sum over the correction divisors delta and the J-kernel branch:
     per branch, the residue sums R of the spline are paired with the phases
-    e(phase_sign conj(delta' b) r / d') for r < d'."""
-    if phase_sign not in (-1, 1):
-        raise ValueError("phase_sign must be +-1")
-    spline = _cached_spline(case, truncation_factor)
+    e(PHASE_SIGN conj(delta' b) r / d') for r < d'."""
+    spline = _cached_spline(case)
     total = 0j
     for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:
@@ -310,7 +303,7 @@ def voronoi_rhs(case: VoronoiCase, phase_sign: int = PHASE_SIGN,
         D = delta * d_prime**2
         R = spline.residue_sums(case.form.lam, D, d_prime)
         inv = pow(delta // g * case.b, -1, d_prime)
-        phases = np.exp(2j * np.pi * phase_sign * ((inv * np.arange(d_prime)) % d_prime) / d_prime)
+        phases = np.exp(2j * np.pi * PHASE_SIGN * ((inv * np.arange(d_prime)) % d_prime) / d_prime)
         total += varpi_lam / (delta * d_prime) * complex(R @ phases)
     return complex(total)
 
@@ -319,8 +312,8 @@ def tail_certificate(case: VoronoiCase) -> float:
     """Conservative bound on the truncated dual tail: for each branch,
     (|varpi|/(delta d')) sum_{n > n_cut} d(n) |lambda(n)| |transform| is
     over-estimated by the grid envelope with d(n)|lambda(n)| <= 3 log^2 n.
-    The cutoff is the one of the cached untruncated spline."""
-    y_cut = _cached_spline(case, 1.0).y_cut
+    The cutoff is the one of the cached spline."""
+    y_cut = _cached_spline(case).y_cut
     ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
     env = np.abs(hankel_grid(case, ys))
     total = 0.0
@@ -337,6 +330,6 @@ def tail_certificate(case: VoronoiCase) -> float:
     return total
 
 
-def voronoi_check(case: VoronoiCase, phase_sign: int = PHASE_SIGN) -> float:
+def voronoi_check(case: VoronoiCase) -> float:
     """|lhs - rhs|; the acceptance grid requires <= 1e-6."""
-    return abs(voronoi_lhs(case) - voronoi_rhs(case, phase_sign=phase_sign))
+    return abs(voronoi_lhs(case) - voronoi_rhs(case))

@@ -57,7 +57,7 @@ def test_acceptance_2_hecke_and_deligne_exact():
     """Exact multiplicativity for mn <= 1e4; exact Deligne bound n <= 1e4."""
     t0 = time.time()
     n = 10**4
-    form = delta_coefficients(n, exact_limit=n)
+    form = delta_coefficients(n)
     assert hecke_violations(form, n) == 0
     tau = ramanujan_tau_exact(n)
     for m in range(1, n + 1):
@@ -145,8 +145,7 @@ def test_acceptance_7_moment_realness_and_route_agreement(delta_mid):
                 if math.gcd(a * b, q) != 1:
                     continue
                 query = MomentQuery(q, a, b)
-                r1 = brute_moment(delta_mid, query, F_by_parity=F,
-                                  realness_tol=1e-8)
+                r1 = brute_moment(delta_mid, query, F_by_parity=F)
                 r2 = divisor_route_moment(delta_mid, query, F_by_parity=F)
                 scale = max(abs(r1.moment), 1e-3)
                 assert abs(r1.moment - r2.moment) <= 1e-6 * scale

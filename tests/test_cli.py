@@ -210,17 +210,54 @@ def test_moment_sweep_without_admissible_q(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: empty sweep range: no admissible q >= 3 in [6, 6] prime to ab = 1"]
+        "error: q = 6 = 2 (mod 4) has no primitive characters"]
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+@pytest.mark.parametrize("argv,rules", [
+    (["--q-range", "5:10", "--a", "0"], "shift parameters must be positive"),
+    (["--q-range", "1:2"], "modulus must be at least 3"),
+    (["--q-range", "14:15", "--b", "15"],
+     "q = 14 = 2 (mod 4) has no primitive characters; (ab, q) = 1 required"),
+])
+def test_moment_range_without_valid_q_names_the_rule(capsys, tmp_path, monkeypatch, argv,
+                                                     rules, sweep):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the coefficient table was loaded for a range without valid q")
+
+    monkeypatch.setattr(cli, "_load_form", no_load)
+    path = tmp_path / "m.csv"
+    assert main(["moment", *argv, *sweep, "--out", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    lo, hi = argv[1].split(":")
+    assert captured.err.splitlines() == [f"error: no valid q in [{lo}, {hi}]: {rules}"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_moment_rejects_tolerance_before_loading_the_table(capsys, monkeypatch, tol, sweep):
+    from momentlab import eigenforms
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a coefficient table was built for an invalid tolerance")
+
+    monkeypatch.setattr(eigenforms, "delta_coefficients", no_table)
+    assert main(["moment", "--q", "7", f"--tol={tol}", *sweep]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: tolerance must be finite and > 0, got {float(tol)}"]
 
 
 def test_moment_sweep_rejects_empty_range_before_loading_the_form(capsys, monkeypatch):
     def no_load(*args, **kwargs):
-        raise AssertionError("the coefficient table was loaded for an empty sweep range")
+        raise AssertionError("the coefficient table was loaded for a rejected sweep range")
 
     monkeypatch.setattr(cli, "_load_form", no_load)
     assert main(["moment", "--sweep", "--q-range", "6:6"]) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
-        "error: empty sweep range: no admissible q >= 3 in [6, 6] prime to ab = 1"]
+        "error: q = 6 = 2 (mod 4) has no primitive characters"]
 
 
 def test_verify_shifted(capsys):

@@ -110,6 +110,16 @@ def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
             lam[1] = 0.0
 
 
+def test_loaded_delta_table_owns_only_its_prefix(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    fresh = build(500)
+    loaded = build(100)                     # read back from the 501-entry file
+    assert type(loaded) is np.ndarray and loaded.flags.owndata
+    assert loaded.nbytes == 101 * loaded.itemsize
+    assert np.array_equal(loaded, fresh[:101])
+
+
 def _hecke_violations_loop(form, n_max):
     """The earlier hecke_violations, kept as the reference: a double loop
     with a divisor sum for every pair.  Returns the violating (m, n) in loop

@@ -92,7 +92,7 @@ def test_weight_cutoff_matches_suffix_scan(delta_small):
     V = triple_weight(delta_small, 0)
     cases = [(xs, v) for v in grids] + [(V.grid_x, V.grid_v)]
     for grid_x, grid_v in cases:
-        w = WeightFunction("grid", None, None, grid_x, grid_v)
+        w = WeightFunction(None, None, grid_x, grid_v)
         for tol in (1e-300, 1e-14, 1e-9, 0.3, 0.7, 10.0):
             assert w.cutoff(tol) == _cutoff_by_suffix_scan(grid_x, grid_v, tol)
 
@@ -155,7 +155,7 @@ def test_weight_grid_matches_direct_sum(delta_small, kind):
                          (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(form, a))):
             ref = _grid_v_direct(log_G)
             assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
-            direct = WeightFunction("direct", None, None, V.grid_x, ref)
+            direct = WeightFunction(None, None, V.grid_x, ref)
             for tol in (1e-8, 1e-9, 1e-12, 1e-14):
                 assert V.cutoff(tol) == direct.cutoff(tol)
 
@@ -198,7 +198,14 @@ def test_twist_weight_checks_parity(delta_small):
         with pytest.raises(ValueError, match="parity"):
             twist_weight(delta_small, a)
     assert len(lfunctions._WEIGHT_CACHE) == cached
-    assert twist_weight(delta_small, 0).label != twist_weight(delta_small, 1).label
+    assert twist_weight(delta_small, 0) is not twist_weight(delta_small, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_cutoff_rejects_tolerance_outside_the_positive_reals(delta_small, tol):
+    # at tol <= 0 or NaN no grid value is below it: the cutoff would be x = 1e6
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        triple_weight(delta_small, 0).cutoff(tol)
 
 
 def test_cached_weight_arrays_are_read_only(delta_small):
@@ -258,11 +265,12 @@ def test_afe_rejects_bad_inputs(delta_small):
         afe_triple_product(g12, imprim, delta_small)
 
 
-def test_afe_real_for_real_character(delta_small):
+def test_afe_real_for_real_character(delta_small, monkeypatch):
+    monkeypatch.setattr(lfunctions, "_AFE_TOL", 1e-9)
     g = build_group(5)
     real_even = [i for i in g.primitive_indices(parity=1)
                  if np.allclose(g.values[i].imag, 0)][0]
-    val = afe_triple_product(g, real_even, delta_small, v_tol=1e-9)
+    val = afe_triple_product(g, real_even, delta_small)
     assert abs(val.imag) < 1e-9 * abs(val)
 
 
@@ -275,12 +283,13 @@ def test_twisted_fe_internal_consistency(delta_small):
         assert abs(L - root_numbers(g, idx, delta_small).eps_twist * Lbar) < 1e-9
 
 
-def test_cross_route_single_character(delta_small):
+def test_cross_route_single_character(delta_small, monkeypatch):
     # triple AFE == (balanced twisted AFE) * L(1/2, conj chi)^2
+    monkeypatch.setattr(lfunctions, "_AFE_TOL", 1e-9)
     g = build_group(5)
     idx = [i for i in g.primitive_indices(parity=1)
            if np.allclose(g.values[i].imag, 0)][0]
-    lhs = afe_triple_product(g, idx, delta_small, v_tol=1e-9)
+    lhs = afe_triple_product(g, idx, delta_small)
     rhs = twisted_L_half(g, idx, delta_small) * \
         dirichlet_L_half(g, conjugate_index(g, idx)) ** 2
     assert abs(lhs - rhs) < 1e-7 * abs(rhs)

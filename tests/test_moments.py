@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -194,10 +195,12 @@ def test_error_exponent_exact_values():
 
 def test_small_sweep(delta_mid, tmp_path):
     csvp = tmp_path / "sweep.csv"
-    summary = sweep(delta_mid, 29, 45, csv_path=str(csvp), v_tol=1e-8)
+    summary = sweep(delta_mid, 29, 45, out=str(csvp), v_tol=1e-8)
     assert summary.winner in ("theorem", "corollary")
     assert len(summary.rows) == sum(1 for q in range(29, 46)
                                     if q % 4 != 2 and q >= 3)
     text = csvp.read_text().splitlines()
     assert text[0].startswith("q,a,b,form")
     assert len(text) == len(summary.rows) + 1
+    lines = (tmp_path / "sweep.csv.jsonl").read_text().splitlines()
+    assert [json.loads(line)["q"] for line in lines] == [r.q for r in summary.rows]

@@ -6,7 +6,7 @@ import scipy.special
 
 from momentlab import voronoi
 from momentlab.eigenforms import EigenformData, varpi_table
-from momentlab.voronoi import (PHASE_SIGN, VoronoiCase, _cached_spline,
+from momentlab.voronoi import (PHASE_SIGN, TAIL_TOL, VoronoiCase, _cached_spline,
                                _composite_nodes, dual_cutoff, hankel_grid,
                                tail_certificate, voronoi_check, voronoi_lhs,
                                voronoi_rhs)
@@ -35,11 +35,10 @@ def _cutoff_by_suffix_scan(ys, vals, tol):
     raise ArithmeticError("transform decay certificate failed: no cutoff found")
 
 
-def _voronoi_rhs_per_cell(case, phase_sign=PHASE_SIGN, truncation_factor=1.0):
+def _voronoi_rhs_per_cell(case, spline):
     """The earlier voronoi_rhs, kept as the reference: every delta branch
     evaluates the spline at n/D for each n <= n_cut and sums with a complex
-    phase per n."""
-    spline = _cached_spline(case, truncation_factor)
+    phase per n, of the sign voronoi.PHASE_SIGN holds at the call."""
     total = 0j
     for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:
@@ -55,7 +54,7 @@ def _voronoi_rhs_per_cell(case, phase_sign=PHASE_SIGN, truncation_factor=1.0):
             inner = np.sum(case.form.lam[ns] * transforms)
         else:
             inv = pow(delta_prime * case.b, -1, d_prime)
-            phases = np.exp(2j * np.pi * phase_sign * ((inv * ns) % d_prime) / d_prime)
+            phases = np.exp(2j * np.pi * voronoi.PHASE_SIGN * ((inv * ns) % d_prime) / d_prime)
             inner = np.sum(case.form.lam[ns] * transforms * phases)
         total += varpi_lam / (delta * d_prime) * inner
     return complex(total)
@@ -91,13 +90,10 @@ def test_case_validation(delta_large):
         VoronoiCase(1, 0, 1, 10.0, delta_large)
 
 
-@pytest.mark.parametrize("name,value", [("X", 0.0), ("X", -5.0), ("X", math.nan), ("X", math.inf),
-                                        ("tail_tol", 0.0), ("tail_tol", -1.0),
-                                        ("tail_tol", math.nan)])
+@pytest.mark.parametrize("name,value", [("X", 0.0), ("X", -5.0), ("X", math.nan), ("X", math.inf)])
 def test_case_rejects_bad_scale_and_tolerance(delta_large, name, value):
-    kwargs = {"X": 10.0, "tail_tol": 1e-8, name: value}
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-        VoronoiCase(1, 1, 1, form=delta_large, **kwargs)
+        VoronoiCase(1, 1, 1, value, delta_large)
 
 
 @pytest.mark.parametrize("b,d,q,X", [(1, 1, 1, 10.0), (1, 2, 3, 10.0),
@@ -107,28 +103,35 @@ def test_small_grid_residuals(delta_large, b, d, q, X):
     assert voronoi_check(case) < 1e-6
 
 
-def test_wrong_phase_sign_breaks_identity(delta_large):
+def test_wrong_phase_sign_breaks_identity(delta_large, monkeypatch):
     case = VoronoiCase(1, 3, 1, 10.0, delta_large)
-    good = voronoi_check(case, phase_sign=PHASE_SIGN)
-    bad = voronoi_check(case, phase_sign=-PHASE_SIGN)
+    good = voronoi_check(case)
+    monkeypatch.setattr(voronoi, "PHASE_SIGN", -PHASE_SIGN)
+    bad = voronoi_check(case)
     assert good < 1e-6
     assert bad > 1e3 * max(good, 1e-9)
 
 
-def test_truncation_doubling_within_certificate(delta_large):
+def test_truncation_doubling_within_certificate(delta_large, monkeypatch):
     case = VoronoiCase(1, 2, 3, 10.0, delta_large)
     r1 = voronoi_rhs(case)
-    r2 = voronoi_rhs(case, truncation_factor=2.0)
-    assert abs(r1 - r2) <= tail_certificate(case)
+    certificate = tail_certificate(case)
+    doubled, _, _ = _build_spline(case, 2.0)
+    monkeypatch.setattr(voronoi, "_cached_spline", lambda case: doubled)
+    r2 = voronoi_rhs(case)
+    assert abs(r1 - r2) <= certificate
 
 
 @pytest.mark.parametrize("truncation_factor", [1.0, 2.0])
-def test_rhs_matches_per_cell_reference(delta_large, truncation_factor):
+def test_rhs_matches_per_cell_reference(delta_large, monkeypatch, truncation_factor):
+    spline, _, _ = _build_spline(VoronoiCase(1, 1, 1, 20.0, delta_large), truncation_factor)
+    monkeypatch.setattr(voronoi, "_cached_spline", lambda case: spline)
     for b, d, q in _acceptance_cells():
         case = VoronoiCase(b, d, q, 20.0, delta_large)
         for sign in (-1, 1):
-            ref = _voronoi_rhs_per_cell(case, sign, truncation_factor)
-            rhs = voronoi_rhs(case, phase_sign=sign, truncation_factor=truncation_factor)
+            monkeypatch.setattr(voronoi, "PHASE_SIGN", sign)
+            ref = _voronoi_rhs_per_cell(case, spline)
+            rhs = voronoi_rhs(case)
             assert abs(rhs - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -138,18 +141,19 @@ def test_residue_memo_stays_within_cap(delta_large, monkeypatch):
     # a fresh spline, so that every (D, d') is a miss under the small cap
     monkeypatch.setattr(voronoi, "_SPLINE_CACHE", {})
     monkeypatch.setattr(voronoi, "_RESIDUE_CAP", 6)
-    spline = _cached_spline(cases[0], 1.0)
+    spline = _cached_spline(cases[0])
     for case, want in zip(cases, uncapped):
         assert voronoi_rhs(case) == want
         assert spline.residues_stored == sum(len(R) for _, R in spline._residues.values())
         assert spline.residues_stored <= 6
-    # the memo holds sums of one table: another table with the same label
-    # gets its own, not a stale vector
+    # the memo holds sums of one table: another table of the same weight,
+    # and so the same spline, gets its own, not a stale vector
     doubled = EigenformData("holomorphic", 12.0, None, 0.0, 1, 2.0 * delta_large.lam,
                             label=delta_large.label)
     last = cases[-1]
     case = VoronoiCase(last.b, last.d, last.q, 10.0, doubled)
-    ref = _voronoi_rhs_per_cell(case)
+    assert _cached_spline(case) is spline
+    ref = _voronoi_rhs_per_cell(case, spline)
     assert abs(voronoi_rhs(case) - ref) <= 1e-12 * abs(ref)
     assert abs(ref - uncapped[-1]) > 1.0
 
@@ -170,13 +174,13 @@ def test_hankel_grid_matches_single_batch(reference_scan, X):
 @pytest.mark.parametrize("X", [10.0, 16.0, 20.0, 24.0, 40.0])
 def test_dual_cutoff_matches_single_batch(reference_scan, X):
     case, ref = reference_scan(X)
-    assert dual_cutoff(case) == _cutoff_by_suffix_scan(_cutoff_grid(X), np.abs(ref), case.tail_tol)
+    assert dual_cutoff(case) == _cutoff_by_suffix_scan(_cutoff_grid(X), np.abs(ref), TAIL_TOL)
 
 
 def test_dual_cutoff_matches_suffix_scan(reference_scan, monkeypatch):
     case, real = reference_scan(10.0)
     ys = _cutoff_grid(10.0)
-    tiny, big = 0.1 * case.tail_tol, 10.0 * case.tail_tol
+    tiny, big = 0.1 * TAIL_TOL, 10.0 * TAIL_TOL
     grids = [np.full(300, tiny),                                  # all below
              np.r_[np.full(299, tiny), big],                      # last above
              np.r_[np.full(150, big), np.full(150, tiny)],
@@ -187,7 +191,7 @@ def test_dual_cutoff_matches_suffix_scan(reference_scan, monkeypatch):
     for vals in grids:
         monkeypatch.setattr(voronoi, "hankel_grid", lambda case, ys, vals=vals: vals)
         try:
-            expected = _cutoff_by_suffix_scan(ys, vals, case.tail_tol)
+            expected = _cutoff_by_suffix_scan(ys, vals, TAIL_TOL)
         except ArithmeticError:
             with pytest.raises(ArithmeticError, match="no cutoff"):
                 dual_cutoff(case)
@@ -256,11 +260,22 @@ def test_spline_matches_hankel_grid_on_its_grid(delta_large, X, truncation_facto
 
 def test_cached_spline_coefficients_are_read_only(delta_large):
     case = VoronoiCase(1, 1, 1, 10.0, delta_large)
-    spline = _cached_spline(case, 1.0)
+    spline = _cached_spline(case)
     before = spline(np.array([0.5, 4.0]))
     with pytest.raises(ValueError):
         spline._spline.coeffs[...] = 0.0
-    assert np.array_equal(_cached_spline(case, 1.0)(np.array([0.5, 4.0])), before)
+    assert np.array_equal(_cached_spline(case)(np.array([0.5, 4.0])), before)
+
+
+def test_spline_cache_is_keyed_on_weight_and_scale(delta_large, monkeypatch):
+    monkeypatch.setattr(voronoi, "_SPLINE_CACHE", {})
+    spline = _cached_spline(VoronoiCase(1, 1, 1, 10.0, delta_large))
+    # the label and the table do not enter the transform; the phase and q
+    # enter only the dual sums
+    relabelled = EigenformData("holomorphic", 12.0, None, 0.0, 1, delta_large.lam, label="other")
+    assert _cached_spline(VoronoiCase(1, 3, 6, 10.0, relabelled)) is spline
+    assert _cached_spline(VoronoiCase(1, 1, 1, 20.0, delta_large)) is not spline
+    assert len(voronoi._SPLINE_CACHE) == 2
 
 
 def test_spline_build_leaves_only_the_head_to_hankel_grid(delta_large, monkeypatch):
