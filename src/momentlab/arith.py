@@ -115,8 +115,9 @@ def divisor_count_sieve(limit: int):
 
     Divisors are counted in pairs (d, n/d) with d <= sqrt(n): every multiple
     n >= d^2 of d gains two, and the square n = d^2 gives back the one it
-    counted twice.  Only d <= sqrt(limit) is visited.  The cache holds one
-    table per parity of the moment sweep.
+    counted twice.  Only d <= sqrt(limit) is visited.  The residue-pair matrix
+    builds one table per modulus, for both parities; the cache keeps the last
+    two.
     """
     import numpy as np
 

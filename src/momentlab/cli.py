@@ -85,11 +85,16 @@ def cmd_moment(args) -> int:
         return EXIT_CONFIG
 
     if args.sweep:
+        done = []
         try:
-            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol, out=args.out)
+            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol, out=args.out,
+                            progress=done.append)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        except IndexError as exc:      # the table is too short for this q's AFE
+            print(f"item q={queries[len(done)].q} failed: {exc}", file=sys.stderr)
+            return EXIT_ITEM
         info = dict(winner=summary.winner,
                     median_dev_theorem=summary.median_dev_theorem,
                     median_dev_corollary=summary.median_dev_corollary,

@@ -236,8 +236,7 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData) -
         raise ParityVanishing(
             "eps(f, chi) = -1: the triple product L-value pairs to zero by "
             "parity and the root-number-one AFE does not apply")
-    parity_a = 0 if group.parity[index] == 1 else 1
-    F = residue_pair_matrix(form, q, parity_a, _AFE_TOL)
+    F = residue_pair_matrix(form, q, _AFE_TOL)[int(group.parity[index])]
     chi = group.values[index]
     return complex(chi @ F @ np.conj(chi))
 

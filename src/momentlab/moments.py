@@ -64,47 +64,55 @@ class MomentReport:
     seconds: float
 
 
-def residue_pair_matrix(form: EigenformData, q: int, parity_a: int,
-                        v_tol: float = 1e-12) -> np.ndarray:
-    """F[u, v] = sum over (mn, q) = 1, m = u, n = v (mod q) of
-    (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2} V(mn / q^2).
+def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, np.ndarray]:
+    """{1: F_even, -1: F_odd}, where F_sigma[u, v] is the sum over (mn, q) = 1,
+    m = u, n = v (mod q) of (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2}
+    V_sigma(mn / q^2), truncated at mn <= X_sigma, past which |V_sigma| < v_tol.
 
-    The weight depends on (m, n) only through k = mn <= X, so V is evaluated
-    once on k / q^2 for every k <= X and looked up at k = mn; tau comes from
-    the pair-counting divisor sieve.
+    Both parities come from one pass with X = max X_sigma and s = isqrt(X).
+    Every pair with mn <= X has a factor d <= s, so F = G + G^T where row d
+    of G sums, over n <= X / d,
+        (lambda(d) tau(n) + tau(d) lambda(n) [n > s]) (dn)^{-1/2} V(dn / q^2):
+    the first term counts the pair (d, n), the second the pair (n, d) with
+    n > s, so each ordered pair is counted once.  V(dn / q^2), n = 0, 1, ...
+    is the strided view V[::d], and a row folds onto the residues n mod q as
+    a reshape to (-1, q) and a sum.  Each V_sigma is stored as 0 past its own
+    X_sigma, so each parity keeps its own truncation.
     """
-    V = triple_weight(form, parity_a)
-    X = int(math.ceil(V.cutoff(v_tol) * q * q))
+    weights = [triple_weight(form, a) for a in (0, 1)]   # V_a for sigma = +1, -1
+    cutoffs = [int(math.ceil(W.cutoff(v_tol) * q * q)) for W in weights]
+    X = max(cutoffs)
     if form.n_max < X:
         raise IndexError(f"residue-pair matrix needs lambda up to {X}")
+    s = math.isqrt(X)
     tau = divisor_count_sieve(X)
     ns = np.arange(X + 1, dtype=np.float64)
-    Vk = np.zeros(X + 1)
-    Vk[1:] = V(ns[1:] / (q * q))
-    inv_sqrt = np.zeros(X + 1)
-    inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
-    # the integers in [1, X] prime to q, ascending, and what the sums need of them
-    c = 1 + np.flatnonzero(np.gcd(np.arange(1, X + 1), q) == 1)
-    c_res = c % q
-    c_tau = tau[c].astype(np.float64)
-    c_lam = form.lam[c]
-    c_inv = inv_sqrt[c]
+    V = np.zeros((2, X + 1))
+    for a, (W, X_a) in enumerate(zip(weights, cutoffs)):
+        V[a, 1:X_a + 1] = W(ns[1:X_a + 1] / (q * q))
+    inv_sqrt = np.sqrt(ns, out=ns)                       # ns is spent once V is built
+    np.divide(1.0, inv_sqrt[1:], out=inv_sqrt[1:])
+    unit = np.ones(X + 1, dtype=bool)                    # (n, q) = 1; n = 0 is cleared too
+    for p, _ in factorize(q).factors:
+        unit[::p] = False
+    tau_w = np.where(unit, tau * inv_sqrt, 0.0)          # tau(n) / sqrt(n), (n, q) = 1
+    lam_w = np.where(unit, form.lam[:X + 1] * inv_sqrt, 0.0)
+    lam_w[:s + 1] = 0.0                                  # lambda(n) / sqrt(n), n > s
 
-    # T1[u, v] = sum over ordered pairs (m, n), mn <= X of lambda(m) tau(n) w;
-    # each ordered pair is enumerated exactly once across the two loops
-    T1 = np.zeros((q, q))
-    n_small = int(np.searchsorted(c, math.isqrt(X), side="right"))
-    ends = np.searchsorted(c, X // c[:n_small], side="right")   # c[:ends[i]] pair with c[i]
-    for i in range(n_small):                     # first coordinate small
-        j = ends[i]
-        w = Vk[c[i] * c[:j]] * (c_inv[i] * c_inv[:j])
-        T1[c_res[i]] += np.bincount(c_res[:j], weights=c_lam[i] * c_tau[:j] * w, minlength=q)
-    for i in np.flatnonzero(ends > n_small):     # first coordinate large
-        j = ends[i]
-        w = Vk[c[n_small:j] * c[i]] * (c_inv[i] * c_inv[n_small:j])
-        T1[:, c_res[i]] += np.bincount(c_res[n_small:j],
-                                       weights=c_lam[n_small:j] * c_tau[i] * w, minlength=q)
-    return T1 + T1.T
+    G = np.zeros((2, q, q))
+    fold = np.empty((2, (X // q + 1) * q))               # one buffer for every row
+    for d in range(1, s + 1):
+        if not unit[d]:
+            continue
+        L = X // d + 1                                   # n = 0, ..., X // d
+        row = lam_w[:L] * (tau[d] * inv_sqrt[d])
+        row += tau_w[:L] * (form.lam[d] * inv_sqrt[d])
+        np.multiply(V[:, ::d], row, out=fold[:, :L])
+        width = -(-L // q) * q
+        fold[:, L:width] = 0.0
+        G[:, d % q] += fold[:, :width].reshape(2, -1, q).sum(axis=1)
+    F = G + G.transpose(0, 2, 1)
+    return {1: F[0], -1: F[1]}
 
 
 def brute_moment(form: EigenformData, query: MomentQuery,
@@ -118,10 +126,9 @@ def brute_moment(form: EigenformData, query: MomentQuery,
     results = {}
     chars_phys = 0
     gross = 0.0
-    for sigma, parity_a in ((1, 0), (-1, 1)):
-        F = (F_by_parity or {}).get(sigma)
-        if F is None:
-            F = residue_pair_matrix(form, q, parity_a, v_tol)
+    if F_by_parity is None:
+        F_by_parity = residue_pair_matrix(form, q, v_tol)
+    for sigma, F in F_by_parity.items():
         idx = group.primitive_indices(parity=sigma)
         C = group.values[idx]                       # (n_sigma, q)
         vals = np.einsum("iu,uv,iv->i", C, F, np.conj(C), optimize=True)
@@ -150,10 +157,9 @@ def divisor_route_moment(form: EigenformData, query: MomentQuery,
     q, a, b = query.q, query.a, query.b
     pstar = phi_star(q)
     results = {}
-    for sigma, parity_a in ((1, 0), (-1, 1)):
-        F = (F_by_parity or {}).get(sigma)
-        if F is None:
-            F = residue_pair_matrix(form, q, parity_a, v_tol)
+    if F_by_parity is None:
+        F_by_parity = residue_pair_matrix(form, q, v_tol)
+    for sigma, F in F_by_parity.items():
         acc = 0.0
         for d in divisors(q):
             mu = moebius(q // d)

@@ -138,8 +138,7 @@ def test_acceptance_7_moment_realness_and_route_agreement(delta_mid):
     for q in range(3, 101):
         if not is_admissible(q):
             continue
-        F = {1: residue_pair_matrix(delta_mid, q, 0, v_tol=1e-9),
-             -1: residue_pair_matrix(delta_mid, q, 1, v_tol=1e-9)}
+        F = residue_pair_matrix(delta_mid, q, 1e-9)
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 if math.gcd(a * b, q) != 1:
@@ -153,7 +152,7 @@ def test_acceptance_7_moment_realness_and_route_agreement(delta_mid):
                     <= 1e-6 * max(abs(complex(r1.m_even)), 1e-3)
                 assert abs(complex(r1.m_odd).real - complex(r2.m_odd).real) \
                     <= 1e-6 * max(abs(complex(r1.m_odd)), 1e-3)
-    assert time.time() - t0 < 120.0
+    assert time.time() - t0 < 20.0
 
 
 def test_acceptance_8_main_term_trend(delta_mid):
@@ -173,7 +172,7 @@ def test_acceptance_8_main_term_trend(delta_mid):
     assert med_top < med_bot
     # fitted error exponent is reported (trend only; no tolerance asserted)
     assert math.isfinite(summary.error_exponent_fit)
-    assert time.time() - t0 < 300.0
+    assert time.time() - t0 < 60.0
 
 
 def test_acceptance_9_exponent_arithmetic():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from momentlab import cli
-from momentlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE, main
+from momentlab.cli import EXIT_CONFIG, EXIT_ITEM, EXIT_OK, EXIT_SUITE, main
 
 
 def test_exponent_default(capsys):
@@ -88,9 +88,9 @@ def test_moment_rejects_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def _coefficient_file(path, form, kind="holomorphic", parameter="# weight 12"):
+def _coefficient_file(path, form, kind="holomorphic", parameter="# weight 12", n_max=2000):
     lines = [f"# kind {kind}", parameter]
-    lines += [f"{n} {float(form.lam[n])!r}" for n in range(1, 2001)]
+    lines += [f"{n} {float(form.lam[n])!r}" for n in range(1, n_max + 1)]
     path.write_text("\n".join(lines))
     return path
 
@@ -131,6 +131,18 @@ def test_moment_short_table_fails_once(capsys, tmp_path, delta_small, argv):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: L(1,f) needs lambda up to 450000; table has 2000"]
+
+
+def test_moment_sweep_reports_a_table_short_for_the_afe(capsys, tmp_path, delta_mid):
+    # 450 000 entries cover L(1, f) but not the AFE at q = 291, the first
+    # valid q; the sweep fails there as the per-q path does, without a traceback
+    path = _coefficient_file(tmp_path / "form.txt", delta_mid, n_max=450_000)
+    argv = ["moment", "--sweep", "--q-range", "290:300", "--form", f"file:{path}"]
+    assert main(argv) == EXIT_ITEM
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "item q=291 failed: residue-pair matrix needs lambda up to 576925"]
 
 
 def test_moment_rejects_maass_form(capsys, tmp_path, delta_small):

@@ -28,25 +28,26 @@ def test_query_validation():
 
 def test_matrix_is_symmetric_and_matches_direct_sum(delta_small):
     q = 5
-    F = residue_pair_matrix(delta_small, q, 0, v_tol=1e-9)
-    assert np.allclose(F, F.T)
+    F = residue_pair_matrix(delta_small, q, 1e-9)
     # entry check against a direct double loop over small residues
     from momentlab.arith import divisor_count_sieve
     from momentlab.lfunctions import triple_weight
-    V = triple_weight(delta_small, 0)
-    X = int(math.ceil(V.cutoff(1e-9) * q * q))
-    tau = divisor_count_sieve(X)
-    direct = 0.0
-    u, v = 1, 2
-    for m in range(1, X + 1):
-        if m % q != u or math.gcd(m, q) != 1:
-            continue
-        for n in range(1, X // m + 1):
-            if n % q != v or math.gcd(n, q) != 1:
+    for sigma, parity_a in ((1, 0), (-1, 1)):
+        assert np.allclose(F[sigma], F[sigma].T)
+        V = triple_weight(delta_small, parity_a)
+        X = int(math.ceil(V.cutoff(1e-9) * q * q))
+        tau = divisor_count_sieve(X)
+        direct = 0.0
+        u, v = 1, 2
+        for m in range(1, X + 1):
+            if m % q != u or math.gcd(m, q) != 1:
                 continue
-            w = V(m * n / (q * q)) / math.sqrt(m * n)
-            direct += (delta_small.lam[m] * tau[n] + delta_small.lam[n] * tau[m]) * w
-    assert F[u, v] == pytest.approx(direct, rel=1e-10)
+            for n in range(1, X // m + 1):
+                if n % q != v or math.gcd(n, q) != 1:
+                    continue
+                w = V(m * n / (q * q)) / math.sqrt(m * n)
+                direct += (delta_small.lam[m] * tau[n] + delta_small.lam[n] * tau[m]) * w
+        assert F[sigma][u, v] == pytest.approx(direct, rel=1e-10)
 
 
 @pytest.mark.parametrize("parity_a", [0, 1])
@@ -56,7 +57,7 @@ def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
     from momentlab.arith import divisor_count
     from momentlab.lfunctions import triple_weight
     q = 12
-    F = residue_pair_matrix(delta_small, q, parity_a, v_tol=1e-9)
+    F = residue_pair_matrix(delta_small, q, 1e-9)[1 if parity_a == 0 else -1]
     V = triple_weight(delta_small, parity_a)
     X = int(math.ceil(V.cutoff(1e-9) * q * q))
     lam = delta_small.lam
@@ -72,6 +73,74 @@ def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
     non_units = [u for u in range(q) if math.gcd(u, q) != 1]
     assert np.all(F[non_units] == 0.0) and np.all(F[:, non_units] == 0.0)
     assert np.allclose(F, direct, rtol=1e-10, atol=1e-12 * np.abs(direct).max())
+
+
+def _residue_pair_loop(form, q, parity_a, v_tol):
+    """The residue-pair matrix of one parity from the coprime integers c <= X:
+    one gather and bincount per small c, first as the row coordinate and then,
+    against the c > sqrt(X), as the column; kept as the reference for
+    residue_pair_matrix."""
+    from momentlab.arith import divisor_count_sieve
+    from momentlab.lfunctions import triple_weight
+    V = triple_weight(form, parity_a)
+    X = int(math.ceil(V.cutoff(v_tol) * q * q))
+    tau = divisor_count_sieve(X)
+    ns = np.arange(X + 1, dtype=np.float64)
+    Vk = np.zeros(X + 1)
+    Vk[1:] = V(ns[1:] / (q * q))
+    inv_sqrt = np.zeros(X + 1)
+    inv_sqrt[1:] = 1.0 / np.sqrt(ns[1:])
+    c = 1 + np.flatnonzero(np.gcd(np.arange(1, X + 1), q) == 1)
+    c_res = c % q
+    c_tau = tau[c].astype(np.float64)
+    c_lam = form.lam[c]
+    c_inv = inv_sqrt[c]
+    # T1[u, v] = sum over ordered pairs (m, n), mn <= X of lambda(m) tau(n) w
+    T1 = np.zeros((q, q))
+    n_small = int(np.searchsorted(c, math.isqrt(X), side="right"))
+    ends = np.searchsorted(c, X // c[:n_small], side="right")   # c[:ends[i]] pair with c[i]
+    for i in range(n_small):                     # first coordinate small
+        j = ends[i]
+        w = Vk[c[i] * c[:j]] * (c_inv[i] * c_inv[:j])
+        T1[c_res[i]] += np.bincount(c_res[:j], weights=c_lam[i] * c_tau[:j] * w, minlength=q)
+    for i in np.flatnonzero(ends > n_small):     # first coordinate large
+        j = ends[i]
+        w = Vk[c[n_small:j] * c[i]] * (c_inv[i] * c_inv[n_small:j])
+        T1[:, c_res[i]] += np.bincount(c_res[n_small:j],
+                                       weights=c_lam[n_small:j] * c_tau[i] * w, minlength=q)
+    return T1 + T1.T
+
+
+@pytest.mark.parametrize("q", [31, 97, 9, 25, 27, 12, 15, 20, 100])
+def test_matrix_matches_two_loop_reference(delta_mid, q):
+    # primes, prime powers and composites: both parities from one call, each
+    # against its own truncation X_sigma in the reference
+    F = residue_pair_matrix(delta_mid, q, 1e-9)
+    assert sorted(F) == [-1, 1]
+    non_units = [u for u in range(q) if math.gcd(u, q) != 1]
+    for sigma, parity_a in ((1, 0), (-1, 1)):
+        want = _residue_pair_loop(delta_mid, q, parity_a, 1e-9)
+        assert np.abs(F[sigma] - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.all(F[sigma][non_units] == 0.0) and np.all(F[sigma][:, non_units] == 0.0)
+
+
+def test_one_sieve_per_modulus(delta_small, monkeypatch):
+    # both parities share one divisor sieve, at the longer of their cutoffs
+    from momentlab import arith, moments
+    from momentlab.lfunctions import triple_weight
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return arith.divisor_count_sieve(limit)
+
+    arith.divisor_count_sieve.cache_clear()
+    monkeypatch.setattr(moments, "divisor_count_sieve", recording_sieve)
+    q = 13
+    brute_moment(delta_small, MomentQuery(q), v_tol=1e-9)
+    assert limits == [max(math.ceil(triple_weight(delta_small, a).cutoff(1e-9) * q * q)
+                          for a in (0, 1))]
+    assert arith.divisor_count_sieve.cache_info().misses == 1
 
 
 def _afe_per_m_loop(group, index, form, v_tol=1e-12):
@@ -131,8 +200,7 @@ def test_brute_matches_per_character_afe(delta_small):
 @pytest.mark.parametrize("q,a,b", [(5, 1, 1), (7, 1, 2), (13, 3, 2), (9, 1, 1)])
 def test_routes_agree(delta_small, q, a, b):
     query = MomentQuery(q, a, b)
-    F = {1: residue_pair_matrix(delta_small, q, 0, 1e-9),
-         -1: residue_pair_matrix(delta_small, q, 1, 1e-9)}
+    F = residue_pair_matrix(delta_small, q, 1e-9)
     r1 = brute_moment(delta_small, query, F_by_parity=F)
     r2 = divisor_route_moment(delta_small, query, F_by_parity=F)
     assert abs(r1.moment - r2.moment) < 1e-8 * max(abs(r1.moment), 1.0)
