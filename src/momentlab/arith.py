@@ -109,15 +109,16 @@ def is_admissible(q: int) -> bool:
     return q % 4 != 2
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def divisor_count_sieve(limit: int):
     """tau(n) for 1 <= n <= limit as a read-only int64 array (index 0 unused).
 
     Divisors are counted in pairs (d, n/d) with d <= sqrt(n): every multiple
     n >= d^2 of d gains two, and the square n = d^2 gives back the one it
     counted twice.  Only d <= sqrt(limit) is visited.  The residue-pair matrix
-    builds one table per modulus, for both parities; the cache keeps the last
-    two.
+    builds one table per modulus, for both parities, and no caller returns to
+    the limit before last, so the cache keeps only the last table: a sweep
+    does not hold the previous modulus's table alive.
     """
     import numpy as np
 

@@ -342,12 +342,14 @@ def hecke_violations(form: EigenformData, n_max: int) -> int:
 
 def _varpi(c, q: int, weight: int) -> dict[int, object]:
     """{delta: sum_{k l^2 = delta, kl | q} mu(l) mu(kl) l^weight c(k)} over the
-    k < len(c), accumulated in (kl, l) order, so exact on an integer vector."""
+    k < len(c), accumulated in (kl, l) order, so exact on an integer vector.
+    Every l and kl divides q, so mu is read from one table over divisors(q)."""
+    mu = {d: moebius(d) for d in divisors(q)}
     acc: dict[int, object] = {}
-    for kl in divisors(q):
+    for kl in mu:
         for l in divisors(kl):
             k = kl // l
-            coef = moebius(l) * moebius(kl)
+            coef = mu[l] * mu[kl]
             if coef != 0 and k < len(c):
                 delta = k * l * l
                 acc[delta] = acc.get(delta, 0) + coef * l**weight * c[k]

@@ -1,8 +1,11 @@
 """Kloosterman sums, Weil-bound certification, and brute-force shifted
 convolution sums with empirical bound ratios.
 
-Two kernels carry the sums.  ``_kloosterman_table`` gathers the c-th roots of
-unity at (m x + n xbar) mod c for arrays of (m, n) and sums over the units x.
+Two kernels carry the sums.  ``_kloosterman_table`` gives S(m, n; c) for
+arrays of (m, n) from m x and n xbar reduced mod c on their own rows, one add
+and a gather from a doubled table of the c-th roots of unity; its sums are
+bit-identical to the direct formula, which routes that reorder or split the
+terms (real parts alone, m <-> n symmetry, S(1, mn; c), an FFT) are not.
 ``_congruent_pairs`` sums alpha_m beta_n over the pairs with bm = +an, -an and
 both (mod d), bm != an, from residue-class sums of beta: A_q adds the + and -
 sums (a pair in both counts twice), each d-term of E_{M,N} takes their union
@@ -27,18 +30,35 @@ _PAIR_BUDGET = 10**7   # candidate (m, n) pairs one brute-force sum may visit
 
 
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod c, ascending, and their inverses (at c = 1 the unit 0)."""
+    """The units mod c, ascending, and their inverses x^(phi(c)-1) mod c by one
+    vectorised square-and-multiply (at c = 1 the unit 0, its inverse 0).
+    Exact in int64: every product is below c^2 <= 10^12 at bilinear_incomplete's
+    cap q <= 10^6."""
     x = np.arange(c)
     units = x[np.gcd(x, c) == 1]
-    return units, np.array([pow(int(t), -1, c) for t in units], dtype=np.int64)
+    inv, power, e = np.ones_like(units) % c, units, euler_phi(c) - 1
+    while e:
+        if e & 1:
+            inv = inv * power % c
+        power = power * power % c
+        e >>= 1
+    return units, inv
 
 
 def _kloosterman_table(ms, ns, c: int) -> np.ndarray:
     """S(m, n; c) for the broadcast integer arrays ms, ns: the c-th roots of
-    unity gathered at (m x + n xbar) mod c and summed over the units x."""
+    unity at (m x + n xbar) mod c, summed over the units x in ascending order.
+
+    m x and n xbar are reduced on their own rows, of shape ms.shape + (phi,)
+    and ns.shape + (phi,); their sum is below 2c, so a gather from the doubled
+    root table reads roots[(m x + n xbar) mod c] after one full-size add.  The
+    terms, their order and the reduction are those of the direct formula, so
+    every sum is bit-identical to it.
+    """
     units, inv = _unit_inverses(c)
     roots = np.exp(2j * np.pi * np.arange(c) / c)
-    return np.sum(roots[(ms[..., None] * units + ns[..., None] * inv) % c], axis=-1)
+    idx = ms[..., None] * units % c + ns[..., None] * inv % c
+    return np.sum(np.concatenate([roots, roots]).take(idx), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -125,14 +125,27 @@ def _kloosterman_per_c(ms, ns, c):
 
 
 def test_kloosterman_table_matches_per_c_construction():
+    # every modulus that acceptance 3 certifies, on its 20 x 20 grid
     ms = np.arange(1, 21)
-    for c in range(1, 201):
+    for c in range(1, 501):
         assert np.array_equal(expsums._kloosterman_table(ms[:, None], ms[None, :], c),
                               _kloosterman_per_c(ms, ms, c))
     for c in (1, 2, 12, 97, 199, 997, 1000):
         for m, n in ((1, 1), (2, 3), (0, 5), (7, 0), (-3, 4)):
             assert _kloosterman(m, n, c) == float(
                 _kloosterman_per_c(np.array([m]), np.array([n]), c)[0, 0].real)
+
+
+def test_unit_inverses_match_python_pow():
+    # every c <= 1000, and the largest prime below bilinear_incomplete's cap
+    # q <= 10^6, where the square-and-multiply forms products near 10^12
+    assert [a.tolist() for a in expsums._unit_inverses(1)] == [[0], [0]]
+    rng = np.random.default_rng(0)
+    for c in [*range(2, 1001), 999_983]:
+        units, inv = expsums._unit_inverses(c)
+        assert units.tolist() == [x for x in range(c) if math.gcd(x, c) == 1]
+        picks = range(len(units)) if c <= 1000 else rng.choice(len(units), 4000, replace=False)
+        assert [int(inv[i]) for i in picks] == [pow(int(units[i]), -1, c) for i in picks]
 
 
 def test_aq_vanishing(delta_small):

@@ -143,6 +143,15 @@ def test_one_sieve_per_modulus(delta_small, monkeypatch):
     assert arith.divisor_count_sieve.cache_info().misses == 1
 
 
+def test_sweep_keeps_one_sieve_table(delta_mid):
+    # each modulus builds its own table; the previous one is not kept alive
+    from momentlab import arith
+    arith.divisor_count_sieve.cache_clear()
+    sweep(delta_mid, 12, 13, v_tol=1e-8)
+    info = arith.divisor_count_sieve.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
 def _afe_per_m_loop(group, index, form, v_tol=1e-12):
     """The triple-product AFE summed over m one at a time, each m against
     all n <= X / m at once; kept as the reference for afe_triple_product."""
