@@ -76,9 +76,6 @@ def cmd_moment(args) -> int:
         queries = moment_queries(q_lo, q_hi, args.a, args.b)
         check_tolerance(args.tol)
         form = _load_form(args.form, q_hi, args.tol)
-        if not form.is_holomorphic:
-            raise ValueError(f"the main term exists for holomorphic forms only; "
-                             f"{form.label!r} is a {form.kind} form")
         L1 = L_one_f(form)
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

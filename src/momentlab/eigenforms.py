@@ -32,16 +32,19 @@ class CoefficientError(ValueError):
 
 @dataclass
 class EigenformData:
-    """Normalized Hecke eigenvalues lambda(n) with form metadata."""
+    """Normalized Hecke eigenvalues lambda(n) of a level-1 holomorphic cusp
+    form.  The weight k fixes its Gamma factor and its root number."""
 
-    kind: str                 # "holomorphic" | "maass"
-    weight: float | None      # k for holomorphic forms
-    kappa: float | None       # spectral parameter for Maass forms
+    weight: int               # k: even, >= 12
     theta: float              # Ramanujan exponent theta_f
-    epsilon: int              # root number of L(s, f)
     lam: np.ndarray           # lam[n] for 1 <= n <= n_max; index 0 unused
     label: str = "form"
     tau_exact: list[int] | None = None   # exact tau(n) prefix (Delta only)
+
+    @property
+    def epsilon(self) -> int:
+        """Root number of L(s, f): i^k = (-1)^{k/2} at level 1."""
+        return (-1) ** (self.weight // 2)
 
     @property
     def n_max(self) -> int:
@@ -53,10 +56,6 @@ class EigenformData:
                 f"lambda({n}) not tabulated for {self.label} (n_max={self.n_max}); "
                 "rebuild with a larger table")
         return float(self.lam[n])
-
-    @property
-    def is_holomorphic(self) -> bool:
-        return self.kind == "holomorphic"
 
 
 def jacobi_cube_sparse(limit: int) -> list[tuple[int, int]]:
@@ -162,8 +161,7 @@ def delta_coefficients(n_max: int) -> EigenformData:
     err = np.max(np.abs(lam[1:exact_limit + 1] - ref) / (1.0 + np.abs(ref)))
     if err > 1e-9:
         raise CoefficientError(f"float tau table deviates from exact values by {err}")
-    return EigenformData("holomorphic", 12.0, None, 0.0, 1, lam,
-                         label="delta", tau_exact=tau_exact)
+    return EigenformData(12, 0.0, lam, label="delta", tau_exact=tau_exact)
 
 
 @lru_cache(maxsize=4)
@@ -237,28 +235,28 @@ def resolve_coefficient_path(path_or_name: str) -> Path:
 
 
 def ingest_coefficients(path_or_name: str) -> EigenformData:
-    """Load and validate an eigenvalue table from a coefficient file.
+    """Load and validate the eigenvalue table of a level-1 holomorphic cusp form.
 
-    Header lines '# kind ...', '# weight ...'/'# kappa ...', '# epsilon ...'
-    and '# theta ...' describe the form; epsilon defaults to 1 and theta to
-    0 (holomorphic) or 7/64 (Maass).
+    The header needs '# kind holomorphic' and '# weight k', k even and
+    >= 12.  An '# epsilon' line may follow; it must be the root number
+    (-1)^{k/2}.  '# theta' defaults to 0.  The rows are 'n lambda(n)' for
+    n = 1..n_max without gaps.
     """
     path = resolve_coefficient_path(path_or_name)
     meta, entries = _parse_coefficient_file(path)
     kind = meta.get("kind")
-    if kind not in ("holomorphic", "maass"):
-        raise CoefficientError(f"unknown or missing form kind {kind!r}")
-    key = "weight" if kind == "holomorphic" else "kappa"
-    if key not in meta:
-        raise CoefficientError(f"missing {key} for {kind} form")
-    parameter = float(meta[key])
-    epsilon = int(meta.get("epsilon", "1"))
-    theta = float(meta.get("theta", "0" if kind == "holomorphic" else str(7 / 64)))
-    if kind == "maass" and epsilon == -1:
-        raise CoefficientError(
-            "Maass form with root number -1 rejected: the mixed moment "
-            "vanishes identically by the chi <-> conj(chi) symmetry, so there "
-            "is nothing to compute")
+    if kind != "holomorphic":
+        raise CoefficientError(f"form kind {kind!r} is not supported: only level-1 "
+                               "holomorphic forms are ('# kind holomorphic')")
+    weight = meta.get("weight")
+    if weight is None or not weight.isdigit() or int(weight) < 12 or int(weight) % 2:
+        raise CoefficientError(f"weight must be an even integer >= 12, got {weight!r}")
+    weight = int(weight)
+    epsilon = (-1) ** (weight // 2)
+    if meta.get("epsilon", str(epsilon)).lstrip("+") != str(epsilon):
+        raise CoefficientError(f"epsilon {meta['epsilon']!r} is not the root number "
+                               f"(-1)^(k/2) = {epsilon} of a weight-{weight} form")
+    theta = float(meta.get("theta", "0"))
 
     if not entries:
         raise CoefficientError(f"{path} holds no 'n lambda(n)' rows")
@@ -268,10 +266,7 @@ def ingest_coefficients(path_or_name: str) -> EigenformData:
     lam = np.zeros(n_max + 1)
     for n, v in entries.items():
         lam[n] = v
-    form = EigenformData(kind,
-                         parameter if kind == "holomorphic" else None,
-                         parameter if kind == "maass" else None,
-                         theta, epsilon, lam, label=path.stem)
+    form = EigenformData(weight, theta, lam, label=path.stem)
     validate_eigenform(form)
     return form
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,30 +50,18 @@ class ParityVanishing(ValueError):
     """AFE requested for a character with root number epsilon(f, chi) = -1."""
 
 
-def _log_gamma_ratio_twist(form: EigenformData, parity_a: int):
-    """log of L_inf(1/2+s, f x chi) normalized at s=0."""
-    a = parity_a
-    if form.is_holomorphic:
-        k = form.weight
-
-        def log_G(s):
-            return -s * np.log(2 * np.pi) + _log_gamma(k / 2 + s) - _log_gamma(k / 2)
-    else:
-        kap = form.kappa
-
-        def log_G(s):
-            return (-s * np.log(np.pi)
-                    + _log_gamma((0.5 + s + 1j * kap + a) / 2)
-                    - _log_gamma((0.5 + 1j * kap + a) / 2)
-                    + _log_gamma((0.5 + s - 1j * kap + a) / 2)
-                    - _log_gamma((0.5 - 1j * kap + a) / 2))
+def _log_gamma_ratio_twist(k: int, parity_a: int):
+    """log of L_inf(1/2+s, f x chi) normalized at s=0, f of weight k; the
+    factor is the same for both parities of chi."""
+    def log_G(s):
+        return -s * np.log(2 * np.pi) + _log_gamma(k / 2 + s) - _log_gamma(k / 2)
     return log_G
 
 
-def _log_gamma_ratio_triple(form: EigenformData, parity_a: int):
+def _log_gamma_ratio_triple(k: int, parity_a: int):
     """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0."""
     a = parity_a
-    log_twist = _log_gamma_ratio_twist(form, parity_a)
+    log_twist = _log_gamma_ratio_twist(k, parity_a)
 
     def log_G(s):
         return log_twist(s) + 2 * (-(s / 2) * np.log(np.pi)
@@ -154,35 +143,32 @@ def _build_weight(log_G) -> WeightFunction:
     grid_x = np.concatenate([np.logspace(math.log10(_GRID_LO), 0.0, n_lo),
                              np.logspace(0.0, math.log10(_GRID_HI), n_hi)[1:]])
     grid_v = np.concatenate([cores[0], cores[1][1:]])
-    # shared through _WEIGHT_CACHE by every later caller
+    # shared through _cached_weight by every later caller
     grid_x.flags.writeable = grid_v.flags.writeable = False
     return WeightFunction(*splines, grid_x, grid_v)
 
 
-_WEIGHT_CACHE: dict[tuple, WeightFunction] = {}
-
-
-def _cached_weight(log_gamma_ratio, form: EigenformData, parity_a: int) -> WeightFunction:
+@lru_cache(maxsize=8)
+def _cached_weight(log_gamma_ratio, k: int, parity_a: int) -> WeightFunction:
+    """The weight of log_gamma_ratio(k, parity_a), built once; a bad parity
+    raises and so caches nothing."""
     if parity_a not in (0, 1):
         raise ValueError("parity exponent must be 0 or 1")
-    key = (log_gamma_ratio, form.kind, form.weight, form.kappa, parity_a)
-    if key not in _WEIGHT_CACHE:
-        _WEIGHT_CACHE[key] = _build_weight(log_gamma_ratio(form, parity_a))
-    return _WEIGHT_CACHE[key]
+    return _build_weight(log_gamma_ratio(k, parity_a))
 
 
 def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
     """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
-    return _cached_weight(_log_gamma_ratio_triple, form, parity_a)
+    return _cached_weight(_log_gamma_ratio_triple, form.weight, parity_a)
 
 
 def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
-    return _cached_weight(_log_gamma_ratio_twist, form, parity_a)
+    return _cached_weight(_log_gamma_ratio_twist, form.weight, parity_a)
 
 
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
     """Refined-quadrature oracle: T doubled, h halved, no interpolation."""
-    log_G = _log_gamma_ratio_triple(form, parity_a)
+    log_G = _log_gamma_ratio_triple(form.weight, parity_a)
     c = -0.25 if x <= 1.0 else 3.0
     t, g = _contour_values(log_G, c, 2 * _CONTOUR_T, _CONTOUR_H / 2)
     val = (_CONTOUR_H / 2) / (2 * np.pi) * np.real(np.sum(x ** (-c - 1j * t) * g))
@@ -204,13 +190,7 @@ class RootNumbers:
 def root_numbers(group: CharacterGroup, index: int, form: EigenformData) -> RootNumbers:
     gd: GaussData = gauss_eps(group, index)
     sigma = int(group.parity[index])
-    if form.is_holomorphic:
-        eps_twist = form.epsilon * gd.eps_chi**2
-        eps_pair = sigma * form.epsilon
-    else:
-        eps_twist = sigma * form.epsilon * gd.eps_chi**2
-        eps_pair = form.epsilon
-    return RootNumbers(gd.eps_chi, gd.eps, eps_twist, eps_pair)
+    return RootNumbers(gd.eps_chi, gd.eps, form.epsilon * gd.eps_chi**2, sigma * form.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +281,6 @@ def twisted_L_half(group: CharacterGroup, index: int, form: EigenformData) -> co
     q = group.modulus
     if not group.is_primitive[index]:
         raise ValueError("twisted AFE requires a primitive character")
-    if not form.is_holomorphic and form.epsilon != 1:
-        raise ValueError("Maass forms enter only with root number +1")
     rn = root_numbers(group, index, form)
     parity_a = 0 if group.parity[index] == 1 else 1
     Vf = twist_weight(form, parity_a)

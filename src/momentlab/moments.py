@@ -242,8 +242,6 @@ def main_term(form: EigenformData, query: MomentQuery,
               L1: float | None = None) -> MainTerm:
     """Conjectural leading term of the physical moment."""
     q, a, b = query.q, query.a, query.b
-    if not form.is_holomorphic:
-        raise NotImplementedError("main-term constant implemented for holomorphic forms")
     euler = 1.0
     for p in sorted({p for n in (q, a, b) for p, _ in factorize(n).factors}):
         lam_p = float(form.lam_at(p))

@@ -13,7 +13,7 @@ one Hankel expansion, shared with voronoi._hankel_uniform) and
 _UniformSpline (the weights' cubic and the dual side's quintic).  The
 benchmark tracer wraps public callables only, so their time counts in their
 callers.  The test suite checks them against mpmath and other reference
-libraries.  Maass kernels are not supported.
+libraries.
 """
 
 from __future__ import annotations

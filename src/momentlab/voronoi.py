@@ -52,8 +52,6 @@ class VoronoiCase:
             raise ValueError("d, q must be positive")
         if math.gcd(self.b, self.d) != 1:
             raise ValueError("(b, d) = 1 required")
-        if not self.form.is_holomorphic:
-            raise NotImplementedError("dual kernels implemented for holomorphic forms")
         self.window = interval_bump(self.X)
 
 
@@ -119,7 +117,7 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ys) & (ys >= 0.0)):
         raise ValueError("hankel_grid needs finite y >= 0")
-    k = int(case.form.weight)
+    k = case.form.weight
     lo, hi = case.window.support
     panels = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.sqrt(hi * ys) / 20.0)).astype(np.int64)
     out = np.empty(len(ys))
@@ -156,7 +154,7 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     of length L for every u at once.  The u with 4 pi u sqrt(lo) < z0 stay
     on hankel_grid.  The terms are built one at a time in one buffer, so
     memory stays at a few length-L vectors."""
-    k = int(case.form.weight)
+    k = case.form.weight
     nu = k - 1
     lo, hi = case.window.support
     root_lo = math.sqrt(lo)
@@ -236,7 +234,7 @@ class _DualSpline:
         vals = _hankel_uniform(case, us)
         if np.max(np.abs(vals.imag)) < 1e-14 * max(np.max(np.abs(vals.real)), 1e-30):
             vals = vals.real
-        mirror = (-1) ** (int(case.form.weight) - 1) * vals[pad:0:-1]
+        mirror = (-1) ** (case.form.weight - 1) * vals[pad:0:-1]
         self._spline = _UniformSpline(-pad * du, du, np.concatenate([mirror, vals]), 5)
         self.u_end = float(us[-1])
         self._residues: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -19,3 +19,20 @@ def delta_mid():
 def delta_large():
     """Table covering the full Voronoi acceptance grid."""
     return delta_coefficients(2_200_000)
+
+
+@pytest.fixture
+def coefficient_file(tmp_path):
+    """Writer of a coefficient file in the format ingest_coefficients reads:
+    write(rows, **header) puts one '# key value' line per header entry (kind
+    holomorphic and weight 12 unless given; None leaves the line out), then
+    one 'n lambda(n)' line per (n, value) of rows, into form.txt, and
+    returns its path."""
+    def write(rows, **header):
+        header = {"kind": "holomorphic", "weight": 12, **header}
+        lines = [f"# {key} {value}" for key, value in header.items() if value is not None]
+        lines += [f"{n} {float(value)!r}" for n, value in rows]
+        path = tmp_path / "form.txt"
+        path.write_text("\n".join(lines))
+        return path
+    return write

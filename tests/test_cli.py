@@ -88,17 +88,10 @@ def test_moment_rejects_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def _coefficient_file(path, form, kind="holomorphic", parameter="# weight 12", n_max=2000):
-    lines = [f"# kind {kind}", parameter]
-    lines += [f"{n} {float(form.lam[n])!r}" for n in range(1, n_max + 1)]
-    path.write_text("\n".join(lines))
-    return path
-
-
-def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, delta_small):
+def test_moment_reads_a_coefficient_file_once(capsys, coefficient_file, monkeypatch, delta_small):
     from momentlab import eigenforms
 
-    path = _coefficient_file(tmp_path / "form.txt", delta_small)
+    path = coefficient_file(enumerate(delta_small.lam[1:2001], 1))
     calls = []
     real_ingest = eigenforms.ingest_coefficients
 
@@ -114,9 +107,8 @@ def test_moment_reads_a_coefficient_file_once(capsys, tmp_path, monkeypatch, del
     assert len(calls) == 1
 
 
-def test_moment_header_only_coefficient_file(capsys, tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("# kind holomorphic\n# weight 12\n")
+def test_moment_header_only_coefficient_file(capsys, coefficient_file):
+    path = coefficient_file([])
     assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -124,8 +116,8 @@ def test_moment_header_only_coefficient_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["--q-range", "5:9"], ["--q-range", "5:9", "--sweep"]])
-def test_moment_short_table_fails_once(capsys, tmp_path, delta_small, argv):
-    path = _coefficient_file(tmp_path / "form.txt", delta_small)
+def test_moment_short_table_fails_once(capsys, coefficient_file, delta_small, argv):
+    path = coefficient_file(enumerate(delta_small.lam[1:2001], 1))
     assert main(["moment", *argv, "--form", f"file:{path}"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -133,10 +125,10 @@ def test_moment_short_table_fails_once(capsys, tmp_path, delta_small, argv):
         "error: L(1,f) needs lambda up to 450000; table has 2000"]
 
 
-def test_moment_sweep_reports_a_table_short_for_the_afe(capsys, tmp_path, delta_mid):
+def test_moment_sweep_reports_a_table_short_for_the_afe(capsys, coefficient_file, delta_mid):
     # 450 000 entries cover L(1, f) but not the AFE at q = 291, the first
     # valid q; the sweep fails there as the per-q path does, without a traceback
-    path = _coefficient_file(tmp_path / "form.txt", delta_mid, n_max=450_000)
+    path = coefficient_file(enumerate(delta_mid.lam[1:450_001], 1))
     argv = ["moment", "--sweep", "--q-range", "290:300", "--form", f"file:{path}"]
     assert main(argv) == EXIT_ITEM
     captured = capsys.readouterr()
@@ -145,15 +137,16 @@ def test_moment_sweep_reports_a_table_short_for_the_afe(capsys, tmp_path, delta_
         "item q=291 failed: residue-pair matrix needs lambda up to 576925"]
 
 
-def test_moment_rejects_maass_form(capsys, tmp_path, delta_small):
-    # the table passes ingest's checks; the main term has no Maass constant
-    path = _coefficient_file(tmp_path / "f.txt", delta_small,
-                             kind="maass", parameter="# kappa 9.53")
+def test_moment_rejects_maass_form(capsys, coefficient_file, delta_small):
+    # the table would pass the table checks; ingest rejects the header first
+    path = coefficient_file(enumerate(delta_small.lam[1:2001], 1), kind="maass",
+                            weight=None, kappa=9.53)
     assert main(["moment", "--q", "5", "--form", f"file:{path}"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: the main term exists for holomorphic forms only; 'f' is a maass form"]
+        "error: form kind 'maass' is not supported: only level-1 holomorphic forms are "
+        "('# kind holomorphic')"]
 
 
 def _acceptance_voronoi_cells():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,13 +179,11 @@ def test_hecke_violations_count_nan():
     assert hecke_violations(dataclasses.replace(f, lam=lam, tau_exact=None), 2000) > 0
 
 
-def test_ingest_rejects_non_finite(tmp_path, delta_small):
+def test_ingest_rejects_non_finite(coefficient_file, delta_small):
     # 1999 is prime and 2 * 1999 > 2000: no Hecke pair reaches lambda(1999)
-    path = tmp_path / "nan.txt"
-    lines = ["# kind holomorphic", "# weight 12"]
-    lines += [f"{n} {'nan' if n == 1999 else repr(float(delta_small.lam[n]))}"
-              for n in range(1, 2001)]
-    path.write_text("\n".join(lines))
+    lam = delta_small.lam[:2001].copy()
+    lam[1999] = np.nan
+    path = coefficient_file(enumerate(lam[1:], 1))
     with pytest.raises(CoefficientError, match=r"lambda\(1999\)"):
         ingest_coefficients(str(path))
 
@@ -284,31 +283,60 @@ def test_coprime_removal_rejects_bad_arguments(check):
     assert check(6, 0) == 0
 
 
-def test_ingest_roundtrip(tmp_path, delta_small):
-    path = tmp_path / "form.txt"
-    lines = ["# kind holomorphic", "# weight 12", "# epsilon 1", "# theta 0"]
-    lines += [f"{n} {float(delta_small.lam[n])!r}" for n in range(1, 201)]
-    path.write_text("\n".join(lines))
+def test_ingest_roundtrip(coefficient_file, delta_small):
+    path = coefficient_file(enumerate(delta_small.lam[1:201], 1), epsilon=1, theta=0)
     f = ingest_coefficients(str(path))
     assert f.n_max == 200
+    assert (f.weight, f.epsilon, f.theta) == (12, 1, 0.0)
     assert f.lam[2] == pytest.approx(delta_small.lam[2])
     validate_eigenform(f)
 
 
-def test_ingest_rejects_gaps(tmp_path):
-    path = tmp_path / "gap.txt"
-    path.write_text("# kind holomorphic\n# weight 12\n1 1.0\n3 0.5\n")
+def test_ingest_rejects_gaps(coefficient_file):
+    path = coefficient_file([(1, 1.0), (3, 0.5)])
     with pytest.raises(CoefficientError):
         ingest_coefficients(str(path))
 
 
-def test_ingest_rejects_odd_maass(tmp_path, delta_small):
-    path = tmp_path / "odd.txt"
-    lines = ["# kind maass", "# kappa 9.5", "# epsilon -1", "# theta 0.109375"]
-    lines += [f"{n} {delta_small.lam[n]!r}" for n in range(1, 31)]
-    path.write_text("\n".join(lines))
-    with pytest.raises(CoefficientError):
+def test_ingest_rejects_maass_form(coefficient_file, delta_small):
+    # the rows pass every table check; the kind alone is rejected
+    path = coefficient_file(enumerate(delta_small.lam[1:31], 1), kind="maass", weight=None,
+                            kappa=9.5, theta=0.109375)
+    with pytest.raises(CoefficientError) as exc:
         ingest_coefficients(str(path))
+    assert str(exc.value) == ("form kind 'maass' is not supported: only level-1 "
+                              "holomorphic forms are ('# kind holomorphic')")
+
+
+@pytest.mark.parametrize("weight", ["12.5", "11", "10", "-12", "twelve", None])
+def test_ingest_rejects_a_weight_outside_level_one(coefficient_file, delta_small, weight):
+    # level-1 cusp forms have even weight k >= 12; a weight 12.5 would give
+    # the Hankel transform the kernel J_11
+    path = coefficient_file(enumerate(delta_small.lam[1:31], 1), weight=weight)
+    with pytest.raises(CoefficientError,
+                       match=re.escape(f"weight must be an even integer >= 12, got {weight!r}")):
+        ingest_coefficients(str(path))
+
+
+@pytest.mark.parametrize("weight,epsilon", [(18, "1"), (18, "+1"), (12, "-1"), (16, "0")])
+def test_ingest_rejects_an_epsilon_other_than_the_root_number(coefficient_file, delta_small,
+                                                              weight, epsilon):
+    path = coefficient_file(enumerate(delta_small.lam[1:31], 1), weight=weight, epsilon=epsilon)
+    with pytest.raises(CoefficientError, match="is not the root number"):
+        ingest_coefficients(str(path))
+
+
+@pytest.mark.parametrize("weight,epsilon,root_number",
+                         [(12, None, 1), (12, "+1", 1), (16, None, 1),
+                          (18, None, -1), (18, "-1", -1), (22, None, -1)])
+def test_ingest_derives_the_root_number_from_the_weight(coefficient_file, delta_small,
+                                                        weight, epsilon, root_number):
+    # (-1)^(k/2); with +1 at k = 18 the moment would average the parity
+    # whose central values vanish
+    path = coefficient_file(enumerate(delta_small.lam[1:31], 1), weight=weight, epsilon=epsilon)
+    form = ingest_coefficients(str(path))
+    assert type(form.weight) is int
+    assert (form.weight, form.epsilon) == (weight, root_number)
 
 
 def test_lam_at_bounds(delta_small):

@@ -104,28 +104,16 @@ def test_weight_spline_matches_reference(delta_small):
                 weight_V_reference(x, a, delta_small), abs=5e-11)
 
 
-def _log_gamma_ratio_triple_inline(form, parity_a):
-    """The triple Gamma factor with the twist factor written out in each
-    branch, as it was before it was built on the twist factor."""
+def _log_gamma_ratio_triple_inline(k, parity_a):
+    """The triple Gamma factor of weight k with the twist factor written
+    out, as it was before it was built on the twist factor."""
     a = parity_a
-    if form.is_holomorphic:
-        k = form.weight
 
-        def log_G(s):
-            val = -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
-            val = val + 2 * (-(s / 2) * np.log(np.pi)
-                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
-            return val
-    else:
-        kap = form.kappa
-
-        def log_G(s):
-            val = (-s * np.log(np.pi)
-                   + loggamma((0.5 + s + 1j * kap + a) / 2) - loggamma((0.5 + 1j * kap + a) / 2)
-                   + loggamma((0.5 + s - 1j * kap + a) / 2) - loggamma((0.5 - 1j * kap + a) / 2))
-            val = val + 2 * (-(s / 2) * np.log(np.pi)
-                             + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
-            return val
+    def log_G(s):
+        val = -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
+        val = val + 2 * (-(s / 2) * np.log(np.pi)
+                         + loggamma((0.5 + s + a) / 2) - loggamma((0.5 + a) / 2))
+        return val
     return log_G
 
 
@@ -143,16 +131,19 @@ def _grid_v_direct(log_G):
     return np.concatenate([halves[0], halves[1][1:]])
 
 
-_MAASS_9_53 = EigenformData("maass", None, 9.53, 7 / 64, 1, np.zeros(2), label="maass-9.53")
+def _form_of_weight(k):
+    """A weight-k form; the weights read nothing of it but k."""
+    return EigenformData(k, 0.0, np.zeros(2), label=f"weight-{k}")
 
 
-@pytest.mark.parametrize("kind", ["delta", "maass"])
-def test_weight_grid_matches_direct_sum(delta_small, kind):
-    # the FFT against the dense power-matrix sum at the same nodes
-    form = delta_small if kind == "delta" else _MAASS_9_53
+@pytest.mark.parametrize("k", [12, 18], ids=["delta", "weight18"])
+def test_weight_grid_matches_direct_sum(k):
+    # the FFT against the dense power-matrix sum at the same nodes, on the
+    # Gamma factors of Delta and of a weight-18 form
+    form = _form_of_weight(k)
     for a in (0, 1):
-        for V, log_G in ((triple_weight(form, a), _log_gamma_ratio_triple_inline(form, a)),
-                         (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(form, a))):
+        for V, log_G in ((triple_weight(form, a), _log_gamma_ratio_triple_inline(k, a)),
+                         (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(k, a))):
             ref = _grid_v_direct(log_G)
             assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
             direct = WeightFunction(None, None, V.grid_x, ref)
@@ -168,7 +159,7 @@ def test_weight_contour_is_aligned_with_the_grid():
     assert h == pytest.approx(0.05, rel=1e-6)
     t, _ = lfunctions._contour_values(lambda s: 0 * s, 3.0, lfunctions._CONTOUR_T, h)
     assert L >= len(t) == 1601
-    V = twist_weight(_MAASS_9_53, 0)
+    V = twist_weight(_form_of_weight(18), 0)
     assert np.allclose(np.diff(np.log(V.grid_x)), D, rtol=1e-9, atol=0)
     n_small = int(np.count_nonzero(V.grid_x <= 1.0))
     assert L >= n_small == 1441
@@ -193,12 +184,24 @@ def test_weight_rejects_nonfinite(delta_small, bad):
 
 
 def test_twist_weight_checks_parity(delta_small):
-    cached = len(lfunctions._WEIGHT_CACHE)
+    lfunctions._cached_weight.cache_clear()
     for a in (2, -1):
         with pytest.raises(ValueError, match="parity"):
             twist_weight(delta_small, a)
-    assert len(lfunctions._WEIGHT_CACHE) == cached
+    assert lfunctions._cached_weight.cache_info().currsize == 0
     assert twist_weight(delta_small, 0) is not twist_weight(delta_small, 1)
+
+
+def test_weight_cache_is_bounded_and_read_only():
+    # two Gamma factors and two parities per weight: 20 weights, 8 kept
+    for k in (12, 16, 18, 20, 22):
+        form = _form_of_weight(k)
+        for a in (0, 1):
+            for V in (triple_weight(form, a), twist_weight(form, a)):
+                assert lfunctions._cached_weight.cache_info().currsize <= 8
+                for arr in (V.grid_x, V.grid_v, V._spline_small.coeffs,
+                            V._spline_large.coeffs):
+                    assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
@@ -226,22 +229,14 @@ def test_cached_weight_spline_coefficients_are_read_only(delta_small):
     assert triple_weight(delta_small, 0)(0.5) == v != 0.0
 
 
-@pytest.mark.parametrize("kind", ["delta", "maass"])
-def test_log_gamma_matches_scipy_on_the_contours(delta_small, kind):
+@pytest.mark.parametrize("k", [12, 18], ids=["delta", "weight18"])
+def test_log_gamma_matches_scipy_on_the_contours(k):
     # every Gamma argument the weights put on both contours (and the
     # oracle's doubled one), with the normalising constants
     h = lfunctions._CONTOUR_H
     t = np.arange(-2 * lfunctions._CONTOUR_T, 2 * lfunctions._CONTOUR_T + h / 4, h / 2)
     s = np.concatenate([-0.25 + 1j * t, 3.0 + 1j * t, [0.0]])
-    args = []
-    for a in (0, 1):
-        args.append((0.5 + s + a) / 2)
-        if kind == "delta":
-            args.append(delta_small.weight / 2 + s)
-        else:
-            kap = _MAASS_9_53.kappa
-            args += [(0.5 + s + 1j * kap + a) / 2, (0.5 + s - 1j * kap + a) / 2]
-    z = np.concatenate(args)
+    z = np.concatenate([(0.5 + s) / 2, (1.5 + s) / 2, k / 2 + s])
     assert np.max(np.abs(np.exp(special._log_gamma(z) - loggamma(z)) - 1.0)) <= 1e-12
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import momentlab
 from momentlab import special
-from momentlab.eigenforms import EigenformData
 from momentlab.special import BumpFunction, interval_bump, standard_window
 from momentlab.voronoi import VoronoiCase, hankel_grid
 
@@ -114,12 +113,6 @@ def test_holomorphic_kernels(delta_small):
             * scipy.special.jv(11, 4 * math.pi * math.sqrt(x * y)),
             lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(ref, rel=1e-9, abs=1e-11)
-
-
-def test_maass_kernel_raises(delta_small):
-    maass = EigenformData("maass", None, 9.5, 7 / 64, 1, delta_small.lam, label="maass")
-    with pytest.raises(NotImplementedError, match="holomorphic"):
-        VoronoiCase(1, 1, 1, 10.0, maass)
 
 
 @pytest.mark.parametrize("n", [0, 1, 11, 19])

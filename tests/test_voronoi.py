@@ -148,8 +148,7 @@ def test_residue_memo_stays_within_cap(delta_large, monkeypatch):
         assert spline.residues_stored <= 6
     # the memo holds sums of one table: another table of the same weight,
     # and so the same spline, gets its own, not a stale vector
-    doubled = EigenformData("holomorphic", 12.0, None, 0.0, 1, 2.0 * delta_large.lam,
-                            label=delta_large.label)
+    doubled = EigenformData(12, 0.0, 2.0 * delta_large.lam, label=delta_large.label)
     last = cases[-1]
     case = VoronoiCase(last.b, last.d, last.q, 10.0, doubled)
     assert _cached_spline(case) is spline
@@ -272,7 +271,7 @@ def test_spline_cache_is_keyed_on_weight_and_scale(delta_large, monkeypatch):
     spline = _cached_spline(VoronoiCase(1, 1, 1, 10.0, delta_large))
     # the label and the table do not enter the transform; the phase and q
     # enter only the dual sums
-    relabelled = EigenformData("holomorphic", 12.0, None, 0.0, 1, delta_large.lam, label="other")
+    relabelled = EigenformData(12, 0.0, delta_large.lam, label="other")
     assert _cached_spline(VoronoiCase(1, 3, 6, 10.0, relabelled)) is spline
     assert _cached_spline(VoronoiCase(1, 1, 1, 20.0, delta_large)) is not spline
     assert len(voronoi._SPLINE_CACHE) == 2
@@ -311,7 +310,7 @@ def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, trunc
 
 @pytest.mark.parametrize("weight,fast", [(18.0, True), (20.0, False)])
 def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, weight, fast):
-    form = EigenformData("holomorphic", weight, None, 0.0, 1, delta_large.lam, label="w")
+    form = EigenformData(int(weight), 0.0, delta_large.lam, label="w")
     case = VoronoiCase(1, 1, 1, 10.0, form)
     us = np.linspace(0.0, 40.0, 400)      # past the cutoff, u = 34 at X = 10
     ref = hankel_grid(case, us**2)
