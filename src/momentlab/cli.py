@@ -187,7 +187,7 @@ def _suite_afe(args) -> dict:
             fe_twisted = max(fe_twisted, abs(Lf[i] - rn.eps_twist * Lf[j]))
     return dict(suite="afe", max_rel_residual=worst,
                 max_fe_residual_dirichlet=fe_dirichlet, max_fe_residual_twisted=fe_twisted,
-                passed=bool(worst <= 1e-6 and fe_dirichlet <= 1e-10 and fe_twisted <= 1e-9))
+                passed=bool(worst <= 1e-9 and fe_dirichlet <= 1e-10 and fe_twisted <= 1e-9))
 
 
 def _suite_voronoi(args) -> dict:

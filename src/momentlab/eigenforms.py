@@ -35,7 +35,7 @@ class EigenformData:
     """Normalized Hecke eigenvalues lambda(n) of a level-1 holomorphic cusp
     form.  The weight k fixes its Gamma factor and its root number."""
 
-    weight: int               # k: even, >= 12
+    weight: int               # k: even, >= 12, not 14
     theta: float              # Ramanujan exponent theta_f
     lam: np.ndarray           # lam[n] for 1 <= n <= n_max; index 0 unused
     label: str = "form"
@@ -197,6 +197,8 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
 
 
 def _parse_coefficient_file(path: Path):
+    """The four header keys and the rows, each at most once; any other '#'
+    line is a comment."""
     meta: dict[str, str] = {}
     entries: dict[int, float] = {}
     with open(path) as fh:
@@ -206,8 +208,11 @@ def _parse_coefficient_file(path: Path):
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) >= 2:
-                    meta[parts[0].lower()] = parts[1]
+                key = parts[0].lower() if len(parts) >= 2 else None
+                if key in ("kind", "weight", "epsilon", "theta"):
+                    if key in meta:
+                        raise CoefficientError(f"{path}:{lineno}: second '# {key}' line")
+                    meta[key] = parts[1]
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -217,6 +222,8 @@ def _parse_coefficient_file(path: Path):
                 val = float(parts[1])
             except ValueError as exc:
                 raise CoefficientError(f"{path}:{lineno}: {exc}") from exc
+            if n in entries:
+                raise CoefficientError(f"{path}:{lineno}: second row for n = {n}")
             entries[n] = val
     return meta, entries
 
@@ -237,10 +244,11 @@ def resolve_coefficient_path(path_or_name: str) -> Path:
 def ingest_coefficients(path_or_name: str) -> EigenformData:
     """Load and validate the eigenvalue table of a level-1 holomorphic cusp form.
 
-    The header needs '# kind holomorphic' and '# weight k', k even and
-    >= 12.  An '# epsilon' line may follow; it must be the root number
-    (-1)^{k/2}.  '# theta' defaults to 0.  The rows are 'n lambda(n)' for
-    n = 1..n_max without gaps.
+    The header needs '# kind holomorphic' and '# weight k', k even,
+    >= 12 and not 14 (level 1 has no cusp form of weight 14).  An
+    '# epsilon' line may follow; it must be the root number (-1)^{k/2}.
+    '# theta' defaults to 0.  Each of these four keys appears at most once.
+    The rows are 'n lambda(n)' for n = 1..n_max, without gaps or repeats.
     """
     path = resolve_coefficient_path(path_or_name)
     meta, entries = _parse_coefficient_file(path)
@@ -252,6 +260,8 @@ def ingest_coefficients(path_or_name: str) -> EigenformData:
     if weight is None or not weight.isdigit() or int(weight) < 12 or int(weight) % 2:
         raise CoefficientError(f"weight must be an even integer >= 12, got {weight!r}")
     weight = int(weight)
+    if weight == 14:
+        raise CoefficientError("weight 14 has no level-1 cusp form: S_14(SL_2(Z)) = 0")
     epsilon = (-1) ** (weight // 2)
     if meta.get("epsilon", str(epsilon)).lstrip("+") != str(epsilon):
         raise CoefficientError(f"epsilon {meta['epsilon']!r} is not the root number "

@@ -10,16 +10,16 @@ The Mellin-Barnes weight V(x) is evaluated by trapezoid quadrature on a
 vertical line: Re s = 3 for x > 1, and Re s = -1/4 (past the 1/s pole,
 picking up the residue 1) for x <= 1 so small-x values are free of the
 x^{-c} cancellation blow-up.  Values are memoized on a log-spaced grid
-with cubic-spline interpolation in log x.  The Gamma factors use
-special._log_gamma and the splines special._UniformSpline: NumPy only.
+with one quintic spline in log x across both halves.  The Gamma factors use
+special._log_gamma and the spline special._UniformSpline: NumPy only.
 
 The grid is uniform in log x with step D = ln 10 / 120, and the contour
 nodes t_k = t_0 + k h are uniform in t with h D = 2 pi / L (L = 6549,
 h = 0.0500000496).  On each half-line, with x_m = e^{+-m D} the m-th grid
 point away from x = 1, x_m^{-c - i t_k} = x_m^{-c} e^{-+i t_0 m D}
 e^{-+2 pi i k m / L}: one length-L FFT gives the sum at every grid point
-at once, and at every integer m, since the sum is L-periodic in m.  So the
-30 points past each end of a half-line that its spline needs come free.
+at once, and at every integer m < L.  So the 50 points past 1e-12 and
+past 1e6 that the spline needs come free from the same FFTs.
 `weight_V_reference` stays a direct sum over a refined contour, the oracle
 of the FFT build.
 """
@@ -79,29 +79,16 @@ def check_tolerance(tol: float) -> None:
 class WeightFunction:
     """Memoized inverse-Mellin weight x -> (1/2 pi i) int G(s) x^{-s} ds / s."""
 
-    _spline_small: _UniformSpline   # over log x in [log 1e-12, 0]
-    _spline_large: _UniformSpline   # over log x in [0, log 1e6]
+    _spline: _UniformSpline         # over log x in [log 1e-12, log 1e6]
     grid_x: np.ndarray
     grid_v: np.ndarray
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         if not np.all(np.isfinite(x) & (x > 0)):
             raise ValueError("weight argument must be positive and finite")
-        out = np.empty_like(x)
-        lo = x < _GRID_LO
-        hi = x > _GRID_HI
-        small = (~lo) & (x <= 1.0)
-        large = (~hi) & (x > 1.0)
-        out[lo] = self._spline_small(math.log(_GRID_LO))
-        out[hi] = 0.0
-        if np.any(small):
-            out[small] = self._spline_small(np.log(x[small]))
-        if np.any(large):
-            out[large] = self._spline_large(np.log(x[large]))
-        return float(out[0]) if scalar else out
+        out = np.where(x > _GRID_HI, 0.0, self._spline(np.log(np.maximum(x, _GRID_LO))))
+        return float(out) if out.ndim == 0 else out
 
     def cutoff(self, tol: float) -> float:
         """Smallest grid x beyond which |V| stays below tol."""
@@ -121,31 +108,29 @@ def _contour_values(log_G, c: float, T: float, h: float):
 def _build_weight(log_G) -> WeightFunction:
     n_lo = int(round(-math.log10(_GRID_LO))) * _GRID_PER_DECADE + 1
     n_hi = int(round(math.log10(_GRID_HI))) * _GRID_PER_DECADE + 1
-    pad = _SPLINE_PAD[3]
 
     # x <= 1: contour at Re s = -1/4 (past 1/s), residue 1 added back;
     # x > 1: contour at Re s = 3.  Both halves run away from x = 1,
     # x_m = e^{sign m D}, so the phases that round worst meet the smallest x^{-c}
-    splines, cores = [], []
+    halves = []
     for n, c, residue, sign in ((n_lo, -0.25, 1.0, -1), (n_hi, 3.0, 0.0, 1)):
         t, g = _contour_values(log_G, c, _CONTOUR_T, _CONTOUR_H)
-        # sum_k g_k e^{-2 pi i sign k m / L} for every m mod L at once
+        # sum_k g_k e^{-2 pi i sign k m / L} for m = 0, ..., n + pad - 1 < L
         sums = (np.fft.fft(g, _CONTOUR_FFT_LEN) if sign > 0
                 else np.fft.ifft(g, _CONTOUR_FFT_LEN, norm="forward"))
-        m = np.arange(-pad, n + pad)
+        m = np.arange(n + _SPLINE_PAD)
         phases = np.exp(-sign * m * _GRID_STEP * (c + 1j * t[0]))    # x_m^-c e^{-+i t_0 m D}
-        vals = residue + (_CONTOUR_H / (2 * np.pi)) * np.real(phases * sums[m % _CONTOUR_FFT_LEN])
-        if sign < 0:                              # increasing x
-            m, vals = m[::-1], vals[::-1]
-        splines.append(_UniformSpline(sign * m[0] * _GRID_STEP, _GRID_STEP, vals, 3))
-        cores.append(vals[pad:-pad])
+        halves.append(residue + (_CONTOUR_H / (2 * np.pi)) * np.real(phases * sums[m]))
 
+    # increasing x, x = 1 taken once from the Re s = -1/4 half
+    samples = np.concatenate([halves[0][::-1], halves[1][1:]])
+    spline = _UniformSpline(-(n_lo - 1 + _SPLINE_PAD) * _GRID_STEP, _GRID_STEP, samples)
     grid_x = np.concatenate([np.logspace(math.log10(_GRID_LO), 0.0, n_lo),
                              np.logspace(0.0, math.log10(_GRID_HI), n_hi)[1:]])
-    grid_v = np.concatenate([cores[0], cores[1][1:]])
+    grid_v = samples[_SPLINE_PAD:-_SPLINE_PAD]
     # shared through _cached_weight by every later caller
     grid_x.flags.writeable = grid_v.flags.writeable = False
-    return WeightFunction(*splines, grid_x, grid_v)
+    return WeightFunction(spline, grid_x, grid_v)
 
 
 @lru_cache(maxsize=8)

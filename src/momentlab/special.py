@@ -10,7 +10,7 @@ mpmath oracle in the test suite.
 The kernels are private: _log_gamma (the AFE weights' Gamma factors),
 _bessel_j (the Hankel transform's kernel J_{k-1}), _hankel_coefficients (the
 one Hankel expansion, shared with voronoi._hankel_uniform) and
-_UniformSpline (the weights' cubic and the dual side's quintic).  The
+_UniformSpline (the quintic of the AFE weights and of the dual side).  The
 benchmark tracer wraps public callables only, so their time counts in their
 callers.  The test suite checks them against mpmath and other reference
 libraries.
@@ -243,65 +243,58 @@ def _bessel_j(n: int, z) -> np.ndarray:
 
 # Samples a spline needs past each end of the range it serves.  The
 # coefficients come from a periodic deconvolution, whose wrap-around error
-# decays into the samples like |z1|^j, z1 the B-spline filter's pole nearest
-# the unit circle: 0.268^30 = 1e-17 for degree 3, 0.431^50 = 5e-19 for 5.
-_SPLINE_PAD = {3: 30, 5: 50}
+# decays into the samples like |z1|^j, z1 = 0.431 the quintic B-spline
+# filter's pole nearest the unit circle: 0.431^50 = 5e-19.
+_SPLINE_PAD = 50
 # Points a spline evaluates at once.  Each Horner step is one pass over the
 # block, so a block's few arrays should stay in cache: evaluated whole, 2M
 # points took 2.5 times as long.
 _EVAL_BLOCK = 2**15
 
 
-@lru_cache(maxsize=None)
-def _bspline_pieces(degree: int) -> np.ndarray:
-    """M[r, e]: the coefficient of t^(degree - e) in beta(t - r + (degree - 1)/2),
-    0 <= t < 1, for the centred cardinal B-spline beta of odd degree:
-    interval i of a spline sum_k c_k beta(x - k) is sum_r c_{i+r-(degree-1)/2}
-    times row r."""
-    p, h = degree, (degree + 1) // 2
-    out = np.zeros((p + 1, p + 1))
-    for r in range(p + 1):
-        j = r - (p - 1) // 2
-        for e in range(p + 1):
-            m = p - e
-            total = sum((-1) ** i * math.comb(p + 1, i) * math.comb(p, m)
-                        * (h - j - i) ** (p - m) for i in range(p + 2) if h - j - i >= 0)
-            out[r, e] = total / math.factorial(p)
+@lru_cache(maxsize=1)
+def _bspline_pieces() -> np.ndarray:
+    """M[r, e]: the coefficient of t^(5 - e) in beta(t - r + 2), 0 <= t < 1,
+    for the centred quintic cardinal B-spline beta: interval i of a spline
+    sum_k c_k beta(x - k) is sum_r c_{i+r-2} times row r."""
+    out = np.zeros((6, 6))
+    for r in range(6):
+        for e in range(6):
+            total = sum((-1) ** i * math.comb(6, i) * math.comb(5, e) * (5 - r - i) ** e
+                        for i in range(7) if 5 - r - i >= 0)
+            out[r, e] = total / 120
     out.flags.writeable = False
     return out
 
 
 class _UniformSpline:
-    """The interpolating spline of odd degree through samples at the uniform
+    """The quintic interpolating spline through real samples at the uniform
     knots x0 + j dx, j = 0, ..., len(samples) - 1; outside the knots it is
     clamped to the nearest end.
 
     Its B-spline coefficients are one FFT deconvolution of the samples
     (Unser, "Splines: a perfect fit", IEEE SPM 1999), which treats them as
-    periodic: the spline matches every sample, and between knots it has the
-    accuracy of its degree except within _SPLINE_PAD[degree] knots of either
-    end.  A caller serves a range with that many true samples past each end.
-    The per-interval coefficients are read-only (shared through caches), and
+    periodic: the spline matches every sample, and between knots it has
+    quintic accuracy except within _SPLINE_PAD knots of either end.  A
+    caller serves a range with that many true samples past each end.  The
+    per-interval coefficients are read-only (shared through caches), and
     evaluation is index arithmetic and Horner's rule."""
 
-    def __init__(self, x0: float, dx: float, samples: np.ndarray, degree: int):
-        samples = np.asarray(samples)
-        n, p = len(samples), degree
+    def __init__(self, x0: float, dx: float, samples: np.ndarray):
+        samples = np.asarray(samples, dtype=np.float64)
+        n = len(samples)
         self.x0, self.dx = float(x0), float(dx)
-        pieces = _bspline_pieces(p)
-        # the sampled B-spline beta(j), |j| <= (p - 1)/2, and its transform
+        pieces = _bspline_pieces()
+        # the sampled B-spline beta(j), |j| <= 2, and its transform
         taps = pieces[:, -1]
         freqs = 2.0 * math.pi * np.arange(n) / n
-        transfer = taps[(p - 1) // 2] + 2.0 * sum(
-            taps[(p - 1) // 2 + j] * np.cos(j * freqs) for j in range(1, (p + 1) // 2))
-        c = np.fft.ifft(np.fft.fft(samples) / transfer)
-        if not np.iscomplexobj(samples):
-            c = c.real
-        # interval i of the samples uses c_{i-(p-1)/2}, ..., c_{i+(p+1)/2},
-        # indices taken mod n as the deconvolution does
-        c = np.concatenate([c[n - (p - 1) // 2:], c, c[:(p + 1) // 2]])
-        windows = np.stack([c[r:r + n - 1] for r in range(p + 1)])
-        self.coeffs = pieces.T @ windows          # row e: t^(p - e), one column per interval
+        transfer = taps[2] + 2.0 * (taps[3] * np.cos(freqs) + taps[4] * np.cos(2.0 * freqs))
+        c = np.fft.ifft(np.fft.fft(samples) / transfer).real
+        # interval i of the samples uses c_{i-2}, ..., c_{i+3}, indices
+        # taken mod n as the deconvolution does
+        c = np.concatenate([c[n - 2:], c, c[:3]])
+        windows = np.stack([c[r:r + n - 1] for r in range(6)])
+        self.coeffs = pieces.T @ windows          # row e: t^(5 - e), one column per interval
         self.coeffs.flags.writeable = False
 
     def __call__(self, x) -> np.ndarray:

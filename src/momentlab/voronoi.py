@@ -5,7 +5,8 @@ The dual side couples the Bessel kernel to the inverted additive phase; the
 classical convention pairs the J-kernel branch with e(-conj(.) n / d'), and
 the numerical experiment in the test suite confirms that choice (the
 opposite sign leaves an O(1) residual).  PHASE_SIGN records it.  The dual
-sum is truncated where the transform stays below TAIL_TOL.
+sum is truncated where the transform stays below TAIL_TOL.  The transform
+carries i^k = eps = (-1)^{k/2}, the root number (k is even), so it is real.
 
 Coprimality to q is removed with the varpi(delta, q) coefficients, so every
 delta branch is a dual sum over n of lambda(n) H(n/D) e(-+conj(delta' b) n/d')
@@ -103,7 +104,8 @@ def _composite_nodes(lo: float, hi: float, n_panels: int):
 
 def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     """Dual-side transform of the window at a vector of arguments:
-    2 pi i^k integral V(x) J_{k-1}(4 pi sqrt(x y)) dx, by composite
+    2 pi eps integral V(x) J_{k-1}(4 pi sqrt(x y)) dx, eps the form's root
+    number (i^k at level 1), by composite
     Gauss-Legendre sized for each y on its own: the kernel makes
     2 sqrt(hi y) cycles on the window's support [lo, hi], resolved by
     max(4, ceil(2 sqrt(hi y) / 20)) panels of 80 nodes.
@@ -130,7 +132,7 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
             idx = rows[i:i + step]
             mat = _bessel_j(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys[idx], xs)))
             out[idx] = np.einsum("ij,j->i", mat, ws)
-    return (1j ** (k % 4)) * 2.0 * math.pi * out
+    return case.form.epsilon * 2.0 * math.pi * out
 
 
 # Hankel's expansion (special._hankel_coefficients) replaces the Bessel
@@ -145,7 +147,7 @@ _ALIAS_FACTOR = 5
 
 def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     """hankel_grid(case, us**2) on a uniform grid us = j du, j < n, by FFTs.
-    With x = s^2 the transform is 2 pi i^k times
+    With x = s^2 the transform is 2 pi eps times
     integral 2 s V(s^2) J_nu(4 pi u s) ds, taken by the trapezoid rule on
     s_j = sqrt(lo) + j ds with 4 pi du ds = 2 pi / L; the integrand is smooth
     and compactly supported, so the rule converges faster than any power.
@@ -154,8 +156,7 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     of length L for every u at once.  The u with 4 pi u sqrt(lo) < z0 stay
     on hankel_grid.  The terms are built one at a time in one buffer, so
     memory stays at a few length-L vectors."""
-    k = case.form.weight
-    nu = k - 1
+    nu = case.form.weight - 1
     lo, hi = case.window.support
     root_lo = math.sqrt(lo)
     coeffs = _hankel_coefficients(nu, _HANKEL_Z0)
@@ -166,7 +167,7 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     n = len(us)
     w = 4.0 * math.pi * root_lo * us              # z at the left end of the support
     head = int(np.searchsorted(w, _HANKEL_Z0))
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(n)
     out[:head] = hankel_grid(case, us[:head] ** 2)
     if head == n:
         return out
@@ -187,7 +188,7 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
         power *= inv_w
     phase = np.exp(1j * (w[head:] - (nu / 2.0 + 0.25) * math.pi))
     bessel_sum = math.sqrt(2.0 / math.pi) * (phase * acc * np.sqrt(inv_w)).real
-    out[head:] = (1j ** (k % 4)) * 2.0 * math.pi * bessel_sum
+    out[head:] = case.form.epsilon * 2.0 * math.pi * bessel_sum
     return out
 
 
@@ -228,14 +229,12 @@ class _DualSpline:
         # the knots run pad samples past u_max, where the FFTs cost nothing
         # more, so the spline keeps its accuracy up to the last
         # sqrt(n / D) <= sqrt(u_max^2 + 1 / D) of a dual sum; below u = 0
-        # they come from H(-u) = (-1)^(k-1) H(u)
-        pad = _SPLINE_PAD[5]
+        # they come from H(-u) = -H(u), k - 1 being odd
+        pad = _SPLINE_PAD
         us = du * np.arange(n_pts + pad)
         vals = _hankel_uniform(case, us)
-        if np.max(np.abs(vals.imag)) < 1e-14 * max(np.max(np.abs(vals.real)), 1e-30):
-            vals = vals.real
-        mirror = (-1) ** (case.form.weight - 1) * vals[pad:0:-1]
-        self._spline = _UniformSpline(-pad * du, du, np.concatenate([mirror, vals]), 5)
+        mirror = -vals[pad:0:-1]
+        self._spline = _UniformSpline(-pad * du, du, np.concatenate([mirror, vals]))
         self.u_end = float(us[-1])
         self._residues: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.residues_stored = 0
@@ -259,10 +258,7 @@ class _DualSpline:
             raise IndexError(f"dual sum needs lambda up to {n_cut}")
         ns = np.arange(1, n_cut + 1)
         terms = lam[1:n_cut + 1] * self(ns / D)
-        r = ns % d_prime
-        R = np.bincount(r, weights=terms.real, minlength=d_prime)
-        if np.iscomplexobj(terms):
-            R = R + 1j * np.bincount(r, weights=terms.imag, minlength=d_prime)
+        R = np.bincount(ns % d_prime, weights=terms, minlength=d_prime)
         R.flags.writeable = False
         if hit is None:        # a vector of another table is replaced in place
             self.residues_stored += d_prime

@@ -98,7 +98,7 @@ def test_acceptance_4_afe_cross_route(delta_small):
             rhs = twisted_L_half(g, idx, delta_small) * \
                 dirichlet_L_half(g, conjugate_index(g, idx)) ** 2
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    assert worst <= 1e-6
+    assert worst <= 1e-9
     assert time.time() - t0 < 10.0
 
 

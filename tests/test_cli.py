@@ -296,6 +296,6 @@ def test_verify_afe_evaluates_each_route_once_per_character(capsys, monkeypatch)
     # even primitive characters: 1 mod 5, 2 mod 7, 5 mod 13
     assert calls == {"dirichlet_L_half": 8, "twisted_L_half": 8}
     assert rep["passed"] is True
-    assert rep["max_rel_residual"] <= 1e-6
+    assert rep["max_rel_residual"] <= 1e-9
     assert rep["max_fe_residual_dirichlet"] <= 1e-10
     assert rep["max_fe_residual_twisted"] <= 1e-9

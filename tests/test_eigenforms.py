@@ -318,6 +318,36 @@ def test_ingest_rejects_a_weight_outside_level_one(coefficient_file, delta_small
         ingest_coefficients(str(path))
 
 
+def test_ingest_rejects_weight_14(coefficient_file, delta_small):
+    # S_14(SL_2(Z)) = 0; the rows would pass, and the root number -1 would
+    # make the moment average the odd characters of a form that cannot exist
+    path = coefficient_file(enumerate(delta_small.lam[1:51], 1), weight=14)
+    with pytest.raises(CoefficientError, match=re.escape("weight 14 has no level-1 cusp form")):
+        ingest_coefficients(str(path))
+
+
+def test_ingest_rejects_a_repeated_header_key(coefficient_file, delta_small):
+    path = coefficient_file(enumerate(delta_small.lam[1:51], 1))
+    text = path.read_text()
+    path.write_text(text.replace("# weight 12\n", "# weight 12\n# weight 18\n"))
+    with pytest.raises(CoefficientError, match=re.escape(f"{path}:3: second '# weight' line")):
+        ingest_coefficients(str(path))
+    # other '#' lines are comments, however often they appear
+    path.write_text("# source eta product\n# source eta product\n" + text)
+    assert ingest_coefficients(str(path)).weight == 12
+
+
+@pytest.mark.parametrize("n_rows,n,value", [(50, 7, 0.5), (2000, 1999, 0.25)])
+def test_ingest_rejects_a_repeated_row(coefficient_file, delta_small, n_rows, n, value):
+    # a second row for 1999 > 2000 / 2 is reached by no Hecke pair: it used
+    # to replace lambda(1999) without a word
+    rows = [*enumerate(delta_small.lam[1:n_rows + 1], 1), (n, value)]
+    path = coefficient_file(rows)
+    with pytest.raises(CoefficientError,
+                       match=re.escape(f"{path}:{n_rows + 3}: second row for n = {n}")):
+        ingest_coefficients(str(path))
+
+
 @pytest.mark.parametrize("weight,epsilon", [(18, "1"), (18, "+1"), (12, "-1"), (16, "0")])
 def test_ingest_rejects_an_epsilon_other_than_the_root_number(coefficient_file, delta_small,
                                                               weight, epsilon):

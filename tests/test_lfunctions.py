@@ -92,16 +92,56 @@ def test_weight_cutoff_matches_suffix_scan(delta_small):
     V = triple_weight(delta_small, 0)
     cases = [(xs, v) for v in grids] + [(V.grid_x, V.grid_v)]
     for grid_x, grid_v in cases:
-        w = WeightFunction(None, None, grid_x, grid_v)
+        w = WeightFunction(None, grid_x, grid_v)
         for tol in (1e-300, 1e-14, 1e-9, 0.3, 0.7, 10.0):
             assert w.cutoff(tol) == _cutoff_by_suffix_scan(grid_x, grid_v, tol)
 
 
-def test_weight_spline_matches_reference(delta_small):
-    for a in (0, 1):
-        for x in (1e-6, 0.03, 0.7, 1.0, 2.5, 8.0):
-            assert float(triple_weight(delta_small, a)(x)) == pytest.approx(
-                weight_V_reference(x, a, delta_small), abs=5e-11)
+def _refined_contour_sum(log_G, xs):
+    """weight_V_reference's refined contour sum (T doubled, h halved) for any
+    Gamma factor, at many x at once."""
+    h = lfunctions._CONTOUR_H / 2
+    t = np.arange(-2 * lfunctions._CONTOUR_T, 2 * lfunctions._CONTOUR_T + h / 2, h)
+    out = np.empty(len(xs))
+    for half, c, residue in ((xs <= 1.0, -0.25, 1.0), (xs > 1.0, 3.0, 0.0)):
+        g = np.exp(log_G(c + 1j * t)) / (c + 1j * t)
+        powers = xs[half][:, None] ** (-c - 1j * t)[None, :]
+        out[half] = residue + h / (2 * np.pi) * np.real(powers @ g)
+    return out
+
+
+def _off_grid_points():
+    """280 x in [1e-12, 1e6] between the weight grid's knots: 250 spread over
+    the range, 24 within 0.1-2.5 grid steps of x = 1, 6 next to the ends."""
+    D = math.log(10) / 120
+    rng = np.random.default_rng(20)
+    knots = rng.integers(-12 * 120, 6 * 120, 250)
+    spread = (knots + rng.uniform(0.1, 0.9, 250)) * D
+    steps = np.array([0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.25, 2.5, 0.1, 0.9, 1.1, 1.9])
+    seam = np.concatenate([steps, -steps]) * D
+    ends = np.concatenate([math.log(1e-12) + np.array([0.1, 0.5, 1.5]) * D,
+                           math.log(1e6) - np.array([0.1, 0.5, 1.5]) * D])
+    return np.exp(np.concatenate([spread, seam, ends]))
+
+
+def test_weight_spline_matches_reference():
+    # both Gamma factors, both parities and two weights, between the knots
+    # and on both sides of x = 1, where the two contours meet
+    xs = _off_grid_points()
+    for k in (12, 18):
+        form = _form_of_weight(k)
+        for a in (0, 1):
+            for weight, log_G in ((triple_weight, lfunctions._log_gamma_ratio_triple(k, a)),
+                                  (twist_weight, lfunctions._log_gamma_ratio_twist(k, a))):
+                V = weight(form, a)
+                assert np.max(np.abs(V(xs) - _refined_contour_sum(log_G, xs))) <= 2e-11
+                assert V(1e-13) == V(1e-12)
+                assert V(2e6) == 0.0
+            # the sum above is the public oracle's
+            triple = lfunctions._log_gamma_ratio_triple(k, a)
+            for x in (1e-6, 0.7, 1.0, 2.5):
+                assert _refined_contour_sum(triple, np.array([x]))[0] == pytest.approx(
+                    weight_V_reference(x, a, form), abs=1e-15)
 
 
 def _log_gamma_ratio_triple_inline(k, parity_a):
@@ -146,13 +186,14 @@ def test_weight_grid_matches_direct_sum(k):
                          (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(k, a))):
             ref = _grid_v_direct(log_G)
             assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
-            direct = WeightFunction(None, None, V.grid_x, ref)
+            direct = WeightFunction(None, V.grid_x, ref)
             for tol in (1e-8, 1e-9, 1e-12, 1e-14):
                 assert V.cutoff(tol) == direct.cutoff(tol)
 
 
 def test_weight_contour_is_aligned_with_the_grid():
-    # h D = 2 pi / L, and L covers the nodes and each half-line, so no sum wraps
+    # h D = 2 pi / L, and L covers the nodes and each half-line with its
+    # spline pad, so no FFT index wraps
     L, h = lfunctions._CONTOUR_FFT_LEN, lfunctions._CONTOUR_H
     D = math.log(10) / 120
     assert L * h * D == pytest.approx(2 * math.pi, rel=1e-15)
@@ -162,8 +203,10 @@ def test_weight_contour_is_aligned_with_the_grid():
     V = twist_weight(_form_of_weight(18), 0)
     assert np.allclose(np.diff(np.log(V.grid_x)), D, rtol=1e-9, atol=0)
     n_small = int(np.count_nonzero(V.grid_x <= 1.0))
-    assert L >= n_small == 1441
-    assert L >= len(V.grid_x) - n_small + 1 == 721
+    n_large = len(V.grid_x) - n_small + 1
+    assert (n_small, n_large) == (1441, 721)
+    for n in (n_small, n_large):
+        assert L >= n + special._SPLINE_PAD
 
 
 def test_weight_rejects_nonpositive(delta_small):
@@ -199,8 +242,7 @@ def test_weight_cache_is_bounded_and_read_only():
         for a in (0, 1):
             for V in (triple_weight(form, a), twist_weight(form, a)):
                 assert lfunctions._cached_weight.cache_info().currsize <= 8
-                for arr in (V.grid_x, V.grid_v, V._spline_small.coeffs,
-                            V._spline_large.coeffs):
+                for arr in (V.grid_x, V.grid_v, V._spline.coeffs):
                     assert not arr.flags.writeable
 
 
@@ -222,10 +264,8 @@ def test_cached_weight_arrays_are_read_only(delta_small):
 
 def test_cached_weight_spline_coefficients_are_read_only(delta_small):
     v = triple_weight(delta_small, 0)(0.5)
-    for spline in (triple_weight(delta_small, 0)._spline_small,
-                   triple_weight(delta_small, 0)._spline_large):
-        with pytest.raises(ValueError):
-            spline.coeffs[...] = 0.0
+    with pytest.raises(ValueError):
+        triple_weight(delta_small, 0)._spline.coeffs[...] = 0.0
     assert triple_weight(delta_small, 0)(0.5) == v != 0.0
 
 
