@@ -164,6 +164,28 @@ def delta_coefficients(n_max: int) -> EigenformData:
     return EigenformData(12, 0.0, lam, label="delta", tau_exact=tau_exact)
 
 
+def _read_prefix(path: Path, n_max: int) -> np.ndarray | None:
+    """lambda(0..n_max) from the array file at path, reading only those
+    n_max + 1 values; None if the file is missing, shorter than n_max + 1,
+    or not a whole 1-D float64 array file (bad magic or header, wrong dtype
+    or shape, or a size that disagrees with its header)."""
+    try:
+        with open(path, "rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            if version == (1, 0):
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            else:
+                shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+            if len(shape) != 1 or dtype != np.float64 or shape[0] <= n_max:
+                return None
+            if fh.tell() + 8 * shape[0] != os.fstat(fh.fileno()).st_size:
+                return None                              # torn: not the size its header says
+            lam = np.fromfile(fh, dtype=np.float64, count=n_max + 1)
+    except (FileNotFoundError, ValueError, EOFError):
+        return None
+    return lam if len(lam) == n_max + 1 else None
+
+
 @lru_cache(maxsize=4)
 def _delta_lambda_cached(n_max: int) -> np.ndarray:
     """lambda(0..n_max) of Delta, read-only: the cache hands the same array
@@ -171,14 +193,10 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
     in the cache directory and moved into place, so no reader sees a
     partial table.  A file that does not load (torn by a crash outside this
     writer, or not an array file) is rebuilt and replaced like a missing one.
-    The file is mapped and only its prefix copied out, so no table keeps it."""
+    Only the prefix is read from the file, so no table keeps it and no more
+    of it than the prefix is ever in memory."""
     cache = _cache_dir() / "delta_lambda.npy"
-    try:
-        stored = np.load(cache, mmap_mode="r")
-        lam = np.array(stored[:n_max + 1]) if len(stored) > n_max else None
-        del stored
-    except (FileNotFoundError, ValueError, EOFError):
-        lam = None
+    lam = _read_prefix(cache, n_max)
     if lam is None:
         eta = _eta24_float(n_max - 1)
         ns = np.arange(n_max + 1, dtype=np.float64)
@@ -194,6 +212,15 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
             raise
     lam.flags.writeable = False
     return lam
+
+
+def _is_theta(text: str) -> bool:
+    """True iff text is a number in [0, 1/2), the range of error_exponent's
+    theta; NaN and the infinities are not."""
+    try:
+        return 0.0 <= float(text) < 0.5
+    except ValueError:
+        return False
 
 
 def _parse_coefficient_file(path: Path):
@@ -212,6 +239,9 @@ def _parse_coefficient_file(path: Path):
                 if key in ("kind", "weight", "epsilon", "theta"):
                     if key in meta:
                         raise CoefficientError(f"{path}:{lineno}: second '# {key}' line")
+                    if key == "theta" and not _is_theta(parts[1]):
+                        raise CoefficientError(f"{path}:{lineno}: theta {parts[1]!r} is not "
+                                               "a finite number in [0, 1/2)")
                     meta[key] = parts[1]
                 continue
             parts = line.split()
@@ -247,7 +277,8 @@ def ingest_coefficients(path_or_name: str) -> EigenformData:
     The header needs '# kind holomorphic' and '# weight k', k even,
     >= 12 and not 14 (level 1 has no cusp form of weight 14).  An
     '# epsilon' line may follow; it must be the root number (-1)^{k/2}.
-    '# theta' defaults to 0.  Each of these four keys appears at most once.
+    '# theta', a number in [0, 1/2), defaults to 0.  Each of these four keys
+    appears at most once.
     The rows are 'n lambda(n)' for n = 1..n_max, without gaps or repeats.
     """
     path = resolve_coefficient_path(path_or_name)

@@ -32,6 +32,7 @@ from .lfunctions import L_one_f, triple_weight, zeta_two
 
 _REALNESS_TOL = 1e-8   # |Im| of the brute moment against its character sum's size
 _C_AB_TOL = 1e-12      # the certified tail of each local factor of c_ab
+_CHUNK = 2**14         # entries per chunk of the residue-pair pass
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,13 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
     is the strided view V[::d], and a row folds onto the residues n mod q as
     a reshape to (-1, q) and a sum.  Each V_sigma is stored as 0 past its own
     X_sigma, so each parity keeps its own truncation.
+
+    The pass is chunked.  V and the weights tau(n) / sqrt(n) and
+    lambda(n) / sqrt(n) are built _CHUNK entries at a time, and each row runs
+    over chunks of a multiple of q near _CHUNK, so n mod q stays aligned with
+    the reshape; only the rows d below about X / _CHUNK span more than one
+    chunk.  The arrays of length X are the two V, the two weights and the
+    divisor sieve, so the peak is about five of them.
     """
     weights = [triple_weight(form, a) for a in (0, 1)]   # V_a for sigma = +1, -1
     cutoffs = [int(math.ceil(W.cutoff(v_tol) * q * q)) for W in weights]
@@ -86,31 +94,44 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
         raise IndexError(f"residue-pair matrix needs lambda up to {X}")
     s = math.isqrt(X)
     tau = divisor_count_sieve(X)
-    ns = np.arange(X + 1, dtype=np.float64)
+    primes = [p for p, _ in factorize(q).factors]
     V = np.zeros((2, X + 1))
-    for a, (W, X_a) in enumerate(zip(weights, cutoffs)):
-        V[a, 1:X_a + 1] = W(ns[1:X_a + 1] / (q * q))
-    inv_sqrt = np.sqrt(ns, out=ns)                       # ns is spent once V is built
-    np.divide(1.0, inv_sqrt[1:], out=inv_sqrt[1:])
-    unit = np.ones(X + 1, dtype=bool)                    # (n, q) = 1; n = 0 is cleared too
-    for p, _ in factorize(q).factors:
-        unit[::p] = False
-    tau_w = np.where(unit, tau * inv_sqrt, 0.0)          # tau(n) / sqrt(n), (n, q) = 1
-    lam_w = np.where(unit, form.lam[:X + 1] * inv_sqrt, 0.0)
-    lam_w[:s + 1] = 0.0                                  # lambda(n) / sqrt(n), n > s
+    tau_w = np.zeros(X + 1)                              # tau(n) / sqrt(n), (n, q) = 1
+    lam_w = np.zeros(X + 1)                              # lambda(n) / sqrt(n), (n, q) = 1
+    for lo in range(1, X + 1, _CHUNK):
+        hi = min(lo + _CHUNK, X + 1)
+        ns = np.arange(lo, hi, dtype=np.float64)
+        for a, (W, X_a) in enumerate(zip(weights, cutoffs)):
+            top = min(hi, X_a + 1)
+            if top > lo:
+                V[a, lo:top] = W(ns[:top - lo] / (q * q))
+        inv_sqrt = np.divide(1.0, np.sqrt(ns, out=ns), out=ns)
+        unit = np.ones(hi - lo, dtype=bool)              # (n, q) = 1 for n = lo + i
+        for p in primes:
+            unit[-lo % p::p] = False
+        np.multiply(tau[lo:hi], inv_sqrt, out=tau_w[lo:hi], where=unit)
+        np.multiply(form.lam[lo:hi], inv_sqrt, out=lam_w[lo:hi], where=unit)
+    lam_w[:s + 1] = 0.0                                  # the lambda(n) term needs n > s
 
     G = np.zeros((2, q, q))
-    fold = np.empty((2, (X // q + 1) * q))               # one buffer for every row
+    width = min(max(1, _CHUNK // q), X // q + 1) * q     # n per chunk of a row
+    row, term = np.empty(width), np.empty(width)
+    fold = np.empty((2, width))
     for d in range(1, s + 1):
-        if not unit[d]:
+        if math.gcd(d, q) != 1:
             continue
+        w_d = 1.0 / math.sqrt(d)
+        c_lam, c_tau = tau[d] * w_d, form.lam[d] * w_d
         L = X // d + 1                                   # n = 0, ..., X // d
-        row = lam_w[:L] * (tau[d] * inv_sqrt[d])
-        row += tau_w[:L] * (form.lam[d] * inv_sqrt[d])
-        np.multiply(V[:, ::d], row, out=fold[:, :L])
-        width = -(-L // q) * q
-        fold[:, L:width] = 0.0
-        G[:, d % q] += fold[:, :width].reshape(2, -1, q).sum(axis=1)
+        for n0 in range(0, L, width):
+            m = min(width, L - n0)
+            np.multiply(lam_w[n0:n0 + m], c_lam, out=row[:m])
+            row[:m] += np.multiply(tau_w[n0:n0 + m], c_tau, out=term[:m])
+            np.multiply(V[:, n0 * d:(n0 + m) * d:d], row[:m], out=fold[:, :m])
+            end = -(-m // q) * q
+            fold[:, m:end] = 0.0
+            G[:, d % q] += fold[:, :end].reshape(2, -1, q).sum(axis=1)
+    del V, tau_w, lam_w                                  # gone before F is formed
     F = G + G.transpose(0, 2, 1)
     return {1: F[0], -1: F[1]}
 

@@ -123,9 +123,9 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     lo, hi = case.window.support
     panels = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.sqrt(hi * ys) / 20.0)).astype(np.int64)
     out = np.empty(len(ys))
-    for n_panels in np.unique(panels):
+    for n_panels in sorted(set(panels.tolist())):     # np.unique would import numpy.ma
         rows = np.flatnonzero(panels == n_panels)
-        xs, ws = _composite_nodes(lo, hi, int(n_panels))
+        xs, ws = _composite_nodes(lo, hi, n_panels)
         ws = ws * case.window(xs)
         step = max(1, _BLOCK_ELEMENTS // len(xs))
         for i in range(0, len(rows), step):
@@ -207,6 +207,8 @@ def dual_cutoff(case: VoronoiCase) -> float:
 # residues in all, oldest dropped first.  The acceptance grid stores 30
 # vectors of length d' <= 5; a sweep over large d cannot grow it without limit.
 _RESIDUE_CAP = 2**16
+# n per chunk of a residue sum: its temporaries stay near 1 MB, whatever n_cut
+_RESIDUE_CHUNK = 2**14
 
 
 class _DualSpline:
@@ -245,7 +247,8 @@ class _DualSpline:
         return np.where(u <= self.u_end, self._spline(u), 0.0)
 
     def residue_sums(self, lam: np.ndarray, D: int, d_prime: int) -> np.ndarray:
-        """R[r] = sum of lam[n] H(n/D) over 1 <= n <= ceil(D y_cut), n = r mod d'.
+        """R[r] = sum of lam[n] H(n/D) over 1 <= n <= ceil(D y_cut), n = r mod d',
+        accumulated over chunks of _RESIDUE_CHUNK n.
 
         Memoised on (D, d') for the table object lam.  At most _RESIDUE_CAP
         residues are kept; the oldest vectors are dropped first."""
@@ -256,9 +259,12 @@ class _DualSpline:
         n_cut = max(1, int(math.ceil(D * self.y_cut)))
         if n_cut >= len(lam):
             raise IndexError(f"dual sum needs lambda up to {n_cut}")
-        ns = np.arange(1, n_cut + 1)
-        terms = lam[1:n_cut + 1] * self(ns / D)
-        R = np.bincount(ns % d_prime, weights=terms, minlength=d_prime)
+        R = np.zeros(d_prime)
+        for lo in range(1, n_cut + 1, _RESIDUE_CHUNK):
+            hi = min(lo + _RESIDUE_CHUNK, n_cut + 1)
+            ns = np.arange(lo, hi)
+            terms = lam[lo:hi] * self(ns / D)
+            R += np.bincount(ns % d_prime, weights=terms, minlength=d_prime)
         R.flags.writeable = False
         if hit is None:        # a vector of another table is replaced in place
             self.residues_stored += d_prime

@@ -121,6 +121,41 @@ def test_loaded_delta_table_owns_only_its_prefix(tmp_path, monkeypatch):
     assert np.array_equal(loaded, fresh[:101])
 
 
+@pytest.mark.parametrize("defect", ["bad magic", "float32", "2-D", "shorter than its header",
+                                    "shorter than the prefix"])
+def test_defective_delta_cache_is_rebuilt(tmp_path, monkeypatch, defect):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    fresh = build(500)
+    cache = tmp_path / "delta_lambda.npy"
+    whole = cache.read_bytes()
+    if defect == "bad magic":
+        cache.write_bytes(b"\x93NUMPZ" + whole[6:])
+    elif defect == "float32":
+        np.save(cache, fresh.astype(np.float32))
+    elif defect == "2-D":
+        np.save(cache, fresh[:, None])
+    elif defect == "shorter than its header":      # torn past the prefix read
+        cache.write_bytes(whole[:-8])
+    else:
+        np.save(cache, fresh[:301])
+    assert np.array_equal(build(400), fresh[:401])
+    assert np.array_equal(np.load(cache), fresh[:401])      # replaced by a whole file
+
+
+def test_valid_delta_cache_is_not_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    fresh = build(500)
+    cache = tmp_path / "delta_lambda.npy"
+    before = cache.stat()
+    for n_max in (500, 100, 1):
+        assert np.array_equal(build(n_max), fresh[:n_max + 1])
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == \
+        (before.st_ino, before.st_mtime_ns, before.st_size)
+
+
 def _hecke_violations_loop(form, n_max):
     """The earlier hecke_violations, kept as the reference: a double loop
     with a divisor sum for every pair.  Returns the violating (m, n) in loop
@@ -335,6 +370,18 @@ def test_ingest_rejects_a_repeated_header_key(coefficient_file, delta_small):
     # other '#' lines are comments, however often they appear
     path.write_text("# source eta product\n# source eta product\n" + text)
     assert ingest_coefficients(str(path)).weight == 12
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-0.1", "function of the table"])
+def test_ingest_rejects_a_theta_outside_the_exponent_range(coefficient_file, delta_small,
+                                                           theta):
+    # a NaN theta made the |lambda(n)| <= d(n) n^theta check a no-op, and a
+    # word after '# theta' failed in float() without naming the file
+    path = coefficient_file(enumerate(delta_small.lam[1:51], 1), theta=theta)
+    with pytest.raises(CoefficientError,
+                       match=re.escape(f"{path}:3: theta {theta.split()[0]!r} is not "
+                                       "a finite number in [0, 1/2)")):
+        ingest_coefficients(str(path))
 
 
 @pytest.mark.parametrize("n_rows,n,value", [(50, 7, 0.5), (2000, 1999, 0.25)])

@@ -112,16 +112,41 @@ def _residue_pair_loop(form, q, parity_a, v_tol):
 
 
 @pytest.mark.parametrize("q", [31, 97, 9, 25, 27, 12, 15, 20, 100])
-def test_matrix_matches_two_loop_reference(delta_mid, q):
+def test_matrix_matches_two_loop_reference(delta_mid, q, monkeypatch):
     # primes, prime powers and composites: both parities from one call, each
-    # against its own truncation X_sigma in the reference
-    F = residue_pair_matrix(delta_mid, q, 1e-9)
-    assert sorted(F) == [-1, 1]
+    # against its own truncation X_sigma in the reference; then with chunks
+    # of q entries, so that every row, down to its shortest of about
+    # sqrt(X) > 2q entries, spans several chunks
+    from momentlab import moments
     non_units = [u for u in range(q) if math.gcd(u, q) != 1]
-    for sigma, parity_a in ((1, 0), (-1, 1)):
-        want = _residue_pair_loop(delta_mid, q, parity_a, 1e-9)
-        assert np.abs(F[sigma] - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.all(F[sigma][non_units] == 0.0) and np.all(F[sigma][:, non_units] == 0.0)
+    want = {sigma: _residue_pair_loop(delta_mid, q, parity_a, 1e-9)
+            for sigma, parity_a in ((1, 0), (-1, 1))}
+    for chunk in (moments._CHUNK, q):
+        monkeypatch.setattr(moments, "_CHUNK", chunk)
+        F = residue_pair_matrix(delta_mid, q, 1e-9)
+        assert sorted(F) == [-1, 1]
+        for sigma in F:
+            assert np.abs(F[sigma] - want[sigma]).max() <= 1e-13 * np.abs(want[sigma]).max()
+            assert np.all(F[sigma][non_units] == 0.0) and np.all(F[sigma][:, non_units] == 0.0)
+
+
+def test_matrix_peak_memory_is_about_five_length_x_arrays(delta_mid):
+    # the sieve, both V and the two weighted vectors are the only arrays of
+    # length X; the chunks, G and F add well under two more
+    import tracemalloc
+
+    from momentlab import arith
+    from momentlab.lfunctions import triple_weight
+    q, v_tol = 283, 1e-8
+    X = max(math.ceil(triple_weight(delta_mid, a).cutoff(v_tol) * q * q) for a in (0, 1))
+    arith.divisor_count_sieve.cache_clear()
+    tracemalloc.start()
+    try:
+        residue_pair_matrix(delta_mid, q, v_tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * (X + 1)
 
 
 def test_one_sieve_per_modulus(delta_small, monkeypatch):

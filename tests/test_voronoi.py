@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,40 @@ def test_residue_memo_stays_within_cap(delta_large, monkeypatch):
     ref = _voronoi_rhs_per_cell(case, spline)
     assert abs(voronoi_rhs(case) - ref) <= 1e-12 * abs(ref)
     assert abs(ref - uncapped[-1]) > 1.0
+
+
+def test_residue_sums_match_the_unchunked_sum(delta_large, monkeypatch):
+    # a prime chunk splits every range, up to n_cut = 533 079 at D = 900,
+    # into chunks that cut across the residues mod d'
+    monkeypatch.setattr(voronoi, "_SPLINE_CACHE", {})
+    monkeypatch.setattr(voronoi, "_RESIDUE_CHUNK", 97)
+    spline = _cached_spline(VoronoiCase(1, 1, 1, 20.0, delta_large))
+    lam = delta_large.lam
+    for D, d_prime in ((1, 1), (4, 2), (36, 3), (900, 5)):
+        ns = np.arange(1, max(1, math.ceil(D * spline.y_cut)) + 1)
+        terms = lam[ns] * spline(ns / D)
+        want = np.bincount(ns % d_prime, weights=terms, minlength=d_prime)
+        R = spline.residue_sums(lam, D, d_prime)
+        assert len(ns) > 97
+        assert np.abs(R - want).max() <= 1e-13 * np.abs(terms).sum()
+
+
+def test_hankel_grid_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 15 ms of a fresh process
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from momentlab.eigenforms import EigenformData\n"
+            "from momentlab.voronoi import VoronoiCase, hankel_grid\n"
+            "case = VoronoiCase(1, 1, 1, 20.0, EigenformData(12, 0.0, np.zeros(2)))\n"
+            "hankel_grid(case, np.array([0.01, 1.0, 30.0, 1.0]))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(voronoi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("X", [10.0, 40.0])
