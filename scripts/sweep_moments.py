@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 
-    form = delta_coefficients(moment_table_length(delta_coefficients(10), args.q_hi, args.tol))
+    form = delta_coefficients(moment_table_length(12, args.q_hi, args.tol))   # weight 12
 
     def progress(row):
         print(f"q={row.q:4d}  moment={row.brute_re:+.6e}  "

@@ -13,9 +13,9 @@ be tested without floating noise.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class CharacterGroup:
     def n_chars(self) -> int:
         return self.exponents.shape[0]
 
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.exponents, self.values, self.parity,
-                                      self.conductor, self.is_primitive))
-
     def chi(self, index: int, x: int) -> complex:
         return self.values[index, x % self.modulus]
 
@@ -71,44 +66,12 @@ class CharacterGroup:
         return [int(i) for i in idx]
 
 
-# build_group keeps the groups it built while their tables take at most this
-# many bytes in all, dropping the least recently used first.  A group mod q
-# takes about 24 q phi(q) bytes: 1.9 MB at q = 284, 24 MB at q = 1000.
-_GROUP_CACHE_BYTES = 64 * 2**20
-_GROUPS: OrderedDict[int, CharacterGroup] = OrderedDict()
-_GROUP_STATS = {"hits": 0, "misses": 0}
-_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
-
-
+@lru_cache(maxsize=1)
 def build_group(q: int) -> CharacterGroup:
     """The complete character table mod q (deterministic indexing).
 
-    Groups are cached and shared, so their arrays are read-only.  The cache
-    is bounded by the bytes of the tables it holds (_GROUP_CACHE_BYTES),
-    least recently used first out; the newest group always stays.
-    build_group.cache_info() reports it as functools.lru_cache does."""
-    group = _GROUPS.get(q)
-    if group is not None:
-        _GROUPS.move_to_end(q)
-        _GROUP_STATS["hits"] += 1
-        return group
-    group = _build_group(q)
-    _GROUP_STATS["misses"] += 1
-    _GROUPS[q] = group
-    while len(_GROUPS) > 1 and sum(g.nbytes for g in _GROUPS.values()) > _GROUP_CACHE_BYTES:
-        _GROUPS.popitem(last=False)
-    return group
-
-
-def _cache_info() -> _CacheInfo:
-    return _CacheInfo(_GROUP_STATS["hits"], _GROUP_STATS["misses"], len(_GROUPS),
-                     sum(g.nbytes for g in _GROUPS.values()))
-
-
-build_group.cache_info = _cache_info
-
-
-def _build_group(q: int) -> CharacterGroup:
+    The last group built is cached and shared, so its arrays are read-only;
+    a sweep asks for each modulus once, and the tables grow as q phi(q)."""
     if q < 1:
         raise ValueError("modulus must be positive")
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)   # [0] for q = 1

@@ -36,7 +36,7 @@ def _load_form(selector: str, q_hi: int, tol: float):
         name = selector.split(":", 1)[1]
         if name != "delta":
             raise ValueError(f"unknown builtin form {name!r}")
-        return delta_coefficients(moment_table_length(delta_coefficients(10), q_hi, tol))
+        return delta_coefficients(moment_table_length(12, q_hi, tol))   # Delta has weight 12
     if selector.startswith("file:"):
         return ingest_coefficients(selector.split(":", 1)[1])
     raise ValueError("form selector must be builtin:<name> or file:<path>")

@@ -50,7 +50,7 @@ class ParityVanishing(ValueError):
     """AFE requested for a character with root number epsilon(f, chi) = -1."""
 
 
-def _log_gamma_ratio_twist(k: int, parity_a: int):
+def _log_gamma_ratio_twist(k: int):
     """log of L_inf(1/2+s, f x chi) normalized at s=0, f of weight k; the
     factor is the same for both parities of chi."""
     def log_G(s):
@@ -61,7 +61,7 @@ def _log_gamma_ratio_twist(k: int, parity_a: int):
 def _log_gamma_ratio_triple(k: int, parity_a: int):
     """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0."""
     a = parity_a
-    log_twist = _log_gamma_ratio_twist(k, parity_a)
+    log_twist = _log_gamma_ratio_twist(k)
 
     def log_G(s):
         return log_twist(s) + 2 * (-(s / 2) * np.log(np.pi)
@@ -134,21 +134,21 @@ def _build_weight(log_G) -> WeightFunction:
 
 
 @lru_cache(maxsize=8)
-def _cached_weight(log_gamma_ratio, k: int, parity_a: int) -> WeightFunction:
-    """The weight of log_gamma_ratio(k, parity_a), built once; a bad parity
-    raises and so caches nothing."""
-    if parity_a not in (0, 1):
-        raise ValueError("parity exponent must be 0 or 1")
-    return _build_weight(log_gamma_ratio(k, parity_a))
+def _cached_weight(log_gamma_ratio, *args) -> WeightFunction:
+    """The weight of log_gamma_ratio(*args), built once."""
+    return _build_weight(log_gamma_ratio(*args))
 
 
 def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
     """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
+    if parity_a not in (0, 1):
+        raise ValueError("parity exponent must be 0 or 1")
     return _cached_weight(_log_gamma_ratio_triple, form.weight, parity_a)
 
 
-def twist_weight(form: EigenformData, parity_a: int = 0) -> WeightFunction:
-    return _cached_weight(_log_gamma_ratio_twist, form.weight, parity_a)
+def twist_weight(form: EigenformData) -> WeightFunction:
+    """V_f: the weight of the twisted AFE, one for both parities of chi."""
+    return _cached_weight(_log_gamma_ratio_twist, form.weight)
 
 
 def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
@@ -267,8 +267,7 @@ def twisted_L_half(group: CharacterGroup, index: int, form: EigenformData) -> co
     if not group.is_primitive[index]:
         raise ValueError("twisted AFE requires a primitive character")
     rn = root_numbers(group, index, form)
-    parity_a = 0 if group.parity[index] == 1 else 1
-    Vf = twist_weight(form, parity_a)
+    Vf = twist_weight(form)
     x_cut = Vf.cutoff(1e-14)
     n_hi = int(math.ceil(x_cut * q))
     if form.n_max < n_hi:
@@ -314,8 +313,8 @@ def L_one_f(form: EigenformData, X: float = _L_ONE_X) -> float:
     return val
 
 
-def moment_table_length(form: EigenformData, q_hi: int, v_tol: float) -> int:
-    """Table length a moment at every q <= q_hi needs: the triple-product AFE
-    of both parities at q_hi, and L_one_f at its default X."""
-    x_cut = max(triple_weight(form, 0).cutoff(v_tol), triple_weight(form, 1).cutoff(v_tol))
+def moment_table_length(k: int, q_hi: int, v_tol: float) -> int:
+    """Table length a moment of a weight-k form at every q <= q_hi needs: the
+    triple-product AFE of both parities at q_hi, and L_one_f at its default X."""
+    x_cut = max(_cached_weight(_log_gamma_ratio_triple, k, a).cutoff(v_tol) for a in (0, 1))
     return max(math.ceil(x_cut * q_hi * q_hi), _l_one_terms(_L_ONE_X))

@@ -3,9 +3,8 @@ package.
 
 The bump windows are plateau mollifiers built from exp(-1/t) ramps, evaluated
 in closed form with NumPy; their derivatives to order 6 come from a truncated
-Taylor jet of the ramp (see _ramp_jet), and the derivative-bound certificates
-are grid maxima of those jets, checked against finite differences and an
-mpmath oracle in the test suite.
+Taylor jet of the ramp (see _ramp_jet), checked against finite differences
+and an mpmath oracle in the test suite.
 
 The kernels are private: _log_gamma (the AFE weights' Gamma factors),
 _bessel_j (the Hankel transform's kernel J_{k-1}), _hankel_coefficients (the
@@ -93,21 +92,8 @@ class BumpFunction:
                 out[mask] = math.factorial(j) * _ramp_jet(t, j)[j] * slope**j
 
     @property
-    def derivative_bounds(self) -> tuple[float, ...]:
-        """Certificates B_j >= sup |W^(j)| for j <= 6 (grid max with margin)."""
-        return _derivative_bounds(self.lo, self.p1, self.p2, self.hi)
-
-    @property
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-
-@lru_cache(maxsize=32)
-def _derivative_bounds(lo, p1, p2, hi) -> tuple[float, ...]:
-    w = BumpFunction(lo, p1, p2, hi)
-    grid = np.concatenate([np.linspace(lo + 1e-9, p1 - 1e-9, 4000),
-                           np.linspace(p2 + 1e-9, hi - 1e-9, 4000)])
-    return tuple(1.05 * float(np.max(np.abs(w.derivative(j, grid)))) for j in range(7))
 
 
 def standard_window() -> BumpFunction:

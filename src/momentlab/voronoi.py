@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .eigenforms import EigenformData, varpi_table
-from .special import (_HANKEL_TOL, _HANKEL_Z0, _SPLINE_PAD, BumpFunction, _UniformSpline,
-                      _bessel_j, _hankel_coefficients, interval_bump)
+from .special import (_SPLINE_PAD, BumpFunction, _UniformSpline, _bessel_j, _bessel_plan,
+                      _hankel_coefficients, interval_bump)
 
 PHASE_SIGN = -1   # empirically fixed: J-kernel branch carries e(-(conj) n/d')
 TAIL_TOL = 1e-8   # the dual sum stops where |transform| stays below this
@@ -136,7 +136,9 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
 
 
 # Hankel's expansion (special._hankel_coefficients) replaces the Bessel
-# kernel wherever z = 4 pi u s >= z0 = 25 at every node s of the window; the
+# kernel wherever z = 4 pi u s >= z0 at every node s of the window, z0 being
+# the point from which special._bessel_j itself takes the expansion for J_{k-1}
+# (special._bessel_plan: 25 up to k = 18, 28 at k = 20, 48 at k = 26); the
 # head left to hankel_grid is 10 z0 sqrt(hi/lo) spline points.
 # FFT length: the smallest power of two with L du >= 5 u_max.  The trapezoid
 # rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so the worst alias
@@ -159,14 +161,11 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     nu = case.form.weight - 1
     lo, hi = case.window.support
     root_lo = math.sqrt(lo)
-    coeffs = _hankel_coefficients(nu, _HANKEL_Z0)
-    if coeffs is None:
-        # from weight 20 on the series at z0 loses over two digits to
-        # cancellation, or diverges before it reaches the tolerance
-        return hankel_grid(case, us**2)
+    z0 = _bessel_plan(nu)[0]
+    coeffs = _hankel_coefficients(nu, z0)
     n = len(us)
     w = 4.0 * math.pi * root_lo * us              # z at the left end of the support
-    head = int(np.searchsorted(w, _HANKEL_Z0))
+    head = int(np.searchsorted(w, z0))
     out = np.empty(n)
     out[:head] = hankel_grid(case, us[:head] ** 2)
     if head == n:

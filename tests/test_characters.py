@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentlab.arith import divisors, euler_phi, factorize, phi_star
-from momentlab import characters
-from momentlab.characters import (_build_group, _primitive_root_odd_prime_power,
-                                  build_group, enumerated_orthogonality,
-                                  gauss_eps, orthogonality_sum)
+from momentlab.characters import (_primitive_root_odd_prime_power, build_group,
+                                  enumerated_orthogonality, gauss_eps, orthogonality_sum)
 
 
 def test_group_sizes_and_parity_split():
@@ -107,27 +104,20 @@ def test_orthogonality_rejects_common_factor():
         orthogonality_sum(15, 3, 1, 1)
 
 
-def test_group_cache_is_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr(characters, "_GROUPS", OrderedDict())
-    # the sweep's three largest moduli stay cached under the default bound
-    top = [build_group(q) for q in (281, 283, 284)]
-    misses = build_group.cache_info().misses
-    assert all(build_group(q) is g for q, g in zip((281, 283, 284), top))
-    assert build_group.cache_info().misses == misses
-    assert build_group.cache_info().nbytes == sum(g.nbytes for g in top)
-
-    monkeypatch.setattr(characters, "_GROUPS", OrderedDict())
-    g103, g101 = build_group(103), build_group(101)
-    bound = g103.nbytes + g101.nbytes
-    monkeypatch.setattr(characters, "_GROUP_CACHE_BYTES", bound)
-    assert build_group(103) is g103  # a hit: 103 becomes the most recent
-    build_group(97)                  # over the bound: drops 101, the least recent
-    assert list(characters._GROUPS) == [103, 97]
-    assert build_group.cache_info().nbytes <= bound
-    monkeypatch.setattr(characters, "_GROUP_CACHE_BYTES", 1)
-    big = build_group(109)           # alone over the bound, but kept
-    assert list(characters._GROUPS) == [109]
-    assert build_group(109) is big
+def test_group_cache_keeps_the_last_group():
+    build_group.cache_clear()
+    g101 = build_group(101)
+    info = build_group.cache_info()
+    assert build_group(101) is g101   # a repeat is a hit on the same object
+    assert build_group.cache_info().hits == info.hits + 1
+    assert build_group.cache_info().misses == info.misses
+    g103 = build_group(103)           # a second modulus replaces the first
+    assert build_group.cache_info().currsize == 1
+    assert build_group(103) is g103 and build_group(101) is not g101
+    for arr in (g101.exponents, g101.values, g101.parity, g101.conductor, g101.is_primitive):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def _crt_lift(res, pe, rest, q):
@@ -214,7 +204,7 @@ def _reference_tables(q):
 def test_tables_match_per_unit_construction():
     for q in [*range(1, 301), 1000, 1024, 1728, 2310]:
         ref, gens, grids, group_exp = _reference_tables(q)
-        g = _build_group(q)
+        g = build_group(q)
         assert g.group_exponent == group_exp
         for name, want in ref.items():
             got = getattr(g, name)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from momentlab import cli
+from momentlab import cli, eigenforms
 from momentlab.cli import EXIT_CONFIG, EXIT_ITEM, EXIT_OK, EXIT_SUITE, main
+from momentlab.lfunctions import moment_table_length
 
 
 def test_exponent_default(capsys):
@@ -42,6 +46,20 @@ def test_moment_single_q(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("q,a,b,moment")
     assert lines[1].startswith("5,1,1,")
+
+
+def test_moment_moves_the_delta_table_into_place_once(capsys, tmp_path, monkeypatch):
+    # a cold cache, on disk and in memory: the table length comes from the
+    # weight, with no short table built first to read it from
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(eigenforms, "_delta_lambda_cached",
+                        lru_cache(maxsize=4)(eigenforms._delta_lambda_cached.__wrapped__))
+    moved = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(dst) or real_replace(src, dst))
+    assert main(["moment", "--q", "5", "--out", str(tmp_path / "m.csv")]) == EXIT_OK
+    assert moved == [tmp_path / "delta_lambda.npy"]
+    assert len(np.load(tmp_path / "delta_lambda.npy")) == moment_table_length(12, 5, 1e-9) + 1
 
 
 def test_moment_rejects_inadmissible_q(capsys):

@@ -131,9 +131,8 @@ def test_weight_spline_matches_reference():
     for k in (12, 18):
         form = _form_of_weight(k)
         for a in (0, 1):
-            for weight, log_G in ((triple_weight, lfunctions._log_gamma_ratio_triple(k, a)),
-                                  (twist_weight, lfunctions._log_gamma_ratio_twist(k, a))):
-                V = weight(form, a)
+            for V, log_G in ((triple_weight(form, a), lfunctions._log_gamma_ratio_triple(k, a)),
+                             (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
                 assert np.max(np.abs(V(xs) - _refined_contour_sum(log_G, xs))) <= 2e-11
                 assert V(1e-13) == V(1e-12)
                 assert V(2e6) == 0.0
@@ -183,7 +182,7 @@ def test_weight_grid_matches_direct_sum(k):
     form = _form_of_weight(k)
     for a in (0, 1):
         for V, log_G in ((triple_weight(form, a), _log_gamma_ratio_triple_inline(k, a)),
-                         (twist_weight(form, a), lfunctions._log_gamma_ratio_twist(k, a))):
+                         (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
             ref = _grid_v_direct(log_G)
             assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
             direct = WeightFunction(None, V.grid_x, ref)
@@ -200,7 +199,7 @@ def test_weight_contour_is_aligned_with_the_grid():
     assert h == pytest.approx(0.05, rel=1e-6)
     t, _ = lfunctions._contour_values(lambda s: 0 * s, 3.0, lfunctions._CONTOUR_T, h)
     assert L >= len(t) == 1601
-    V = twist_weight(_form_of_weight(18), 0)
+    V = twist_weight(_form_of_weight(18))
     assert np.allclose(np.diff(np.log(V.grid_x)), D, rtol=1e-9, atol=0)
     n_small = int(np.count_nonzero(V.grid_x <= 1.0))
     n_large = len(V.grid_x) - n_small + 1
@@ -227,20 +226,26 @@ def test_weight_rejects_nonfinite(delta_small, bad):
 
 
 def test_twist_weight_checks_parity(delta_small):
+    # the triple weight checks its parity and caches nothing for a bad one;
+    # the twist weight has none, as L_inf(s, f x chi) has none: one object
     lfunctions._cached_weight.cache_clear()
     for a in (2, -1):
         with pytest.raises(ValueError, match="parity"):
-            twist_weight(delta_small, a)
+            triple_weight(delta_small, a)
     assert lfunctions._cached_weight.cache_info().currsize == 0
-    assert twist_weight(delta_small, 0) is not twist_weight(delta_small, 1)
+    assert twist_weight(delta_small) is twist_weight(delta_small)
+    assert lfunctions._cached_weight.cache_info().currsize == 1
+    with pytest.raises(TypeError):
+        twist_weight(delta_small, 0)
 
 
 def test_weight_cache_is_bounded_and_read_only():
-    # two Gamma factors and two parities per weight: 20 weights, 8 kept
+    # two parities of the triple factor and one twist factor per weight:
+    # 15 weights, 8 kept
     for k in (12, 16, 18, 20, 22):
         form = _form_of_weight(k)
         for a in (0, 1):
-            for V in (triple_weight(form, a), twist_weight(form, a)):
+            for V in (triple_weight(form, a), twist_weight(form)):
                 assert lfunctions._cached_weight.cache_info().currsize <= 8
                 for arr in (V.grid_x, V.grid_v, V._spline.coeffs):
                     assert not arr.flags.writeable

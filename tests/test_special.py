@@ -40,15 +40,6 @@ def test_window_derivatives_match_finite_differences():
         upper = w.derivative(j - 1, xs + h)
         fd = (upper - lower) / (2 * h)
         assert np.allclose(exact, fd, rtol=1e-5, atol=1e-5)
-
-
-def test_window_derivative_bounds_certify_grid():
-    w = standard_window()
-    bounds = w.derivative_bounds
-    assert bounds[0] >= 1.0
-    grid = np.linspace(0.5, 3.0, 5000)
-    for j in range(7):
-        assert np.max(np.abs(w.derivative(j, grid))) <= bounds[j] + 1e-9
     with pytest.raises(ValueError):
         w.derivative(7, 1.0)
 
@@ -56,10 +47,13 @@ def test_window_derivative_bounds_certify_grid():
 @pytest.mark.parametrize("shape", [(0.5, 1.0, 2.0, 3.0), (20.0, 25.0, 35.0, 40.0)])
 def test_window_derivatives_match_mpmath(shape):
     """W^(j), j <= 6, against 50-digit numerical differentiation of the ramp
-    at 12 points inside each ramp, relative to the certified bound B_j."""
+    at 12 points inside each ramp, relative to B_j = 1.05 max |W^(j)| on
+    4000 points per ramp."""
     lo, p1, p2, hi = shape
     w = BumpFunction(*shape)
-    bounds = w.derivative_bounds
+    grid = np.concatenate([np.linspace(lo + 1e-9, p1 - 1e-9, 4000),
+                           np.linspace(p2 + 1e-9, hi - 1e-9, 4000)])
+    bounds = [1.05 * np.max(np.abs(w.derivative(j, grid))) for j in range(7)]
 
     def ramp(x):
         t = (x - lo) / (p1 - lo) if x < p1 else (hi - x) / (hi - p2)
@@ -81,7 +75,6 @@ def test_windows_do_not_import_sympy():
             "for w in (standard_window(), interval_bump(20.0)):\n"
             "    w(np.linspace(0.0, 50.0, 101))\n"
             "    [w.derivative(j, np.linspace(0.0, 50.0, 101)) for j in range(7)]\n"
-            "    w.derivative_bounds\n"
             "print('sympy' in sys.modules)\n")
     src = str(Path(momentlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -128,8 +121,8 @@ def test_bessel_j_matches_mpmath(n):
 
 
 def test_bessel_branch_point_grows_with_order():
-    # Hankel's expansion at z0 = 25 cancels too much from order 19 on, where
-    # voronoi._hankel_uniform gives way to hankel_grid
+    # Hankel's expansion at z0 = 25 cancels too much from order 19 on, so
+    # _bessel_j, and voronoi._hankel_uniform with it, start it further out
     z0 = {n: special._bessel_plan(n)[0] for n in (0, 11, 19, 29)}
     assert z0[0] == z0[11] == special._HANKEL_Z0 < z0[19] < z0[29]
     assert special._hankel_coefficients(19, special._HANKEL_Z0) is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from momentlab import voronoi
+from momentlab import special, voronoi
 from momentlab.eigenforms import EigenformData, varpi_table
 from momentlab.voronoi import (PHASE_SIGN, TAIL_TOL, VoronoiCase, _cached_spline,
                                _composite_nodes, dual_cutoff, hankel_grid,
@@ -337,7 +337,7 @@ def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, trunc
     assert L & (L - 1) == 0
     assert L >= voronoi._ALIAS_FACTOR * (len(us) - 1) > L // 2
     # K: the first k >= nu - 1/2 with |a_k(nu)| z0^-k below the tolerance
-    nu, z0, tol = 11, voronoi._HANKEL_Z0, voronoi._HANKEL_TOL
+    nu, z0, tol = 11, special._HANKEL_Z0, special._HANKEL_TOL
     a = [1.0]
     for j in range(1, K + 1):
         a.append(a[-1] * (4 * nu * nu - (2 * j - 1) ** 2) / (8 * j))
@@ -346,14 +346,19 @@ def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, trunc
     assert all(t >= tol for t in terms[math.ceil(nu - 0.5):K])
 
 
-@pytest.mark.parametrize("weight,fast", [(18.0, True), (20.0, False)])
-def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, weight, fast):
-    form = EigenformData(int(weight), 0.0, delta_large.lam, label="w")
+@pytest.mark.parametrize("weight", [18, 20, 22, 26])
+def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, weight):
+    # below the order's own z0 (special._bessel_plan: 25 at k = 18, 28, 34
+    # and 48 at k = 20, 22, 26) the values are hankel_grid's; past it, FFTs
+    form = EigenformData(weight, 0.0, delta_large.lam, label="w")
     case = VoronoiCase(1, 1, 1, 10.0, form)
     us = np.linspace(0.0, 40.0, 400)      # past the cutoff, u = 34 at X = 10
     ref = hankel_grid(case, us**2)
     out = voronoi._hankel_uniform(case, us)
-    assert np.array_equal(out, ref) != fast
+    head = int(np.searchsorted(4.0 * math.pi * math.sqrt(10.0) * us,
+                               special._bessel_plan(weight - 1)[0]))
+    assert 0 < head < len(us)
+    assert np.array_equal(out[:head], ref[:head]) and not np.array_equal(out, ref)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
