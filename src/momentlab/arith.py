@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 _MAX_INPUT = 10**12
+_SIEVE_LIMIT = 10**15   # tau(n) < 2^15 up to here
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,26 @@ def is_admissible(q: int) -> bool:
 
 @lru_cache(maxsize=1)
 def divisor_count_sieve(limit: int):
-    """tau(n) for 1 <= n <= limit as a read-only int64 array (index 0 unused).
+    """tau(n) for 1 <= n <= limit as a read-only int16 array (index 0 unused).
 
-    Divisors are counted in pairs (d, n/d) with d <= sqrt(n): every multiple
-    n >= d^2 of d gains two, and the square n = d^2 gives back the one it
-    counted twice.  Only d <= sqrt(limit) is visited.  The residue-pair matrix
-    builds one table per modulus, for both parities, and no caller returns to
-    the limit before last, so the cache keeps only the last table: a sweep
-    does not hold the previous modulus's table alive.
+    tau(n) <= 26 880 < 2^15 for n <= 10^15 (the most is at 866 421 317 361 600),
+    so int16 holds every count, and the partial counts below it, up to
+    _SIEVE_LIMIT = 10^15; a larger limit is an error, raised before anything
+    is allocated.  Divisors are counted in pairs (d, n/d) with d <= sqrt(n):
+    every multiple n >= d^2 of d gains two, and the square n = d^2 gives back
+    the one it counted twice.  Only d <= sqrt(limit) is visited.  The
+    residue-pair matrix builds one table per modulus, for both parities, and
+    no caller returns to the limit before last, so the cache keeps only the
+    last table: a sweep does not hold the previous modulus's table alive.
     """
     import numpy as np
 
-    tau = np.zeros(limit + 1, dtype=np.int64)
+    if limit > _SIEVE_LIMIT:
+        raise ValueError(f"divisor_count_sieve limit {limit} exceeds 10^15, past "
+                         "which tau(n) may not fit in int16")
+    tau = np.zeros(limit + 1, dtype=np.int16)
     for d in range(1, math.isqrt(limit) + 1):
         tau[d * d::d] += 2
         tau[d * d] -= 1
     tau.flags.writeable = False
     return tau
-

@@ -449,10 +449,10 @@ def coprime_removal_exact_tau(q: int, m_max: int) -> int:
     """Same exact identity with the divisor function d(n) in place of tau(n).
 
     The weight l^11 becomes l^0 = 1, and the convolution is accumulated over
-    the int64 vector d(1..m_max) of `divisor_count_sieve`.  Since
-    d(n) <= 2 sqrt(n), each term d(k) d(m / (k l^2)) is at most 4 sqrt(m),
-    so int64 holds every partial sum exactly.
+    the int16 vector d(1..m_max) of `divisor_count_sieve`, cast to int64
+    first.  Since d(n) <= 2 sqrt(n), each term d(k) d(m / (k l^2)) is at most
+    4 sqrt(m), so int64 holds every partial sum exactly.
     Returns the sum of absolute coefficient defects (0 iff the identity holds).
     """
     _check_coprime_removal_args(q, m_max)
-    return _coprime_removal_defect(divisor_count_sieve(m_max), q, weight=0)
+    return _coprime_removal_defect(divisor_count_sieve(m_max).astype(np.int64), q, weight=0)

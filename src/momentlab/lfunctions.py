@@ -290,6 +290,7 @@ def zeta_two() -> float:
 
 
 _L_ONE_X = 1e4
+_L_ONE_CHUNK = 2**14     # terms per chunk of L_one_f's sum
 
 
 def _l_one_terms(X: float) -> int:
@@ -301,15 +302,19 @@ def L_one_f(form: EigenformData, X: float = _L_ONE_X) -> float:
     """Smoothed sum_n lambda(n)/n with weight e^{-t}(1 + t + t^2/2).
 
     The polynomial factor cancels the Mellin poles at s = -1 and s = -2, so
-    the smoothing error is O(X^{-3}).
+    the smoothing error is O(X^{-3}).  The sum runs in chunks of
+    _L_ONE_CHUNK terms, so no array of length 45 X is held.
     """
     n_hi = _l_one_terms(X)
     if form.n_max < n_hi:
         raise IndexError(f"L(1,f) needs lambda up to {n_hi}; table has {form.n_max}")
-    ns = np.arange(1, n_hi + 1, dtype=np.float64)
-    t = ns / X
-    w = np.exp(-t) * (1.0 + t + 0.5 * t * t)
-    val = float(np.sum(form.lam[1:n_hi + 1] / ns * w))
+    val = 0.0
+    for lo in range(1, n_hi + 1, _L_ONE_CHUNK):
+        hi = min(lo + _L_ONE_CHUNK, n_hi + 1)
+        ns = np.arange(lo, hi, dtype=np.float64)
+        t = ns / X
+        w = np.exp(-t) * (1.0 + t + 0.5 * t * t)
+        val += float(np.sum(form.lam[lo:hi] / ns * w))
     return val
 
 

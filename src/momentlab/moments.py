@@ -3,6 +3,9 @@ term, computed by two independent routes sharing one residue-pair matrix.
 
 Route 1 (brute): evaluate the triple-product AFE per character as a
 quadratic form chi F chi^* and average with the chi(b) conj(chi(a)) weight.
+The form is read off the ratio classes of F: since chi(u) conj(chi(v)) =
+chi(u / v) on units, chi F chi^* = sum_w chi(w) T[w], where T[w] sums F over
+the unit pairs (u, v) with u = wv.
 
 Route 2 (divisor): swap the character sum inside, apply the exact
 orthogonality formula for primitive characters of fixed parity, and reduce
@@ -80,12 +83,13 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
     a reshape to (-1, q) and a sum.  Each V_sigma is stored as 0 past its own
     X_sigma, so each parity keeps its own truncation.
 
-    The pass is chunked.  V and the weights tau(n) / sqrt(n) and
-    lambda(n) / sqrt(n) are built _CHUNK entries at a time, and each row runs
-    over chunks of a multiple of q near _CHUNK, so n mod q stays aligned with
-    the reshape; only the rows d below about X / _CHUNK span more than one
-    chunk.  The arrays of length X are the two V, the two weights and the
-    divisor sieve, so the peak is about five of them.
+    The pass is chunked.  V is built _CHUNK entries at a time.  The rows then
+    run over chunks of n whose width is a multiple of q near _CHUNK, so n mod q
+    stays aligned with the reshape.  Each chunk builds its own weights
+    tau(n) / sqrt(n) and lambda(n) / sqrt(n), and adds every row's piece on
+    it, in ascending d up to the first row that ends before the chunk starts.
+    The arrays of length X are the two V and the 16-bit divisor sieve, so the
+    peak is about three of them.
     """
     weights = [triple_weight(form, a) for a in (0, 1)]   # V_a for sigma = +1, -1
     cutoffs = [int(math.ceil(W.cutoff(v_tol) * q * q)) for W in weights]
@@ -96,8 +100,6 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
     tau = divisor_count_sieve(X)
     primes = [p for p, _ in factorize(q).factors]
     V = np.zeros((2, X + 1))
-    tau_w = np.zeros(X + 1)                              # tau(n) / sqrt(n), (n, q) = 1
-    lam_w = np.zeros(X + 1)                              # lambda(n) / sqrt(n), (n, q) = 1
     for lo in range(1, X + 1, _CHUNK):
         hi = min(lo + _CHUNK, X + 1)
         ns = np.arange(lo, hi, dtype=np.float64)
@@ -105,33 +107,40 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
             top = min(hi, X_a + 1)
             if top > lo:
                 V[a, lo:top] = W(ns[:top - lo] / (q * q))
-        inv_sqrt = np.divide(1.0, np.sqrt(ns, out=ns), out=ns)
-        unit = np.ones(hi - lo, dtype=bool)              # (n, q) = 1 for n = lo + i
-        for p in primes:
-            unit[-lo % p::p] = False
-        np.multiply(tau[lo:hi], inv_sqrt, out=tau_w[lo:hi], where=unit)
-        np.multiply(form.lam[lo:hi], inv_sqrt, out=lam_w[lo:hi], where=unit)
-    lam_w[:s + 1] = 0.0                                  # the lambda(n) term needs n > s
+    rows = []                                            # (d, c_lam, c_tau), ascending in d
+    for d in range(1, s + 1):
+        if math.gcd(d, q) == 1:
+            w_d = 1.0 / math.sqrt(d)
+            rows.append((d, tau[d] * w_d, form.lam[d] * w_d))
 
     G = np.zeros((2, q, q))
-    width = min(max(1, _CHUNK // q), X // q + 1) * q     # n per chunk of a row
+    width = min(max(1, _CHUNK // q), X // q + 1) * q     # n per chunk
+    tau_w, lam_w = np.empty(width), np.empty(width)      # on the chunk, 0 off (n, q) = 1
     row, term = np.empty(width), np.empty(width)
     fold = np.empty((2, width))
-    for d in range(1, s + 1):
-        if math.gcd(d, q) != 1:
-            continue
-        w_d = 1.0 / math.sqrt(d)
-        c_lam, c_tau = tau[d] * w_d, form.lam[d] * w_d
-        L = X // d + 1                                   # n = 0, ..., X // d
-        for n0 in range(0, L, width):
-            m = min(width, L - n0)
-            np.multiply(lam_w[n0:n0 + m], c_lam, out=row[:m])
-            row[:m] += np.multiply(tau_w[n0:n0 + m], c_tau, out=term[:m])
-            np.multiply(V[:, n0 * d:(n0 + m) * d:d], row[:m], out=fold[:, :m])
-            end = -(-m // q) * q
-            fold[:, m:end] = 0.0
+    for n0 in range(0, X + 1, width):
+        m = min(width, X + 1 - n0)                       # n = n0, ..., n0 + m - 1
+        unit = np.ones(m, dtype=bool)                    # (n, q) = 1 for n = n0 + i
+        for p in primes:
+            unit[-n0 % p::p] = False
+        unit[0] &= n0 > 0                                # n = 0 is no term
+        inv_sqrt = np.zeros(m)
+        np.divide(1.0, np.sqrt(np.arange(n0, n0 + m, dtype=np.float64)),
+                  out=inv_sqrt, where=unit)
+        np.multiply(tau[n0:n0 + m], inv_sqrt, out=tau_w[:m])
+        np.multiply(form.lam[n0:n0 + m], inv_sqrt, out=lam_w[:m])
+        lam_w[:max(0, s + 1 - n0)] = 0.0                 # the lambda(n) term needs n > s
+        for d, c_lam, c_tau in rows:
+            k = min(m, X // d + 1 - n0)                  # row d runs over n <= X // d
+            if k <= 0:
+                break
+            np.multiply(lam_w[:k], c_lam, out=row[:k])
+            row[:k] += np.multiply(tau_w[:k], c_tau, out=term[:k])
+            np.multiply(V[:, n0 * d:(n0 + k) * d:d], row[:k], out=fold[:, :k])
+            end = -(-k // q) * q
+            fold[:, k:end] = 0.0
             G[:, d % q] += fold[:, :end].reshape(2, -1, q).sum(axis=1)
-    del V, tau_w, lam_w                                  # gone before F is formed
+    del V                                                # gone before F is formed
     F = G + G.transpose(0, 2, 1)
     return {1: F[0], -1: F[1]}
 
@@ -139,7 +148,10 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
 def brute_moment(form: EigenformData, query: MomentQuery,
                  v_tol: float = 1e-12,
                  F_by_parity: dict[int, np.ndarray] | None = None) -> MomentReport:
-    """Per-character route: average chi(b) conj(chi(a)) chi F chi^*."""
+    """Per-character route: average chi(b) conj(chi(a)) chi F chi^*, where
+    chi F chi^* = sum_w chi(w) T[w] and T[w] = sum over units v of
+    F[wv mod q, v]: one gather of q phi(q) entries per parity.  This uses
+    the complete multiplicativity of each chi, not orthogonality."""
     t0 = time.time()
     q, a, b = query.q, query.a, query.b
     group = build_group(q)
@@ -149,10 +161,13 @@ def brute_moment(form: EigenformData, query: MomentQuery,
     gross = 0.0
     if F_by_parity is None:
         F_by_parity = residue_pair_matrix(form, q, v_tol)
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    classes = np.outer(np.arange(q), units) % q         # wv mod q, (q, phi(q))
     for sigma, F in F_by_parity.items():
         idx = group.primitive_indices(parity=sigma)
         C = group.values[idx]                       # (n_sigma, q)
-        vals = np.einsum("iu,uv,iv->i", C, F, np.conj(C), optimize=True)
+        T = F[classes, units].sum(axis=1)
+        vals = np.einsum("iu,u->i", C, T)
         weight = C[:, b % q] * np.conj(C[:, a % q])
         results[sigma] = complex(np.sum(weight * vals)) / pstar
         if sigma == form.epsilon:
@@ -358,6 +373,12 @@ def moment_queries(q_lo: int, q_hi: int, a: int, b: int) -> list[MomentQuery]:
     return queries
 
 
+def _median(xs: list[float]) -> float:
+    """The median of a non-empty list; np.median would import numpy.ma."""
+    xs, h = sorted(xs), len(xs) // 2
+    return xs[h] if len(xs) % 2 else (xs[h - 1] + xs[h]) / 2
+
+
 def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
           v_tol: float = 1e-9, out: str | None = None, progress=None) -> SweepSummary:
     """Moment vs main term across the valid q in [q_lo, q_hi]; with out, the
@@ -381,8 +402,8 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
 
     qs = np.array([r.q for r in rows], dtype=np.float64)
     top = qs >= qs.max() / 2
-    med_th = float(np.median([abs(r.ratio_theorem - 1) for r, t in zip(rows, top) if t]))
-    med_co = float(np.median([abs(r.ratio_corollary - 1) for r, t in zip(rows, top) if t]))
+    med_th = _median([abs(r.ratio_theorem - 1) for r, t in zip(rows, top) if t])
+    med_co = _median([abs(r.ratio_corollary - 1) for r, t in zip(rows, top) if t])
     winner = "theorem" if med_th <= med_co else "corollary"
 
     best = np.array([r.main_theorem if winner == "theorem" else r.main_corollary

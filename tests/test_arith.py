@@ -95,6 +95,17 @@ def test_divisor_sieve_is_read_only():
     assert divisor_count_sieve(100)[12] == 6
 
 
+def test_divisor_sieve_is_int16_up_to_its_limit():
+    # tau(n) <= 26 880 < 2^15 for n <= 10^15; past that the limit is refused
+    # before the table is allocated (2 PB here)
+    tau = divisor_count_sieve(1000)
+    assert tau.dtype == np.int16 and not tau.flags.writeable
+    assert int(tau[840]) == 32
+    with pytest.raises(ValueError, match="10\\^15"):
+        divisor_count_sieve(10**15 + 1)
+    assert divisor_count_sieve.cache_info().currsize == 1
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         factorize(0)

@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +95,38 @@ def test_delta_cache_write_is_atomic(tmp_path, monkeypatch):
     loaded = build(400)                                      # read back from the file
     assert np.array_equal(loaded, fresh[:401])
     assert loaded[2] == pytest.approx(-24 / 2**5.5, rel=1e-14)
+
+
+def test_two_writers_leave_one_whole_delta_cache(tmp_path):
+    # two processes build the same table into one empty cache directory at
+    # once: both get it, and one whole file is left, with no temporary file
+    cache_dir, go = tmp_path / "cache", tmp_path / "go"
+    code = ("import hashlib, sys, time\n"
+            "from pathlib import Path\n"
+            "from momentlab.eigenforms import delta_coefficients\n"
+            "deadline = time.time() + 60\n"
+            "while not Path(sys.argv[1]).exists() and time.time() < deadline:\n"
+            "    time.sleep(0.001)\n"
+            "lam = delta_coefficients(20_000).lam\n"
+            "print(hashlib.sha256(lam.tobytes()).hexdigest())\n")
+    src = str(Path(eigenforms.__file__).resolve().parents[1])
+    env = dict(os.environ, MOMENTLAB_CACHE_DIR=str(cache_dir), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(go)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    try:
+        go.touch()
+        outs = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+    digests = {out.strip() for out, _ in outs}
+    assert len(digests) == 1
+    assert [f.name for f in cache_dir.iterdir()] == ["delta_lambda.npy"]
+    lam = np.load(cache_dir / "delta_lambda.npy")
+    assert len(lam) == 20_001 and hashlib.sha256(lam.tobytes()).hexdigest() in digests
 
 
 def test_torn_delta_cache_is_rebuilt(tmp_path, monkeypatch):

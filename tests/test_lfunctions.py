@@ -346,3 +346,21 @@ def test_L_one_f_stability(delta_mid):
     assert abs(a - b) < 1e-8
     with pytest.raises(IndexError):
         L_one_f(delta_mid, X=1e6)
+
+
+def test_L_one_f_sums_in_chunks(delta_mid):
+    # the chunked sum against the one-pass formula over all 45 X terms; no
+    # array of that length (3.6 MB at the default X) is held
+    import tracemalloc
+    X = 1e4
+    ns = np.arange(1, int(45 * X) + 1, dtype=np.float64)
+    t = ns / X
+    one_pass = float(np.sum(delta_mid.lam[1:len(ns) + 1] / ns * np.exp(-t) * (1 + t + t * t / 2)))
+    tracemalloc.start()
+    try:
+        got = L_one_f(delta_mid, X=X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(one_pass, rel=1e-14, abs=0)
+    assert peak < 2**20

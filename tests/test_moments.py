@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentlab.arith import is_admissible
+from momentlab import moments
+from momentlab.arith import is_admissible, phi_star
 from momentlab.characters import build_group
 from momentlab.lfunctions import afe_triple_product
 from momentlab.moments import (MomentQuery, brute_moment, c_ab,
@@ -117,7 +122,6 @@ def test_matrix_matches_two_loop_reference(delta_mid, q, monkeypatch):
     # against its own truncation X_sigma in the reference; then with chunks
     # of q entries, so that every row, down to its shortest of about
     # sqrt(X) > 2q entries, spans several chunks
-    from momentlab import moments
     non_units = [u for u in range(q) if math.gcd(u, q) != 1]
     want = {sigma: _residue_pair_loop(delta_mid, q, parity_a, 1e-9)
             for sigma, parity_a in ((1, 0), (-1, 1))}
@@ -130,9 +134,9 @@ def test_matrix_matches_two_loop_reference(delta_mid, q, monkeypatch):
             assert np.all(F[sigma][non_units] == 0.0) and np.all(F[sigma][:, non_units] == 0.0)
 
 
-def test_matrix_peak_memory_is_about_five_length_x_arrays(delta_mid):
-    # the sieve, both V and the two weighted vectors are the only arrays of
-    # length X; the chunks, G and F add well under two more
+def test_matrix_peak_memory_is_about_three_length_x_arrays(delta_mid):
+    # both V and the 16-bit sieve (a quarter of an array) are the only arrays
+    # of length X; the chunks, G and F add well under one more
     import tracemalloc
 
     from momentlab import arith
@@ -146,12 +150,45 @@ def test_matrix_peak_memory_is_about_five_length_x_arrays(delta_mid):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 8 * (X + 1)
+    assert peak < 3.5 * 8 * (X + 1)
+
+
+@pytest.mark.parametrize("q", [9, 12, 16, 21, 25, 284])
+def test_brute_moment_matches_per_character_quadratic_form(delta_mid, q):
+    # the ratio-class sums T against chi F chi^* formed per character over
+    # group.values, for both parities and a shifted (a, b)
+    F = residue_pair_matrix(delta_mid, q, 1e-8)
+    group = build_group(q)
+    pstar = phi_star(q)
+    for a, b in ((1, 1), (1, 11)):
+        rep = brute_moment(delta_mid, MomentQuery(q, a, b), F_by_parity=F)
+        for sigma, got in ((1, rep.m_even), (-1, rep.m_odd)):
+            idx = group.primitive_indices(parity=sigma)
+            vals = [group.values[i] @ F[sigma] @ np.conj(group.values[i]) for i in idx]
+            want = sum(group.values[i, b % q] * np.conj(group.values[i, a % q]) * v
+                       for i, v in zip(idx, vals)) / pstar
+            assert abs(got - want) <= 1e-12 * sum(abs(v) for v in vals) / pstar
+
+
+def test_sweep_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on first use, about 12 ms of a fresh process
+    code = ("import sys\n"
+            "from momentlab.eigenforms import delta_coefficients\n"
+            "from momentlab.moments import sweep\n"
+            "sweep(delta_coefficients(750_000), 12, 13, v_tol=1e-8)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(moments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_one_sieve_per_modulus(delta_small, monkeypatch):
     # both parities share one divisor sieve, at the longer of their cutoffs
-    from momentlab import arith, moments
+    from momentlab import arith
     from momentlab.lfunctions import triple_weight
     limits = []
 
