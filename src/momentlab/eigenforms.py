@@ -4,7 +4,8 @@ Delta (weight 12) is built in through the eta-product expansion
 x * prod (1-x^n)^24, computed as the 8th power of Jacobi's sparse cube
 series.  Small ranges are kept as exact big integers for identity tests;
 large float tables (used by the moment sweeps) are produced by the same
-convolution chain in float64 and validated against the exact prefix.
+convolution chain in float64 and validated against the exact prefix and
+by a Hecke check on their last entries.
 
 Other forms enter through coefficient files (see ingest_coefficients).
 """
@@ -12,6 +13,7 @@ Other forms enter through coefficient files (see ingest_coefficients).
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import tempfile
 from dataclasses import dataclass
@@ -161,14 +163,46 @@ def delta_coefficients(n_max: int) -> EigenformData:
     err = np.max(np.abs(lam[1:exact_limit + 1] - ref) / (1.0 + np.abs(ref)))
     if err > 1e-9:
         raise CoefficientError(f"float tau table deviates from exact values by {err}")
+    _check_tail(lam)
     return EigenformData(12, 0.0, lam, label="delta", tau_exact=tau_exact)
 
 
+_TAIL_WINDOW = 4096
+_TAIL_PRIMES = (2, 3, 5, 7, 11, 13)
+_TAIL_TOL = 1e-10
+
+
+def _check_tail(lam: np.ndarray) -> None:
+    """Hecke check on the last _TAIL_WINDOW entries N > _EXACT_LIMIT of lam:
+    lambda(p) lambda(N/p) = lambda(N) for the first p in _TAIL_PRIMES with
+    p || N (about 63% of the N).  The values read lie in the window and near
+    N/p, so only a few pages of a mapped table are touched."""
+    n_max = len(lam) - 1
+    ns = np.arange(max(_EXACT_LIMIT + 1, n_max - _TAIL_WINDOW + 1), n_max + 1)
+    ps = np.zeros_like(ns)
+    for p in reversed(_TAIL_PRIMES):                # the first prime wins
+        ps[(ns % p == 0) & (ns % (p * p) != 0)] = p
+    ns, ps = ns[ps > 0], ps[ps > 0]
+    defect = np.abs(lam[ps] * lam[ns // ps] - lam[ns])
+    bad = np.flatnonzero(~(defect <= _TAIL_TOL))    # NaN counts as bad
+    if bad.size:
+        n = int(ns[bad[0]])
+        raise CoefficientError(f"float tau table fails the Hecke check at N = {n}: "
+                               f"|lambda(p) lambda(N/p) - lambda(N)| = {defect[bad[0]]:.3g}")
+
+
 def _read_prefix(path: Path, n_max: int) -> np.ndarray | None:
-    """lambda(0..n_max) from the array file at path, reading only those
-    n_max + 1 values; None if the file is missing, shorter than n_max + 1,
-    or not a whole 1-D float64 array file (bad magic or header, wrong dtype
-    or shape, or a size that disagrees with its header)."""
+    """lambda(0..n_max) from the array file at path, mapped read-only; None
+    if the file is missing, shorter than n_max + 1, or not a whole 1-D
+    float64 array file (bad magic or header, wrong dtype or shape, or a size
+    that disagrees with its header).
+
+    Only the header and the n_max + 1 requested values are mapped, so pages
+    a run never touches never become resident, and those it touches are
+    clean page cache that other processes share.  The file is only ever
+    replaced (an atomic os.replace), never rewritten in place: a mapping
+    keeps the file it was made on, but a reader that has it mapped would
+    take SIGBUS if another program truncated the file in place."""
     try:
         with open(path, "rb") as fh:
             version = np.lib.format.read_magic(fh)
@@ -178,12 +212,13 @@ def _read_prefix(path: Path, n_max: int) -> np.ndarray | None:
                 shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
             if len(shape) != 1 or dtype != np.float64 or shape[0] <= n_max:
                 return None
-            if fh.tell() + 8 * shape[0] != os.fstat(fh.fileno()).st_size:
+            header_len = fh.tell()
+            if header_len + 8 * shape[0] != os.fstat(fh.fileno()).st_size:
                 return None                              # torn: not the size its header says
-            lam = np.fromfile(fh, dtype=np.float64, count=n_max + 1)
+            buf = mmap.mmap(fh.fileno(), header_len + 8 * (n_max + 1), access=mmap.ACCESS_READ)
     except (FileNotFoundError, ValueError, EOFError):
         return None
-    return lam if len(lam) == n_max + 1 else None
+    return np.frombuffer(buf, dtype=np.float64, count=n_max + 1, offset=header_len)
 
 
 @lru_cache(maxsize=4)
@@ -191,10 +226,13 @@ def _delta_lambda_cached(n_max: int) -> np.ndarray:
     """lambda(0..n_max) of Delta, read-only: the cache hands the same array
     to every EigenformData.  delta_lambda.npy is written to a temporary file
     in the cache directory and moved into place, so no reader sees a
-    partial table.  A file that does not load (torn by a crash outside this
-    writer, or not an array file) is rebuilt and replaced like a missing one.
-    Only the prefix is read from the file, so no table keeps it and no more
-    of it than the prefix is ever in memory."""
+    partial table, and a table already mapped keeps the file it was mapped
+    from.  A file that does not load (torn by a crash outside this writer,
+    or not an array file) is rebuilt and replaced like a missing one.  Only
+    the prefix is mapped (see _read_prefix), and only the pages of it that a
+    run reads are ever resident.  The file is never rewritten in place: a
+    program that truncated it in place would send SIGBUS to every reader
+    that has it mapped."""
     cache = _cache_dir() / "delta_lambda.npy"
     lam = _read_prefix(cache, n_max)
     if lam is None:

@@ -74,8 +74,12 @@ def voronoi_lhs(case: VoronoiCase) -> complex:
 _GL_ORDER = 80
 _MIN_PANELS = 4            # resolves the bump window itself, whatever X is
 # rows x nodes of one Bessel block: _bessel_j holds about 7 float64 arrays of
-# that size (the arguments, its branch copies and its recurrence), 8 MB in all
-_BLOCK_ELEMENTS = 2**17
+# that size (the arguments, its branch copies and its recurrence), about 1 MB
+# in all, so a block stays in a 2 MB L2.  The 354 spline-head ys at X = 20
+# (median of 7, tracemalloc peak; 2-vCPU Xeon VM, 2 MB L2 per core):
+# 2^17 27.1 ms, 8.0 MB; 2^15 23.8 ms, 2.7 MB; 2^14 22.2 ms, 1.6 MB;
+# 2^13 25.7 ms, 0.9 MB.
+_BLOCK_ELEMENTS = 2**14
 
 
 @lru_cache(maxsize=1)
@@ -112,7 +116,7 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
 
     The y that need the same panel count share one node set and are
     evaluated in row blocks of at most _BLOCK_ELEMENTS matrix elements, so
-    no block needs more than 8 MB.  Each value depends only on its own y:
+    no block needs more than about 1 MB.  Each value depends only on its own y:
     the Bessel kernel works element by element, and einsum sums each row
     the same way whatever the block (a BLAS matrix-vector product does not).
     A thread pool over the blocks measured slower on 2 cores."""

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import mmap
 import os
 import re
 import subprocess
@@ -148,14 +149,45 @@ def test_delta_table_is_read_only(tmp_path, monkeypatch, delta_small):
             lam[1] = 0.0
 
 
+def _header_len(path):
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        return fh.tell()
+
+
 def test_loaded_delta_table_owns_only_its_prefix(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
     build = eigenforms._delta_lambda_cached.__wrapped__
     fresh = build(500)
     loaded = build(100)                     # read back from the 501-entry file
-    assert type(loaded) is np.ndarray and loaded.flags.owndata
+    assert type(loaded) is np.ndarray and not loaded.flags.writeable
+    buf = loaded.base.obj                   # frombuffer's memoryview of the mapping
+    assert isinstance(buf, mmap.mmap) and loaded.base.readonly
+    assert len(buf) <= _header_len(tmp_path / "delta_lambda.npy") + 8 * 101
     assert loaded.nbytes == 101 * loaded.itemsize
     assert np.array_equal(loaded, fresh[:101])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
+def test_large_delta_table_is_not_copied(delta_large):
+    # a fresh interpreter loads the Voronoi table (2.2e6 entries, 17.6 MB)
+    # from the cache the fixture filled: its private memory grows by the
+    # exact tau prefix, not by the table, whose pages stay shared page cache.
+    # (ru_maxrss cannot show this: a spawned child starts from its parent's peak.)
+    code = ("def anon():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith('RssAnon:'))\n"
+            "from momentlab.eigenforms import delta_coefficients\n"
+            "before = anon()\n"
+            "delta_coefficients(2_200_000)\n"
+            "print(anon() - before)\n")
+    src = str(Path(eigenforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < 4 * 1024                          # kB
 
 
 @pytest.mark.parametrize("defect", ["bad magic", "float32", "2-D", "shorter than its header",
@@ -178,6 +210,31 @@ def test_defective_delta_cache_is_rebuilt(tmp_path, monkeypatch, defect):
         np.save(cache, fresh[:301])
     assert np.array_equal(build(400), fresh[:401])
     assert np.array_equal(np.load(cache), fresh[:401])      # replaced by a whole file
+
+
+def test_mapped_delta_table_survives_replacement(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    fresh = build(500)
+    mapped = build(300)
+    cache = tmp_path / "delta_lambda.npy"
+    np.save(tmp_path / "other.npy", -fresh)             # another valid table
+    os.replace(tmp_path / "other.npy", cache)
+    assert np.array_equal(mapped, fresh[:301])          # still the file it mapped
+    assert np.array_equal(build(300), -fresh[:301])     # the next load reads the new one
+
+
+def test_corrupted_delta_tail_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
+    build = eigenforms._delta_lambda_cached.__wrapped__
+    monkeypatch.setattr(eigenforms, "_delta_lambda_cached", build)
+    delta_coefficients(20_000)               # the valid table loads
+    bad = build(20_000).copy()
+    bad[19_998] += 1e-6                      # 19998 = 2 * 9999: checked against 2 || N
+    np.save(tmp_path / "bad.npy", bad)
+    os.replace(tmp_path / "bad.npy", tmp_path / "delta_lambda.npy")
+    with pytest.raises(CoefficientError, match="N = 19998"):
+        delta_coefficients(20_000)
 
 
 def test_valid_delta_cache_is_not_rewritten(tmp_path, monkeypatch):

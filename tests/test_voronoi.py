@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,15 +316,44 @@ def test_spline_cache_is_keyed_on_weight_and_scale(delta_large, monkeypatch):
     assert len(voronoi._SPLINE_CACHE) == 2
 
 
-def test_spline_build_leaves_only_the_head_to_hankel_grid(delta_large, monkeypatch):
-    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+def _spline_head_ys(case):
+    """The ys a fresh spline build of case sends to hankel_grid."""
     y_cut = dual_cutoff(case)
-    sizes = []
+    sent = []
     real = voronoi.hankel_grid
-    monkeypatch.setattr(voronoi, "hankel_grid",
-                        lambda case, ys: sizes.append(len(ys)) or real(case, ys))
-    voronoi._DualSpline(case, y_cut)
-    assert 0 < sum(sizes) < 1000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "hankel_grid", lambda case, ys: sent.append(ys) or real(case, ys))
+        voronoi._DualSpline(case, y_cut)
+    return np.concatenate(sent)
+
+
+def test_spline_build_leaves_only_the_head_to_hankel_grid(delta_large):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    assert 0 < len(_spline_head_ys(case)) < 1000
+
+
+@pytest.mark.parametrize("X", [10.0, 20.0, 40.0])
+def test_hankel_grid_is_independent_of_the_block_size(delta_large, monkeypatch, X):
+    case = VoronoiCase(1, 1, 1, X, delta_large)
+    ys = np.concatenate([_cutoff_grid(X), _spline_head_ys(case)])
+    outs = []
+    for block in (2**10, 2**14, 2**17):
+        monkeypatch.setattr(voronoi, "_BLOCK_ELEMENTS", block)
+        outs.append(hankel_grid(case, ys))
+    assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+
+def test_hankel_grid_head_blocks_stay_small(delta_large):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    ys = _spline_head_ys(case)
+    hankel_grid(case, ys)                   # the Gauss-Legendre rule is built once
+    tracemalloc.start()
+    try:
+        hankel_grid(case, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("truncation_factor,L_expected", [(1.0, 2**17), (2.0, 2**18)])
