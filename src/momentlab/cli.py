@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 configuration error, 2 per-item failures,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import os
@@ -59,67 +61,83 @@ def _flag_value(value, default: int, flag: str) -> int:
     return value
 
 
+def _table_writer(path, files):
+    """The per-q table, to path or stdout: the header now, then one %.12g row
+    per SweepRow."""
+    out = files.enter_context(open(path, "w", buffering=1)) if path else sys.stdout
+    print("q,a,b,moment,m_even,m_odd,main_theorem,ratio_theorem,chars_used", file=out)
+
+    def emit(r):
+        cells = map(_fmt, (r.brute_re, r.m_even, r.m_odd, r.main_theorem, r.ratio_theorem))
+        print(",".join(str(c) for c in (r.q, r.a, r.b, *cells, r.chars_used)), file=out)
+    return emit
+
+
+def _sweep_writer(path, files):
+    """Every SweepRow field to path as CSV and to path + ".jsonl" as JSON
+    lines, if path is given, and a progress line on stderr, row by row."""
+    from .moments import SweepRow
+
+    fields = list(SweepRow.__dataclass_fields__)
+    if path:
+        rows = csv.writer(files.enter_context(open(path, "w", newline="", buffering=1)))
+        jsonl = files.enter_context(open(path + ".jsonl", "w", buffering=1))
+        rows.writerow(fields)
+
+    def emit(r):
+        if path:
+            rows.writerow([getattr(r, f) for f in fields])
+            jsonl.write(json.dumps({f: getattr(r, f) for f in fields}) + "\n")
+        print(f"q={r.q:4d}  moment={r.brute_re:+.6e}  "
+              f"ratio(theorem)={r.ratio_theorem:+.4f}  [{r.seconds:.2f}s]", file=sys.stderr)
+    return emit
+
+
 def cmd_moment(args) -> int:
+    """Every q goes through moments.sweep, and this command writes its rows as
+    each q is done.  The first q that fails ends the run; rows written stay."""
     from .lfunctions import L_one_f, check_tolerance
-    from .moments import brute_moment, main_term, moment_queries, sweep
+    from .moments import moment_queries, sweep
 
-    try:
-        if args.q_range:
-            q_lo, q_hi = _parse_range(args.q_range)
-        elif args.q is not None:
-            q_lo = q_hi = args.q
-        else:
-            print("error: --q or --q-range required", file=sys.stderr)
-            return EXIT_CONFIG
-        # q and tol are checked before the table is built or --out opened,
-        # so a rejected input returns at once and leaves no file
-        queries = moment_queries(q_lo, q_hi, args.a, args.b)
-        check_tolerance(args.tol)
-        form = _load_form(args.form, q_hi, args.tol)
-        L1 = L_one_f(form)
-    except (ValueError, OSError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.sweep:
-        done = []
+    with contextlib.ExitStack() as files:
         try:
-            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol, out=args.out,
-                            progress=done.append)
-        except ValueError as exc:
+            if args.q_range:
+                q_lo, q_hi = _parse_range(args.q_range)
+            elif args.q is not None:
+                q_lo = q_hi = args.q
+            else:
+                print("error: --q or --q-range required", file=sys.stderr)
+                return EXIT_CONFIG
+            # q and tol are checked before the table is built, and --out is
+            # opened last, so a rejected input leaves no file; it is opened
+            # before the first q, so an unwritable path costs no work
+            queries = moment_queries(q_lo, q_hi, args.a, args.b)
+            check_tolerance(args.tol)
+            form = _load_form(args.form, q_hi, args.tol)
+            L_one_f(form)                  # the main term's L(1, f) fits the table
+            emit = (_sweep_writer if args.sweep else _table_writer)(args.out, files)
+        except (ValueError, OSError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except IndexError as exc:      # the table is too short for this q's AFE
+
+        done = []
+
+        def progress(row):
+            emit(row)
+            done.append(row.q)
+
+        try:
+            summary = sweep(form, q_lo, q_hi, args.a, args.b, v_tol=args.tol, progress=progress)
+        except (ArithmeticError, IndexError) as exc:   # IndexError: the table is short for q
             print(f"item q={queries[len(done)].q} failed: {exc}", file=sys.stderr)
             return EXIT_ITEM
-        info = dict(winner=summary.winner,
-                    median_dev_theorem=summary.median_dev_theorem,
-                    median_dev_corollary=summary.median_dev_corollary,
-                    error_exponent_fit=summary.error_exponent_fit,
-                    rows=len(summary.rows))
-        print(json.dumps(info, sort_keys=True))
-        return EXIT_OK
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        failures = 0
-        print("q,a,b,moment,m_even,m_odd,main_theorem,ratio_theorem,chars_used",
-              file=out)
-        for query in queries:
-            try:
-                rep = brute_moment(form, query, v_tol=args.tol)
-                mt = main_term(form, query, L1=L1)
-                row = [query.q, args.a, args.b, _fmt(rep.moment),
-                       _fmt(complex(rep.m_even).real), _fmt(complex(rep.m_odd).real),
-                       _fmt(mt.value_theorem), _fmt(rep.moment / mt.value_theorem),
-                       rep.chars_used]
-                print(",".join(str(c) for c in row), file=out)
-            except (ArithmeticError, IndexError) as exc:
-                failures += 1
-                print(f"item q={query.q} failed: {exc}", file=sys.stderr)
-        return EXIT_ITEM if failures else EXIT_OK
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.sweep:
+        print(json.dumps(dict(winner=summary.winner,
+                              median_dev_theorem=summary.median_dev_theorem,
+                              median_dev_corollary=summary.median_dev_corollary,
+                              error_exponent_fit=summary.error_exponent_fit,
+                              rows=len(summary.rows)), sort_keys=True))
+    return EXIT_OK
 
 
 def _suite_orthogonality(args) -> dict:

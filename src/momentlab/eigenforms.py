@@ -152,7 +152,8 @@ def delta_coefficients(n_max: int) -> EigenformData:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > _FLOAT_MEMORY_CAP:
-        raise MemoryError(f"n_max={n_max} beyond the desk memory budget")
+        raise ValueError(f"a table of n_max = {n_max} entries is past the 2**26-entry cap "
+                         "(0.5 GB of float64); lower q or raise --tol")
     exact_limit = min(_EXACT_LIMIT, n_max)
 
     lam = _delta_lambda_cached(n_max)

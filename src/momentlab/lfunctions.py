@@ -318,8 +318,15 @@ def L_one_f(form: EigenformData, X: float = _L_ONE_X) -> float:
     return val
 
 
+def afe_lengths(k: int, q: int, v_tol: float) -> list[int]:
+    """[X_+, X_-]: the triple-product AFE of a weight-k form at modulus q sums
+    mn <= X_sigma = ceil(x_cut q^2), past which |V_sigma| < v_tol (parity
+    exponent a = 0, 1)."""
+    return [math.ceil(_cached_weight(_log_gamma_ratio_triple, k, a).cutoff(v_tol) * q * q)
+            for a in (0, 1)]
+
+
 def moment_table_length(k: int, q_hi: int, v_tol: float) -> int:
     """Table length a moment of a weight-k form at every q <= q_hi needs: the
     triple-product AFE of both parities at q_hi, and L_one_f at its default X."""
-    x_cut = max(_cached_weight(_log_gamma_ratio_triple, k, a).cutoff(v_tol) for a in (0, 1))
-    return max(math.ceil(x_cut * q_hi * q_hi), _l_one_terms(_L_ONE_X))
+    return max(*afe_lengths(k, q_hi, v_tol), _l_one_terms(_L_ONE_X))

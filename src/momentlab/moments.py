@@ -18,8 +18,6 @@ central values but is still a well-defined diagnostic quantity).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from .arith import (divisor_count_sieve, divisors, euler_phi, factorize,
                     is_admissible, moebius, phi_star)
 from .characters import build_group, orthogonality_sum
 from .eigenforms import EigenformData
-from .lfunctions import L_one_f, triple_weight, zeta_two
+from .lfunctions import L_one_f, afe_lengths, triple_weight, zeta_two
 
 _REALNESS_TOL = 1e-8   # |Im| of the brute moment against its character sum's size
 _C_AB_TOL = 1e-12      # the certified tail of each local factor of c_ab
@@ -92,7 +90,7 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
     peak is about three of them.
     """
     weights = [triple_weight(form, a) for a in (0, 1)]   # V_a for sigma = +1, -1
-    cutoffs = [int(math.ceil(W.cutoff(v_tol) * q * q)) for W in weights]
+    cutoffs = afe_lengths(form.weight, q, v_tol)
     X = max(cutoffs)
     if form.n_max < X:
         raise IndexError(f"residue-pair matrix needs lambda up to {X}")
@@ -380,9 +378,9 @@ def _median(xs: list[float]) -> float:
 
 
 def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
-          v_tol: float = 1e-9, out: str | None = None, progress=None) -> SweepSummary:
-    """Moment vs main term across the valid q in [q_lo, q_hi]; with out, the
-    rows are written to out as CSV and to out + ".jsonl" as JSON lines."""
+          v_tol: float = 1e-9, progress=None) -> SweepSummary:
+    """Moment vs main term across the valid q in [q_lo, q_hi]; progress, if
+    given, is called with each row as soon as its q is done."""
     rows: list[SweepRow] = []
     queries = moment_queries(q_lo, q_hi, a, b)
     L1 = L_one_f(form)
@@ -411,14 +409,4 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
     dev = np.abs(np.array([r.brute_re for r in rows]) - best)
     mask = top & (dev > 0)
     slope = float(np.polyfit(np.log(qs[mask]), np.log(dev[mask]), 1)[0]) if mask.sum() > 2 else float("nan")
-
-    if out:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f.name for f in SweepRow.__dataclass_fields__.values()])
-            for r in rows:
-                w.writerow([getattr(r, f) for f in SweepRow.__dataclass_fields__])
-        with open(out + ".jsonl", "w") as fh:
-            for r in rows:
-                fh.write(json.dumps({f: getattr(r, f) for f in SweepRow.__dataclass_fields__}) + "\n")
     return SweepSummary(rows, winner, med_th, med_co, slope)

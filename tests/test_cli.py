@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -46,6 +47,85 @@ def test_moment_single_q(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("q,a,b,moment")
     assert lines[1].startswith("5,1,1,")
+
+
+def test_moment_sweep_streams_rows_and_prints_the_summary(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["moment", "--sweep", "--q-range", "5:13", "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert set(summary) == {"winner", "median_dev_theorem", "median_dev_corollary",
+                            "error_exponent_fit", "rows"}
+    assert summary["winner"] in ("theorem", "corollary")
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # admissible moduli: q = 2 (mod 4) has no primitive characters
+    qs = [5, 7, 8, 9, 11, 12, 13]
+    assert [int(r["q"]) for r in rows] == qs
+    assert out.read_text().startswith("q,a,b,form,")
+    assert summary["rows"] == len(rows)
+    assert all(float(r["main_theorem"]) > 0 for r in rows)
+    lines = (tmp_path / "sweep.csv.jsonl").read_text().splitlines()
+    assert [json.loads(line)["q"] for line in lines] == qs
+    progress = captured.err.splitlines()       # "q=   5  moment=... ratio(theorem)=..."
+    assert [line.split()[1] for line in progress] == [str(q) for q in qs]
+    assert all("ratio(theorem)=" in line for line in progress)
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_moment_unwritable_out_fails_before_any_q(capsys, tmp_path, monkeypatch, sweep):
+    from momentlab import moments
+
+    def no_moment(*args, **kwargs):
+        raise AssertionError("a moment was computed for an unwritable --out")
+
+    monkeypatch.setattr(moments, "brute_moment", no_moment)
+    path = tmp_path / "missing" / "m.csv"
+    assert main(["moment", "--q-range", "5:9", *sweep, "--out", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: {str(path)!r}"]
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_moment_stops_at_the_first_failing_q_and_keeps_its_rows(capsys, tmp_path,
+                                                                monkeypatch, sweep):
+    from momentlab import moments
+
+    real = moments.brute_moment
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[1].q)
+        if len(calls) == 2:
+            raise ArithmeticError("moment should be real")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "brute_moment", fail_second)
+    path = tmp_path / "m.csv"
+    assert main(["moment", "--q-range", "5:9", *sweep, "--out", str(path)]) == EXIT_ITEM
+    assert calls == [5, 7]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[-1] == "item q=7 failed: moment should be real"
+    assert len(err) == 1 + bool(sweep)                  # --sweep: q = 5's progress line
+    table = path.read_text().splitlines()
+    assert len(table) == 2 and table[1].startswith("5,1,1,")
+    if sweep:
+        lines = (tmp_path / "m.csv.jsonl").read_text().splitlines()
+        assert [json.loads(line)["q"] for line in lines] == [5]
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_moment_past_the_table_cap_is_a_configuration_error(capsys, sweep):
+    assert main(["moment", "--q", "5003", *sweep]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: a table of n_max = ") and "2**26-entry cap" in line
+    assert line.endswith("lower q or raise --tol")
 
 
 def test_moment_moves_the_delta_table_into_place_once(capsys, tmp_path, monkeypatch):

@@ -70,6 +70,18 @@ def test_float_table_matches_exact(delta_small):
 
 
 
+def test_delta_table_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    def no_build(n_max):
+        raise AssertionError("a table past the cap was built")
+
+    monkeypatch.setattr(eigenforms, "_delta_lambda_cached", no_build)
+    n_max = eigenforms._FLOAT_MEMORY_CAP + 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"n_max = {n_max} entries is past the 2**26-entry cap")) as exc:
+        delta_coefficients(n_max)
+    assert str(exc.value).endswith("lower q or raise --tol")
+
+
 def test_delta_cache_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTLAB_CACHE_DIR", str(tmp_path))
     build = eigenforms._delta_lambda_cached.__wrapped__      # bypass the lru_cache

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -13,7 +12,8 @@ import pytest
 from momentlab import moments
 from momentlab.arith import is_admissible, phi_star
 from momentlab.characters import build_group
-from momentlab.lfunctions import afe_triple_product
+from momentlab.eigenforms import EigenformData
+from momentlab.lfunctions import afe_lengths, afe_triple_product, moment_table_length
 from momentlab.moments import (MomentQuery, brute_moment, c_ab,
                                divisor_route_moment, error_exponent, main_term,
                                residue_pair_matrix, sweep)
@@ -333,14 +333,24 @@ def test_error_exponent_exact_values():
         error_exponent(Fraction(0), Fraction(-1, 10))
 
 
-def test_small_sweep(delta_mid, tmp_path):
-    csvp = tmp_path / "sweep.csv"
-    summary = sweep(delta_mid, 29, 45, out=str(csvp), v_tol=1e-8)
+def test_small_sweep(delta_mid):
+    seen = []
+    summary = sweep(delta_mid, 29, 45, v_tol=1e-8, progress=seen.append)
     assert summary.winner in ("theorem", "corollary")
     assert len(summary.rows) == sum(1 for q in range(29, 46)
                                     if q % 4 != 2 and q >= 3)
-    text = csvp.read_text().splitlines()
-    assert text[0].startswith("q,a,b,form")
-    assert len(text) == len(summary.rows) + 1
-    lines = (tmp_path / "sweep.csv.jsonl").read_text().splitlines()
-    assert [json.loads(line)["q"] for line in lines] == [r.q for r in summary.rows]
+    assert seen == summary.rows
+
+
+def test_moment_table_length_is_the_prefix_the_moment_needs(delta_mid):
+    # at q = 284 the AFE, not L(1, f), sets the length; one entry short of
+    # it is an IndexError naming the length, not a silently truncated sum
+    n = moment_table_length(12, 284, 1e-8)
+    assert n == max(afe_lengths(12, 284, 1e-8)) == 462_350
+    query = MomentQuery(284)
+    exact = EigenformData(12, 0.0, delta_mid.lam[:n + 1], label="delta")
+    assert brute_moment(exact, query, v_tol=1e-8).moment == \
+        brute_moment(delta_mid, query, v_tol=1e-8).moment
+    short = EigenformData(12, 0.0, delta_mid.lam[:n], label="delta")
+    with pytest.raises(IndexError, match="needs lambda up to 462350$"):
+        brute_moment(short, query, v_tol=1e-8)

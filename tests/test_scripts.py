@@ -1,5 +1,3 @@
-import csv
-import json
 import os
 import subprocess
 import sys
@@ -14,23 +12,6 @@ def _run_script(name, *args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           env=env, capture_output=True, text=True, timeout=300)
-
-
-def test_sweep_moments_script(tmp_path):
-    out = tmp_path / "sweep.csv"
-    run = _run_script("sweep_moments.py", "--q-lo", "5", "--q-hi", "13", "--out", str(out))
-    assert run.returncode == 0, run.stderr
-    summary = json.loads(run.stdout)
-    assert set(summary) == {"winner", "median_dev_theorem", "median_dev_corollary",
-                            "error_exponent_fit", "rows"}
-    assert summary["winner"] in ("theorem", "corollary")
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    # admissible moduli: q = 2 (mod 4) has no primitive characters
-    assert [int(r["q"]) for r in rows] == [5, 7, 8, 9, 11, 12, 13]
-    assert summary["rows"] == len(rows)
-    assert all(float(r["main_theorem"]) > 0 for r in rows)
-    assert len((tmp_path / "sweep.csv.jsonl").read_text().splitlines()) == len(rows)
 
 
 def test_aq_grid_script():
