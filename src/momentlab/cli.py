@@ -209,12 +209,12 @@ def _suite_afe(args) -> dict:
 
 
 def _suite_voronoi(args) -> dict:
+    """Residuals on the acceptance grid, gated; certified tail bounds, reported."""
     from .eigenforms import delta_coefficients
-    from .voronoi import VoronoiCase, voronoi_check
+    from .voronoi import VoronoiCase, tail_certificate, voronoi_check
 
     form = delta_coefficients(2_200_000)
-    worst = 0.0
-    cells = []
+    worst, worst_tail, cells = 0.0, 0.0, 0
     # the acceptance grid: every unit b <= max(d - 1, 1) for d <= 5
     for d in range(1, 6):
         for b in range(1, max(d - 1, 1) + 1):
@@ -222,11 +222,12 @@ def _suite_voronoi(args) -> dict:
                 continue
             for q in (1, 2, 3, 6):
                 for X in (10.0, 20.0, 40.0):
-                    resid = voronoi_check(VoronoiCase(b, d, q, X, form))
-                    worst = max(worst, resid)
-                    cells.append(dict(b=b, d=d, q=q, X=X, residual=resid))
-    return dict(suite="voronoi", cells=len(cells), max_residual=worst,
-                passed=bool(worst <= 1e-6))
+                    case = VoronoiCase(b, d, q, X, form)
+                    worst = max(worst, voronoi_check(case))
+                    worst_tail = max(worst_tail, tail_certificate(case))
+                    cells += 1
+    return dict(suite="voronoi", cells=cells, max_residual=worst,
+                max_tail_bound=worst_tail, passed=bool(worst <= 1e-6))
 
 
 def _suite_shifted(args) -> dict:
@@ -264,6 +265,8 @@ def _suite_shifted(args) -> dict:
 _SUITES = dict(orthogonality=_suite_orthogonality, hecke=_suite_hecke,
                weil=_suite_weil, afe=_suite_afe, voronoi=_suite_voronoi,
                shifted=_suite_shifted)
+# each verify flag and the suites that read it; any other suite rejects it
+_SUITE_FLAGS = {"--q-max": ("orthogonality", "hecke"), "--c-max": ("weil",)}
 
 
 def cmd_verify(args) -> int:
@@ -271,6 +274,10 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; have {sorted(_SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    for flag, suites in _SUITE_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.suite not in suites:
+            print(f"error: {flag} is read only by {', '.join(suites)}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         report = _SUITES[args.suite](args)
     except ValueError as exc:
@@ -319,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", help="|".join(_SUITES))
-    pv.add_argument("--q-max", type=int)
-    pv.add_argument("--c-max", type=int)
+    for flag in _SUITE_FLAGS:
+        pv.add_argument(flag, type=int)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("exponent", help="exact rational error exponents")

@@ -15,7 +15,6 @@ not asserted; the hard assertions are the Weil bound and exact vanishing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .eigenforms import EigenformData
 from .special import BumpFunction, standard_window
 
 _PAIR_BUDGET = 10**7   # candidate (m, n) pairs one brute-force sum may visit
+_AQ_SCALE = 10.0       # aq_grid_report's M, N ~ _AQ_SCALE sqrt(q)
 
 
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,24 +268,16 @@ def bilinear_incomplete(alpha, beta, c: int, q: int) -> tuple[float, float]:
 # Grid harness
 
 
-def aq_grid_report(form: EigenformData, qs, scale: float = 10.0,
-                   csv_path=None) -> list[dict]:
-    """Max bound ratios for A_q over a (q, M, N) grid with M, N ~ scale sqrt(q)."""
+def aq_grid_report(form: EigenformData, qs) -> list[dict]:
+    """Max bound ratios for A_q over a (q, M, N) grid with M, N ~ 10 sqrt(q), M >= N."""
     rows = []
     for q in qs:
         for fM, fN in ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25)):
-            M = scale * math.sqrt(q) * fM
-            N = scale * math.sqrt(q) * fN
-            if M < N:
-                continue
+            M = _AQ_SCALE * math.sqrt(q) * fM
+            N = _AQ_SCALE * math.sqrt(q) * fN
             query = ConvolutionQuery(1, 1, M, N, q)
             val = shifted_conv_Aq(query, form)
             bound = thmAq_bound(query)
             rows.append(dict(q=q, M=M, N=N, a=1, b=1, value=val,
                              bound=bound, ratio=abs(val) / bound))
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            w.writerows(rows)
     return rows

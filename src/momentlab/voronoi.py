@@ -5,7 +5,7 @@ The dual side couples the Bessel kernel to the inverted additive phase; the
 classical convention pairs the J-kernel branch with e(-conj(.) n / d'), and
 the numerical experiment in the test suite confirms that choice (the
 opposite sign leaves an O(1) residual).  PHASE_SIGN records it.  The dual
-sum is truncated where the transform stays below TAIL_TOL.  The transform
+sum stops at dual_cutoff; tail_certificate bounds the rest.  The transform
 carries i^k = eps = (-1)^{k/2}, the root number (k is even), so it is real.
 
 Coprimality to q is removed with the varpi(delta, q) coefficients, so every
@@ -31,7 +31,7 @@ from .special import (_SPLINE_PAD, BumpFunction, _UniformSpline, _bessel_j, _bes
                       _hankel_coefficients, interval_bump)
 
 PHASE_SIGN = -1   # empirically fixed: J-kernel branch carries e(-(conj) n/d')
-TAIL_TOL = 1e-8   # the dual sum stops where |transform| stays below this
+TAIL_TOL = 1e-8   # the dual sum stops where the sampled |transform| stays below this
 
 
 @dataclass
@@ -196,7 +196,9 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
 
 
 def dual_cutoff(case: VoronoiCase) -> float:
-    """y beyond which the transform envelope stays below TAIL_TOL."""
+    """First point of a 300-point log grid in y after the last sample with |H|
+    not below TAIL_TOL.  Past it H can exceed TAIL_TOL between samples (1.45e-8
+    at X = 40); tail_certificate, `verify voronoi`'s max_tail_bound, bounds that."""
     ys = np.logspace(-6, 6, 300) / case.X
     above = np.flatnonzero(~(np.abs(hankel_grid(case, ys)) < TAIL_TOL))  # NaN counts as above
     if above.size == 0:
@@ -243,6 +245,7 @@ class _DualSpline:
         self.u_end = float(us[-1])
         self._residues: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.residues_stored = 0
+        self.tail_envelope = None      # (ys, |H(ys)|) past y_cut: see tail_certificate
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """H(y) up to the last knot, 0 past it."""
@@ -315,10 +318,13 @@ def tail_certificate(case: VoronoiCase) -> float:
     """Conservative bound on the truncated dual tail: for each branch,
     (|varpi|/(delta d')) sum_{n > n_cut} d(n) |lambda(n)| |transform| is
     over-estimated by the grid envelope with d(n)|lambda(n)| <= 3 log^2 n.
-    The cutoff is the one of the cached spline."""
-    y_cut = _cached_spline(case).y_cut
-    ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
-    env = np.abs(hankel_grid(case, ys))
+    The cutoff and the envelope are the cached spline's, shared by its cells."""
+    spline = _cached_spline(case)
+    if spline.tail_envelope is None:     # built on first use, like the residue sums
+        y_cut = spline.y_cut
+        ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
+        spline.tail_envelope = ys, np.abs(hankel_grid(case, ys))
+    ys, env = spline.tail_envelope
     total = 0.0
     for delta, varpi_lam in varpi_table(case.form, case.q):
         if varpi_lam == 0.0:

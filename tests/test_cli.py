@@ -267,6 +267,12 @@ def test_verify_voronoi_checks_the_acceptance_grid(capsys, monkeypatch, delta_la
     rep = json.loads(capsys.readouterr().out)
     assert rep["cells"] == 120 == len(seen)
     assert set(seen) == _acceptance_voronoi_cells()
+    # the tail bound is reported next to the residual, not gated
+    assert rep["max_residual"] == 0.0 and rep["passed"] is True
+    assert math.isfinite(rep["max_tail_bound"]) and rep["max_tail_bound"] >= 0
+    assert rep["max_tail_bound"] == max(
+        voronoi.tail_certificate(voronoi.VoronoiCase(*cell, delta_large))
+        for cell in _acceptance_voronoi_cells())
 
 
 def test_verify_weil_rejects_c_max_past_the_cap(capsys):
@@ -286,6 +292,24 @@ def test_verify_weil_reports_a_violation(capsys, monkeypatch):
     assert rep["passed"] is False and rep["c_max"] == 10
     assert rep["violation"].startswith("Weil bound violated at S(1,1;1) = 1.0")
     assert captured.err.splitlines() == ["weil: FAIL"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["afe", "--c-max", "7"], "error: --c-max is read only by weil"),
+    (["orthogonality", "--c-max", "7", "--q-max", "10"], "error: --c-max is read only by weil"),
+    (["weil", "--q-max", "10"], "error: --q-max is read only by orthogonality, hecke"),
+    (["voronoi", "--q-max", "10"], "error: --q-max is read only by orthogonality, hecke"),
+    (["shifted", "--c-max", "7"], "error: --c-max is read only by weil")],
+    ids=["afe", "orthogonality", "weil", "voronoi", "shifted"])
+def test_verify_rejects_a_flag_the_suite_does_not_read(capsys, monkeypatch, argv, error):
+    def unreached(args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(cli._SUITES, argv[0], unreached)
+    assert main(["verify", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [error]
 
 
 @pytest.mark.parametrize("argv", [["hecke", "--q-max", "0"], ["orthogonality", "--q-max", "-1"],

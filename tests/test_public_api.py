@@ -1,10 +1,10 @@
 """Every module-level public function and class of momentlab, and every public
-method and property of those classes, is reached by the library, a script or
-the benchmark, not by tests alone, and so is every defaulted parameter of the
+method and property of those classes, is reached by the library or the
+benchmark, not by tests alone, and so is every defaulted parameter of the
 public functions and dataclasses.
 
 A reference is a name, an attribute or an imported name in the syntax tree of
-a file under src/, scripts/ or perfbench/; the contents of strings (messages,
+a file under src/ or perfbench/; the contents of strings (messages,
 docstrings, traced-name tables) do not count.  A member counts as reached when
 its own name is, on whatever object.  A defaulted parameter is
 reached when some call there passes it, by keyword or by position; a value
@@ -16,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "momentlab"
-REACHING = ("src", "scripts", "perfbench")
+REACHING = ("src", "perfbench")
 
 # Reached by tests only, on purpose.
 ALLOWED = {
@@ -28,8 +28,7 @@ ALLOWED = {
 }
 
 # Defaulted parameters set by tests only, on purpose (the parameters of the
-# test-only routes above are exempt with them).  aq_grid_report's scale and
-# csv_path need no entry: scripts/aq_grid.py sets them.
+# test-only routes above are exempt with them).
 ALLOWED_OPTIONS = {
     "L_one_f.X": "the smoothing-convergence test varies the smoothing length",
     "brute_moment.F_by_parity": "acceptance 7 shares one matrix between the two routes",
@@ -100,7 +99,7 @@ def _defaulted_parameters() -> dict[str, tuple[int | None, str]]:
 
 def _passed_parameters() -> set[tuple[str, str | int]]:
     """(callee, keyword) and (callee, position) of every argument passed by a
-    call under src/, scripts/ or perfbench/; positions after a *args unpacking
+    call under src/ or perfbench/; positions after a *args unpacking
     are unknown and count for none."""
     passed = set()
     for top in REACHING:

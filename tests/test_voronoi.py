@@ -40,6 +40,25 @@ def _cutoff_by_suffix_scan(ys, vals, tol):
     raise ArithmeticError("transform decay certificate failed: no cutoff found")
 
 
+def _tail_certificate_per_cell(case):
+    """The earlier tail_certificate, kept as the reference: every cell builds
+    its own 120-point envelope with hankel_grid."""
+    y_cut = _cached_spline(case).y_cut
+    ys = np.logspace(math.log10(y_cut), math.log10(max(10 * y_cut, 1e6 / case.X)), 120)
+    env = np.abs(hankel_grid(case, ys))
+    total = 0.0
+    for delta, varpi_lam in varpi_table(case.form, case.q):
+        if varpi_lam == 0.0:
+            continue
+        g = math.gcd(delta, case.d)
+        d_prime = case.d // g
+        D = delta * d_prime**2
+        dens = 3.0 * np.log(np.maximum(D * ys, 3.0)) ** 2
+        tail = D * float(np.trapezoid(env * dens, ys))
+        total += abs(varpi_lam) / (delta * d_prime) * tail
+    return total
+
+
 def _voronoi_rhs_per_cell(case, spline):
     """The earlier voronoi_rhs, kept as the reference: every delta branch
     evaluates the spline at n/D for each n <= n_cut and sums with a complex
@@ -125,6 +144,27 @@ def test_truncation_doubling_within_certificate(delta_large, monkeypatch):
     monkeypatch.setattr(voronoi, "_cached_spline", lambda case: doubled)
     r2 = voronoi_rhs(case)
     assert abs(r1 - r2) <= certificate
+
+
+def test_tail_certificate_builds_one_envelope_per_spline(delta_large, monkeypatch):
+    cases = [VoronoiCase(b, d, q, 10.0, delta_large) for b, d, q in _acceptance_cells()]
+    monkeypatch.setattr(voronoi, "_SPLINE_CACHE", {})
+    _cached_spline(cases[0])          # the spline build calls hankel_grid on its own
+    calls = []
+    grid = voronoi.hankel_grid
+    monkeypatch.setattr(voronoi, "hankel_grid", lambda case, ys: calls.append(len(ys))
+                        or grid(case, ys))
+    tails = [tail_certificate(case) for case in cases]
+    assert len(cases) == 40 and calls == [120]
+    assert all(math.isfinite(t) and t > 0 for t in tails)
+
+
+def test_tail_certificate_matches_per_cell_reference(delta_large):
+    # the second cell of each X reads the envelope the first one left
+    for b, d, q, X in ((1, 1, 1, 10.0), (1, 5, 6, 10.0), (1, 2, 3, 20.0), (2, 3, 2, 20.0),
+                       (1, 1, 6, 40.0), (3, 4, 3, 40.0)):
+        case = VoronoiCase(b, d, q, X, delta_large)
+        assert tail_certificate(case) == _tail_certificate_per_cell(case)
 
 
 @pytest.mark.parametrize("truncation_factor", [1.0, 2.0])
