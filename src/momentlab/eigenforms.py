@@ -25,7 +25,9 @@ import numpy as np
 from .arith import divisor_count_sieve, divisors, moebius
 
 _EXACT_LIMIT = 10**4     # the float table is checked against exact tau up to here
-_FLOAT_MEMORY_CAP = 2**26  # entries; ~0.5 GB of float64 is the desk budget
+# entries; ~0.5 GB of float64 is the desk budget.  By afe_length, Delta's
+# moment fits up to q = 4066 at tol 1e-8 and q = 3694 at 1e-9.
+_FLOAT_MEMORY_CAP = 2**26
 
 
 class CoefficientError(ValueError):

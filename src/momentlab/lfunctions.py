@@ -58,9 +58,11 @@ def _log_gamma_ratio_twist(k: int):
     return log_G
 
 
-def _log_gamma_ratio_triple(k: int, parity_a: int):
-    """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0."""
-    a = parity_a
+def _log_gamma_ratio_triple(k: int):
+    """log of L_inf(1/2+s, f x chi) L_inf(1/2+s, conj chi)^2 normalized at s=0,
+    for the chi with chi(-1) = (-1)^a = eps(f) = (-1)^{k/2}: the only parity
+    whose triple product has root number one, so a = (k/2) mod 2."""
+    a = (k // 2) % 2
     log_twist = _log_gamma_ratio_twist(k)
 
     def log_G(s):
@@ -139,11 +141,10 @@ def _cached_weight(log_gamma_ratio, *args) -> WeightFunction:
     return _build_weight(log_gamma_ratio(*args))
 
 
-def triple_weight(form: EigenformData, parity_a: int) -> WeightFunction:
-    """V_{f, a}: the weight of the triple-product AFE (parity a in {0, 1})."""
-    if parity_a not in (0, 1):
-        raise ValueError("parity exponent must be 0 or 1")
-    return _cached_weight(_log_gamma_ratio_triple, form.weight, parity_a)
+def triple_weight(form: EigenformData) -> WeightFunction:
+    """The weight of the triple-product AFE, at the characters of the form's
+    own parity."""
+    return _cached_weight(_log_gamma_ratio_triple, form.weight)
 
 
 def twist_weight(form: EigenformData) -> WeightFunction:
@@ -151,9 +152,10 @@ def twist_weight(form: EigenformData) -> WeightFunction:
     return _cached_weight(_log_gamma_ratio_twist, form.weight)
 
 
-def weight_V_reference(x: float, parity_a: int, form: EigenformData) -> float:
-    """Refined-quadrature oracle: T doubled, h halved, no interpolation."""
-    log_G = _log_gamma_ratio_triple(form.weight, parity_a)
+def weight_V_reference(x: float, form: EigenformData) -> float:
+    """Refined-quadrature oracle of triple_weight(form): T doubled, h halved,
+    no interpolation."""
+    log_G = _log_gamma_ratio_triple(form.weight)
     c = -0.25 if x <= 1.0 else 3.0
     t, g = _contour_values(log_G, c, 2 * _CONTOUR_T, _CONTOUR_H / 2)
     val = (_CONTOUR_H / 2) / (2 * np.pi) * np.real(np.sum(x ** (-c - 1j * t) * g))
@@ -185,9 +187,10 @@ def root_numbers(group: CharacterGroup, index: int, form: EigenformData) -> Root
 def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData) -> complex:
     """L(1/2, f x chi) L(1/2, conj chi)^2 via the two-sum AFE.
 
-    Requires a primitive character with eps(f, chi) = +1; truncates where the
-    weight has decayed below _AFE_TOL.  The value is the quadratic form
-    chi F conj(chi) of the residue-pair matrix F that the moment averages.
+    Requires a primitive character with eps(f, chi) = +1, that is of the
+    form's parity; truncates where the weight has decayed below _AFE_TOL.
+    The value is the quadratic form chi F conj(chi) of the residue-pair
+    matrix F that the moment averages.
     """
     from .moments import residue_pair_matrix     # moments imports this module
 
@@ -201,7 +204,7 @@ def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData) -
         raise ParityVanishing(
             "eps(f, chi) = -1: the triple product L-value pairs to zero by "
             "parity and the root-number-one AFE does not apply")
-    F = residue_pair_matrix(form, q, _AFE_TOL)[int(group.parity[index])]
+    F = residue_pair_matrix(form, q, _AFE_TOL)
     chi = group.values[index]
     return complex(chi @ F @ np.conj(chi))
 
@@ -318,15 +321,13 @@ def L_one_f(form: EigenformData, X: float = _L_ONE_X) -> float:
     return val
 
 
-def afe_lengths(k: int, q: int, v_tol: float) -> list[int]:
-    """[X_+, X_-]: the triple-product AFE of a weight-k form at modulus q sums
-    mn <= X_sigma = ceil(x_cut q^2), past which |V_sigma| < v_tol (parity
-    exponent a = 0, 1)."""
-    return [math.ceil(_cached_weight(_log_gamma_ratio_triple, k, a).cutoff(v_tol) * q * q)
-            for a in (0, 1)]
+def afe_length(k: int, q: int, v_tol: float) -> int:
+    """X: the triple-product AFE of a weight-k form at modulus q sums
+    mn <= X = ceil(x_cut q^2), past which its weight stays below v_tol."""
+    return math.ceil(_cached_weight(_log_gamma_ratio_triple, k).cutoff(v_tol) * q * q)
 
 
 def moment_table_length(k: int, q_hi: int, v_tol: float) -> int:
     """Table length a moment of a weight-k form at every q <= q_hi needs: the
-    triple-product AFE of both parities at q_hi, and L_one_f at its default X."""
-    return max(*afe_lengths(k, q_hi, v_tol), _l_one_terms(_L_ONE_X))
+    triple-product AFE at q_hi, and L_one_f at its default X."""
+    return max(afe_length(k, q_hi, v_tol), _l_one_terms(_L_ONE_X))

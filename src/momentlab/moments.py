@@ -11,15 +11,14 @@ Route 2 (divisor): swap the character sum inside, apply the exact
 orthogonality formula for primitive characters of fixed parity, and reduce
 to divisor-indexed slices C_d^{+-} of the same matrix F.
 
-Both routes work for either parity; the physical moment is the one whose
-parity matches the form's root number (the other parity pairs to zero
-central values but is still a well-defined diagnostic quantity).
+Both routes average over the chi of one parity, chi(-1) = eps(f): only there
+is the triple product's root number one, so F, its weight and its length X
+are those of that parity.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .arith import (divisor_count_sieve, divisors, euler_phi, factorize,
                     is_admissible, moebius, phi_star)
 from .characters import build_group, orthogonality_sum
 from .eigenforms import EigenformData
-from .lfunctions import L_one_f, afe_lengths, triple_weight, zeta_two
+from .lfunctions import L_one_f, afe_length, triple_weight, zeta_two
 
 _REALNESS_TOL = 1e-8   # |Im| of the brute moment against its character sum's size
 _C_AB_TOL = 1e-12      # the certified tail of each local factor of c_ab
@@ -59,63 +58,54 @@ class MomentQuery:
 @dataclass
 class MomentReport:
     query: MomentQuery
-    m_even: complex          # parity +1 moment (normalized by phi*(q))
-    m_odd: complex           # parity -1 moment
-    moment: float            # the physical one: parity = eps(f)
-    chars_used: int          # primitive characters of the physical parity
-    seconds: float
+    moment: float            # the average over chi(-1) = eps(f), normalized by phi*(q)
+    moment_im: float         # its imaginary part; 0 on the divisor route, real termwise
+    chars_used: int          # primitive characters of that parity
 
 
-def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, np.ndarray]:
-    """{1: F_even, -1: F_odd}, where F_sigma[u, v] is the sum over (mn, q) = 1,
-    m = u, n = v (mod q) of (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2}
-    V_sigma(mn / q^2), truncated at mn <= X_sigma, past which |V_sigma| < v_tol.
+def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> np.ndarray:
+    """F[u, v]: the sum over (mn, q) = 1, m = u, n = v (mod q) of
+    (lambda(m) tau(n) + lambda(n) tau(m)) (mn)^{-1/2} V(mn / q^2), with V the
+    triple weight of the form's parity, truncated at mn <= X, past which
+    |V| < v_tol.
 
-    Both parities come from one pass with X = max X_sigma and s = isqrt(X).
-    Every pair with mn <= X has a factor d <= s, so F = G + G^T where row d
-    of G sums, over n <= X / d,
+    With s = isqrt(X), every pair with mn <= X has a factor d <= s, so
+    F = G + G^T where row d of G sums, over n <= X / d,
         (lambda(d) tau(n) + tau(d) lambda(n) [n > s]) (dn)^{-1/2} V(dn / q^2):
     the first term counts the pair (d, n), the second the pair (n, d) with
     n > s, so each ordered pair is counted once.  V(dn / q^2), n = 0, 1, ...
     is the strided view V[::d], and a row folds onto the residues n mod q as
-    a reshape to (-1, q) and a sum.  Each V_sigma is stored as 0 past its own
-    X_sigma, so each parity keeps its own truncation.
+    a reshape to (-1, q) and a sum.
 
     The pass is chunked.  V is built _CHUNK entries at a time.  The rows then
     run over chunks of n whose width is a multiple of q near _CHUNK, so n mod q
     stays aligned with the reshape.  Each chunk builds its own weights
     tau(n) / sqrt(n) and lambda(n) / sqrt(n), and adds every row's piece on
     it, in ascending d up to the first row that ends before the chunk starts.
-    The arrays of length X are the two V and the 16-bit divisor sieve, so the
-    peak is about three of them.
+    The arrays of length X are V and the 16-bit divisor sieve, so the peak is
+    about two of them.
     """
-    weights = [triple_weight(form, a) for a in (0, 1)]   # V_a for sigma = +1, -1
-    cutoffs = afe_lengths(form.weight, q, v_tol)
-    X = max(cutoffs)
+    W = triple_weight(form)
+    X = afe_length(form.weight, q, v_tol)
     if form.n_max < X:
         raise IndexError(f"residue-pair matrix needs lambda up to {X}")
     s = math.isqrt(X)
     tau = divisor_count_sieve(X)
     primes = [p for p, _ in factorize(q).factors]
-    V = np.zeros((2, X + 1))
+    V = np.zeros(X + 1)
     for lo in range(1, X + 1, _CHUNK):
         hi = min(lo + _CHUNK, X + 1)
-        ns = np.arange(lo, hi, dtype=np.float64)
-        for a, (W, X_a) in enumerate(zip(weights, cutoffs)):
-            top = min(hi, X_a + 1)
-            if top > lo:
-                V[a, lo:top] = W(ns[:top - lo] / (q * q))
+        V[lo:hi] = W(np.arange(lo, hi, dtype=np.float64) / (q * q))
     rows = []                                            # (d, c_lam, c_tau), ascending in d
     for d in range(1, s + 1):
         if math.gcd(d, q) == 1:
             w_d = 1.0 / math.sqrt(d)
             rows.append((d, tau[d] * w_d, form.lam[d] * w_d))
 
-    G = np.zeros((2, q, q))
+    G = np.zeros((q, q))
     width = min(max(1, _CHUNK // q), X // q + 1) * q     # n per chunk
     tau_w, lam_w = np.empty(width), np.empty(width)      # on the chunk, 0 off (n, q) = 1
     row, term = np.empty(width), np.empty(width)
-    fold = np.empty((2, width))
     for n0 in range(0, X + 1, width):
         m = min(width, X + 1 - n0)                       # n = n0, ..., n0 + m - 1
         unit = np.ones(m, dtype=bool)                    # (n, q) = 1 for n = n0 + i
@@ -134,84 +124,66 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> dict[int, 
                 break
             np.multiply(lam_w[:k], c_lam, out=row[:k])
             row[:k] += np.multiply(tau_w[:k], c_tau, out=term[:k])
-            np.multiply(V[:, n0 * d:(n0 + k) * d:d], row[:k], out=fold[:, :k])
+            np.multiply(V[n0 * d:(n0 + k) * d:d], row[:k], out=row[:k])
             end = -(-k // q) * q
-            fold[:, k:end] = 0.0
-            G[:, d % q] += fold[:, :end].reshape(2, -1, q).sum(axis=1)
+            row[k:end] = 0.0
+            G[d % q] += row[:end].reshape(-1, q).sum(axis=0)
     del V                                                # gone before F is formed
-    F = G + G.transpose(0, 2, 1)
-    return {1: F[0], -1: F[1]}
+    return G + G.T
 
 
 def brute_moment(form: EigenformData, query: MomentQuery,
-                 v_tol: float = 1e-12,
-                 F_by_parity: dict[int, np.ndarray] | None = None) -> MomentReport:
-    """Per-character route: average chi(b) conj(chi(a)) chi F chi^*, where
-    chi F chi^* = sum_w chi(w) T[w] and T[w] = sum over units v of
-    F[wv mod q, v]: one gather of q phi(q) entries per parity.  This uses
-    the complete multiplicativity of each chi, not orthogonality."""
-    t0 = time.time()
+                 v_tol: float = 1e-12, F: np.ndarray | None = None) -> MomentReport:
+    """Per-character route: average chi(b) conj(chi(a)) chi F chi^* over the
+    primitive chi of the form's parity, where chi F chi^* = sum_w chi(w) T[w]
+    and T[w] = sum over units v of F[wv mod q, v]: one gather of q phi(q)
+    entries.  This uses the complete multiplicativity of each chi, not
+    orthogonality."""
     q, a, b = query.q, query.a, query.b
     group = build_group(q)
     pstar = phi_star(q)
-    results = {}
-    chars_phys = 0
-    gross = 0.0
-    if F_by_parity is None:
-        F_by_parity = residue_pair_matrix(form, q, v_tol)
+    if F is None:
+        F = residue_pair_matrix(form, q, v_tol)
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
     classes = np.outer(np.arange(q), units) % q         # wv mod q, (q, phi(q))
-    for sigma, F in F_by_parity.items():
-        idx = group.primitive_indices(parity=sigma)
-        C = group.values[idx]                       # (n_sigma, q)
-        T = F[classes, units].sum(axis=1)
-        vals = np.einsum("iu,u->i", C, T)
-        weight = C[:, b % q] * np.conj(C[:, a % q])
-        results[sigma] = complex(np.sum(weight * vals)) / pstar
-        if sigma == form.epsilon:
-            chars_phys = len(idx)
-            gross = float(np.sum(np.abs(vals))) / pstar
-    phys = results[form.epsilon]
+    C = group.values[group.primitive_indices(parity=form.epsilon)]
+    vals = np.einsum("iu,u->i", C, F[classes, units].sum(axis=1))
+    weight = C[:, b % q] * np.conj(C[:, a % q])
+    moment = complex(np.sum(weight * vals)) / pstar
     # the moment can vanish structurally for special (q, a, b); judge the
     # imaginary part against the pre-cancellation size of the character sum
-    scale = max(abs(phys), gross, 1e-30)
-    if abs(phys.imag) > _REALNESS_TOL * scale:
+    scale = max(abs(moment), float(np.sum(np.abs(vals))) / pstar, 1e-30)
+    if abs(moment.imag) > _REALNESS_TOL * scale:
         raise ArithmeticError(
-            f"moment should be real; got imaginary part {phys.imag:.3e} "
+            f"moment should be real; got imaginary part {moment.imag:.3e} "
             f"against magnitude {scale:.3e}")
-    return MomentReport(query, results[1], results[-1], phys.real,
-                        chars_phys, time.time() - t0)
+    return MomentReport(query, moment.real, moment.imag, len(C))
 
 
 def divisor_route_moment(form: EigenformData, query: MomentQuery,
-                         v_tol: float = 1e-12,
-                         F_by_parity: dict[int, np.ndarray] | None = None) -> MomentReport:
-    """Orthogonality route: divisor-sliced sums of the same matrix F."""
-    t0 = time.time()
+                         v_tol: float = 1e-12, F: np.ndarray | None = None) -> MomentReport:
+    """Orthogonality route: divisor-sliced sums of the same matrix F, real
+    term by term."""
     q, a, b = query.q, query.a, query.b
-    pstar = phi_star(q)
-    results = {}
-    if F_by_parity is None:
-        F_by_parity = residue_pair_matrix(form, q, v_tol)
-    for sigma, F in F_by_parity.items():
-        acc = 0.0
-        for d in divisors(q):
-            mu = moebius(q // d)
-            if mu == 0:
-                continue
-            coef = euler_phi(d) * mu
-            u = np.arange(q)
-            # columns grouped by a*v mod d, then rows pick b*u (+-) classes
-            col_cls = (a * u) % d
-            S = np.zeros((q, d))
-            np.add.at(S.T, col_cls, F.T)            # S[:, c] = sum_{v: av=c} F[:, v]
-            plus = float(np.sum(S[u, (b * u) % d]))
-            minus = float(np.sum(S[u, (-(b * u)) % d]))
-            acc += coef * (plus + sigma * minus)
-        results[sigma] = acc / (2 * pstar)
-    phys = results[form.epsilon]
-    return MomentReport(query, results[1], results[-1], float(phys),
-                        int(orthogonality_sum(q, 1, 1, form.epsilon)), time.time() - t0)
+    sigma = form.epsilon
+    if F is None:
+        F = residue_pair_matrix(form, q, v_tol)
+    acc = 0.0
+    for d in divisors(q):
+        mu = moebius(q // d)
+        if mu == 0:
+            continue
+        coef = euler_phi(d) * mu
+        u = np.arange(q)
+        # columns grouped by a*v mod d, then rows pick b*u (+-) classes
+        col_cls = (a * u) % d
+        S = np.zeros((q, d))
+        np.add.at(S.T, col_cls, F.T)                # S[:, c] = sum_{v: av=c} F[:, v]
+        plus = float(np.sum(S[u, (b * u) % d]))
+        minus = float(np.sum(S[u, (-(b * u)) % d]))
+        acc += coef * (plus + sigma * minus)
+    return MomentReport(query, acc / (2 * phi_star(q)), 0.0,
+                        int(orthogonality_sum(q, 1, 1, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +307,11 @@ class SweepRow:
     form: str
     brute_re: float
     brute_im: float
-    m_even: float
-    m_odd: float
     main_theorem: float
     main_corollary: float
     ratio_theorem: float
     ratio_corollary: float
     chars_used: int
-    seconds: float
 
 
 @dataclass
@@ -389,12 +358,9 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
         mt = main_term(form, query, L1=L1)
         rows.append(SweepRow(
             query.q, a, b, form.label,
-            rep.moment, float(complex(rep.m_even).imag if form.epsilon == 1
-                              else complex(rep.m_odd).imag),
-            float(complex(rep.m_even).real), float(complex(rep.m_odd).real),
-            mt.value_theorem, mt.value_corollary,
+            rep.moment, rep.moment_im, mt.value_theorem, mt.value_corollary,
             rep.moment / mt.value_theorem, rep.moment / mt.value_corollary,
-            rep.chars_used, rep.seconds))
+            rep.chars_used))
         if progress:
             progress(rows[-1])
 

@@ -5,6 +5,7 @@ on a typical desktop, so a failure indicates a performance regression, not
 machine noise.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -133,25 +134,25 @@ def test_acceptance_6_coprime_removal_exact():
 
 def test_acceptance_7_moment_realness_and_route_agreement(delta_mid):
     """Brute route real to 1e-8 relative (asserted inside brute_moment) and
-    equal to the divisor route to 1e-6 relative, q <= 100, a,b in {1,2,3}."""
+    equal to the divisor route to 1e-6 relative, q <= 100, a,b in {1,2,3},
+    for Delta (even characters) and for its lambda(n) at weight 18, whose
+    root number -1 selects the odd characters; the routes read only lambda
+    and k."""
     t0 = time.time()
-    for q in range(3, 101):
-        if not is_admissible(q):
-            continue
-        F = residue_pair_matrix(delta_mid, q, 1e-9)
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                if math.gcd(a * b, q) != 1:
-                    continue
-                query = MomentQuery(q, a, b)
-                r1 = brute_moment(delta_mid, query, F_by_parity=F)
-                r2 = divisor_route_moment(delta_mid, query, F_by_parity=F)
-                scale = max(abs(r1.moment), 1e-3)
-                assert abs(r1.moment - r2.moment) <= 1e-6 * scale
-                assert abs(complex(r1.m_even).real - complex(r2.m_even).real) \
-                    <= 1e-6 * max(abs(complex(r1.m_even)), 1e-3)
-                assert abs(complex(r1.m_odd).real - complex(r2.m_odd).real) \
-                    <= 1e-6 * max(abs(complex(r1.m_odd)), 1e-3)
+    for form in (delta_mid, dataclasses.replace(delta_mid, weight=18, tau_exact=None)):
+        for q in range(3, 101):
+            if not is_admissible(q):
+                continue
+            F = residue_pair_matrix(form, q, 1e-9)
+            for a in (1, 2, 3):
+                for b in (1, 2, 3):
+                    if math.gcd(a * b, q) != 1:
+                        continue
+                    query = MomentQuery(q, a, b)
+                    r1 = brute_moment(form, query, F=F)
+                    r2 = divisor_route_moment(form, query, F=F)
+                    scale = max(abs(r1.moment), 1e-3)
+                    assert abs(r1.moment - r2.moment) <= 1e-6 * scale
     assert time.time() - t0 < 20.0
 
 
@@ -172,7 +173,7 @@ def test_acceptance_8_main_term_trend(delta_mid):
     assert med_top < med_bot
     # fitted error exponent is reported (trend only; no tolerance asserted)
     assert math.isfinite(summary.error_exponent_fit)
-    assert time.time() - t0 < 60.0
+    assert time.time() - t0 < 20.0
 
 
 def test_acceptance_9_exponent_arithmetic():

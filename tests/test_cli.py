@@ -172,10 +172,17 @@ def test_moment_requires_q(capsys):
 
 
 def test_moment_deterministic(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["moment", "--q", "7", "--tol", "1e-8", "--out", str(a)])
-    main(["moment", "--q", "7", "--tol", "1e-8", "--out", str(b)])
-    assert a.read_text() == b.read_text()
+    # the same bytes each run, in both modes: --sweep's CSV and JSON lines
+    # carry no timing
+    for sweep in ([], ["--sweep"]):
+        a, b = tmp_path / f"a{len(sweep)}.csv", tmp_path / f"b{len(sweep)}.csv"
+        for path in (a, b):
+            argv = ["moment", "--q-range", "5:9", *sweep, "--tol", "1e-8", "--out", str(path)]
+            assert main(argv) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        if sweep:
+            jsonl = [path.with_name(path.name + ".jsonl").read_bytes() for path in (a, b)]
+            assert jsonl[0] == jsonl[1] != b""
 
 
 def test_moment_rejects_jobs_flag(capsys):
@@ -224,15 +231,16 @@ def test_moment_short_table_fails_once(capsys, coefficient_file, delta_small, ar
 
 
 def test_moment_sweep_reports_a_table_short_for_the_afe(capsys, coefficient_file, delta_mid):
-    # 450 000 entries cover L(1, f) but not the AFE at q = 291, the first
-    # valid q; the sweep fails there as the per-q path does, without a traceback
+    # 450 000 entries cover L(1, f) and the AFE at q <= 302, but not at
+    # q = 303, the first valid q; the sweep fails there as the per-q path
+    # does, without a traceback
     path = coefficient_file(enumerate(delta_mid.lam[1:450_001], 1))
-    argv = ["moment", "--sweep", "--q-range", "290:300", "--form", f"file:{path}"]
+    argv = ["moment", "--sweep", "--q-range", "303:310", "--form", f"file:{path}"]
     assert main(argv) == EXIT_ITEM
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "item q=291 failed: residue-pair matrix needs lambda up to 576925"]
+        "item q=303 failed: residue-pair matrix needs lambda up to 451390"]
 
 
 def test_moment_rejects_maass_form(capsys, coefficient_file, delta_small):

@@ -59,15 +59,15 @@ def test_conjugate_index_involution():
 
 
 def test_weight_small_x_tends_to_one(delta_small):
-    V = triple_weight(delta_small, 0)
+    V = triple_weight(delta_small)
     # V(x) = 1 + O(x^{1/4}) with the contour at Re s = -1/4
     assert V(1e-10) == pytest.approx(1.0, abs=1e-2 * 1e-10 ** 0.25 * 100)
     assert abs(V(1e-12) - 1.0) < abs(V(1e-6) - 1.0) < abs(V(1e-2) - 1.0)
     assert abs(V(1e4)) < 1e-10
 
 
-def test_weight_monotone_cutoffs(delta_small):
-    V = triple_weight(delta_small, 1)
+def test_weight_monotone_cutoffs():
+    V = triple_weight(_form_of_weight(18))       # the odd characters' weight
     assert V.cutoff(1e-9) < V.cutoff(1e-12)
     assert abs(V(2 * V.cutoff(1e-9))) < 1e-9
 
@@ -89,7 +89,7 @@ def test_weight_cutoff_matches_suffix_scan(delta_small):
              np.array([1.0, 1e-15, np.nan, 1e-15, 1e-15, 1e-15, 1e-15, 1e-15, 1e-15]),
              np.array([1e-15] * 8 + [np.nan]),                    # NaN last
              np.array([1e-15, 1.0] + [1e-15] * 7)]
-    V = triple_weight(delta_small, 0)
+    V = triple_weight(delta_small)
     cases = [(xs, v) for v in grids] + [(V.grid_x, V.grid_v)]
     for grid_x, grid_v in cases:
         w = WeightFunction(None, grid_x, grid_v)
@@ -125,28 +125,28 @@ def _off_grid_points():
 
 
 def test_weight_spline_matches_reference():
-    # both Gamma factors, both parities and two weights, between the knots
-    # and on both sides of x = 1, where the two contours meet
+    # both Gamma factors at the weights of both parities (even at k = 12, odd
+    # at k = 18, 22), between the knots and on both sides of x = 1, where the
+    # two contours meet
     xs = _off_grid_points()
-    for k in (12, 18):
+    for k in (12, 18, 22):
         form = _form_of_weight(k)
-        for a in (0, 1):
-            for V, log_G in ((triple_weight(form, a), lfunctions._log_gamma_ratio_triple(k, a)),
-                             (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
-                assert np.max(np.abs(V(xs) - _refined_contour_sum(log_G, xs))) <= 2e-11
-                assert V(1e-13) == V(1e-12)
-                assert V(2e6) == 0.0
-            # the sum above is the public oracle's
-            triple = lfunctions._log_gamma_ratio_triple(k, a)
-            for x in (1e-6, 0.7, 1.0, 2.5):
-                assert _refined_contour_sum(triple, np.array([x]))[0] == pytest.approx(
-                    weight_V_reference(x, a, form), abs=1e-15)
+        for V, log_G in ((triple_weight(form), lfunctions._log_gamma_ratio_triple(k)),
+                         (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
+            assert np.max(np.abs(V(xs) - _refined_contour_sum(log_G, xs))) <= 2e-11
+            assert V(1e-13) == V(1e-12)
+            assert V(2e6) == 0.0
+        # the sum above is the public oracle's
+        triple = lfunctions._log_gamma_ratio_triple(k)
+        for x in (1e-6, 0.7, 1.0, 2.5):
+            assert _refined_contour_sum(triple, np.array([x]))[0] == pytest.approx(
+                weight_V_reference(x, form), abs=1e-15)
 
 
-def _log_gamma_ratio_triple_inline(k, parity_a):
-    """The triple Gamma factor of weight k with the twist factor written
-    out, as it was before it was built on the twist factor."""
-    a = parity_a
+def _log_gamma_ratio_triple_inline(k, a):
+    """The triple Gamma factor of weight k at parity exponent a, with the
+    twist factor written out, as it was before it was built on the twist
+    factor."""
 
     def log_G(s):
         val = -s * np.log(2 * np.pi) + loggamma(k / 2 + s) - loggamma(k / 2)
@@ -175,19 +175,20 @@ def _form_of_weight(k):
     return EigenformData(k, 0.0, np.zeros(2), label=f"weight-{k}")
 
 
-@pytest.mark.parametrize("k", [12, 18], ids=["delta", "weight18"])
-def test_weight_grid_matches_direct_sum(k):
+@pytest.mark.parametrize("k,a", [(12, 0), (18, 1), (22, 1)],
+                         ids=["delta", "weight18", "weight22"])
+def test_weight_grid_matches_direct_sum(k, a):
     # the FFT against the dense power-matrix sum at the same nodes, on the
-    # Gamma factors of Delta and of a weight-18 form
+    # Gamma factors of Delta and of forms of weight 18 and 22; the parity
+    # exponent is written out here, a = 1 where (-1)^{k/2} = -1
     form = _form_of_weight(k)
-    for a in (0, 1):
-        for V, log_G in ((triple_weight(form, a), _log_gamma_ratio_triple_inline(k, a)),
-                         (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
-            ref = _grid_v_direct(log_G)
-            assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
-            direct = WeightFunction(None, V.grid_x, ref)
-            for tol in (1e-8, 1e-9, 1e-12, 1e-14):
-                assert V.cutoff(tol) == direct.cutoff(tol)
+    for V, log_G in ((triple_weight(form), _log_gamma_ratio_triple_inline(k, a)),
+                     (twist_weight(form), lfunctions._log_gamma_ratio_twist(k))):
+        ref = _grid_v_direct(log_G)
+        assert np.max(np.abs(V.grid_v - ref)) <= 2e-13
+        direct = WeightFunction(None, V.grid_x, ref)
+        for tol in (1e-8, 1e-9, 1e-12, 1e-14):
+            assert V.cutoff(tol) == direct.cutoff(tol)
 
 
 def test_weight_contour_is_aligned_with_the_grid():
@@ -210,15 +211,13 @@ def test_weight_contour_is_aligned_with_the_grid():
 
 def test_weight_rejects_nonpositive(delta_small):
     with pytest.raises(ValueError):
-        triple_weight(delta_small, 0)(-1.0)
-    with pytest.raises(ValueError):
-        triple_weight(delta_small, 2)
+        triple_weight(delta_small)(-1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_weight_rejects_nonfinite(delta_small, bad):
     # a NaN fails every range mask, so its output slot used to stay unwritten
-    V = triple_weight(delta_small, 0)
+    V = triple_weight(delta_small)
     with pytest.raises(ValueError, match="positive and finite"):
         V(np.array([bad, 0.5, bad]))
     with pytest.raises(ValueError, match="positive and finite"):
@@ -226,13 +225,9 @@ def test_weight_rejects_nonfinite(delta_small, bad):
 
 
 def test_twist_weight_checks_parity(delta_small):
-    # the triple weight checks its parity and caches nothing for a bad one;
-    # the twist weight has none, as L_inf(s, f x chi) has none: one object
+    # the twist weight takes no parity, as L_inf(s, f x chi) has none: one
+    # object
     lfunctions._cached_weight.cache_clear()
-    for a in (2, -1):
-        with pytest.raises(ValueError, match="parity"):
-            triple_weight(delta_small, a)
-    assert lfunctions._cached_weight.cache_info().currsize == 0
     assert twist_weight(delta_small) is twist_weight(delta_small)
     assert lfunctions._cached_weight.cache_info().currsize == 1
     with pytest.raises(TypeError):
@@ -240,38 +235,36 @@ def test_twist_weight_checks_parity(delta_small):
 
 
 def test_weight_cache_is_bounded_and_read_only():
-    # two parities of the triple factor and one twist factor per weight:
-    # 15 weights, 8 kept
+    # one triple factor and one twist factor per weight: 10 weights, 8 kept
     for k in (12, 16, 18, 20, 22):
         form = _form_of_weight(k)
-        for a in (0, 1):
-            for V in (triple_weight(form, a), twist_weight(form)):
-                assert lfunctions._cached_weight.cache_info().currsize <= 8
-                for arr in (V.grid_x, V.grid_v, V._spline.coeffs):
-                    assert not arr.flags.writeable
+        for V in (triple_weight(form), twist_weight(form)):
+            assert lfunctions._cached_weight.cache_info().currsize <= 8
+            for arr in (V.grid_x, V.grid_v, V._spline.coeffs):
+                assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
 def test_cutoff_rejects_tolerance_outside_the_positive_reals(delta_small, tol):
     # at tol <= 0 or NaN no grid value is below it: the cutoff would be x = 1e6
     with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
-        triple_weight(delta_small, 0).cutoff(tol)
+        triple_weight(delta_small).cutoff(tol)
 
 
 def test_cached_weight_arrays_are_read_only(delta_small):
-    V = triple_weight(delta_small, 0)
+    V = triple_weight(delta_small)
     v0 = float(V.grid_v[0])
     for arr in (V.grid_x, V.grid_v):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert triple_weight(delta_small, 0).grid_v[0] == v0
+    assert triple_weight(delta_small).grid_v[0] == v0
 
 
 def test_cached_weight_spline_coefficients_are_read_only(delta_small):
-    v = triple_weight(delta_small, 0)(0.5)
+    v = triple_weight(delta_small)(0.5)
     with pytest.raises(ValueError):
-        triple_weight(delta_small, 0)._spline.coeffs[...] = 0.0
-    assert triple_weight(delta_small, 0)(0.5) == v != 0.0
+        triple_weight(delta_small)._spline.coeffs[...] = 0.0
+    assert triple_weight(delta_small)(0.5) == v != 0.0
 
 
 @pytest.mark.parametrize("k", [12, 18], ids=["delta", "weight18"])
@@ -299,6 +292,9 @@ def test_afe_rejects_bad_inputs(delta_small):
     odd = [i for i in g5.primitive_indices(parity=-1)][0]
     with pytest.raises(ParityVanishing):
         afe_triple_product(g5, odd, delta_small)
+    even = [i for i in g5.primitive_indices(parity=1)][0]
+    with pytest.raises(ParityVanishing):                 # eps = -1 at weight 18
+        afe_triple_product(g5, even, EigenformData(18, 0.0, delta_small.lam))
     g12 = build_group(12)
     imprim = [i for i in range(g12.n_chars) if not g12.is_primitive[i]][0]
     with pytest.raises(ValueError):

@@ -13,10 +13,18 @@ from momentlab import moments
 from momentlab.arith import is_admissible, phi_star
 from momentlab.characters import build_group
 from momentlab.eigenforms import EigenformData
-from momentlab.lfunctions import afe_lengths, afe_triple_product, moment_table_length
+from momentlab.lfunctions import (afe_length, afe_triple_product, moment_table_length,
+                                  triple_weight)
 from momentlab.moments import (MomentQuery, brute_moment, c_ab,
                                divisor_route_moment, error_exponent, main_term,
                                residue_pair_matrix, sweep)
+
+
+def _weight_18(form):
+    """form's lambda(n) under weight 18, whose root number (-1)^9 = -1 makes
+    the moment average the odd characters; the matrix and both routes read
+    nothing of a form but lambda and k."""
+    return dataclasses.replace(form, weight=18, tau_exact=None)
 
 
 def test_query_validation():
@@ -33,13 +41,13 @@ def test_query_validation():
 
 def test_matrix_is_symmetric_and_matches_direct_sum(delta_small):
     q = 5
-    F = residue_pair_matrix(delta_small, q, 1e-9)
-    # entry check against a direct double loop over small residues
+    # entry check against a direct double loop over small residues, at the
+    # weight of each parity
     from momentlab.arith import divisor_count_sieve
-    from momentlab.lfunctions import triple_weight
-    for sigma, parity_a in ((1, 0), (-1, 1)):
-        assert np.allclose(F[sigma], F[sigma].T)
-        V = triple_weight(delta_small, parity_a)
+    for form in (delta_small, _weight_18(delta_small)):
+        F = residue_pair_matrix(form, q, 1e-9)
+        assert np.allclose(F, F.T)
+        V = triple_weight(form)
         X = int(math.ceil(V.cutoff(1e-9) * q * q))
         tau = divisor_count_sieve(X)
         direct = 0.0
@@ -51,21 +59,21 @@ def test_matrix_is_symmetric_and_matches_direct_sum(delta_small):
                 if n % q != v or math.gcd(n, q) != 1:
                     continue
                 w = V(m * n / (q * q)) / math.sqrt(m * n)
-                direct += (delta_small.lam[m] * tau[n] + delta_small.lam[n] * tau[m]) * w
-        assert F[sigma][u, v] == pytest.approx(direct, rel=1e-10)
+                direct += (form.lam[m] * tau[n] + form.lam[n] * tau[m]) * w
+        assert F[u, v] == pytest.approx(direct, rel=1e-10)
 
 
-@pytest.mark.parametrize("parity_a", [0, 1])
-def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
+@pytest.mark.parametrize("a", [0, 1])
+def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, a):
     # q = 12: the residues prime to q are sparse and the non-coprime rows and
-    # columns must stay exactly zero
+    # columns must stay exactly zero; parity exponent a at weight 12 + 6a
     from momentlab.arith import divisor_count
-    from momentlab.lfunctions import triple_weight
     q = 12
-    F = residue_pair_matrix(delta_small, q, 1e-9)[1 if parity_a == 0 else -1]
-    V = triple_weight(delta_small, parity_a)
+    form = dataclasses.replace(delta_small, weight=12 + 6 * a, tau_exact=None)
+    F = residue_pair_matrix(form, q, 1e-9)
+    V = triple_weight(form)
     X = int(math.ceil(V.cutoff(1e-9) * q * q))
-    lam = delta_small.lam
+    lam = form.lam
     direct = np.zeros((q, q))
     for m in range(1, X + 1):
         if math.gcd(m, q) != 1:
@@ -80,14 +88,13 @@ def test_matrix_matches_direct_sum_at_composite_modulus(delta_small, parity_a):
     assert np.allclose(F, direct, rtol=1e-10, atol=1e-12 * np.abs(direct).max())
 
 
-def _residue_pair_loop(form, q, parity_a, v_tol):
-    """The residue-pair matrix of one parity from the coprime integers c <= X:
-    one gather and bincount per small c, first as the row coordinate and then,
-    against the c > sqrt(X), as the column; kept as the reference for
+def _residue_pair_loop(form, q, v_tol):
+    """The residue-pair matrix from the coprime integers c <= X: one gather
+    and bincount per small c, first as the row coordinate and then, against
+    the c > sqrt(X), as the column; kept as the reference for
     residue_pair_matrix."""
     from momentlab.arith import divisor_count_sieve
-    from momentlab.lfunctions import triple_weight
-    V = triple_weight(form, parity_a)
+    V = triple_weight(form)
     X = int(math.ceil(V.cutoff(v_tol) * q * q))
     tau = divisor_count_sieve(X)
     ns = np.arange(X + 1, dtype=np.float64)
@@ -118,31 +125,27 @@ def _residue_pair_loop(form, q, parity_a, v_tol):
 
 @pytest.mark.parametrize("q", [31, 97, 9, 25, 27, 12, 15, 20, 100])
 def test_matrix_matches_two_loop_reference(delta_mid, q, monkeypatch):
-    # primes, prime powers and composites: both parities from one call, each
-    # against its own truncation X_sigma in the reference; then with chunks
-    # of q entries, so that every row, down to its shortest of about
-    # sqrt(X) > 2q entries, spans several chunks
+    # primes, prime powers and composites, at the weight of each parity; then
+    # with chunks of q entries, so that every row, down to its shortest of
+    # about sqrt(X) > 2q entries, spans several chunks
     non_units = [u for u in range(q) if math.gcd(u, q) != 1]
-    want = {sigma: _residue_pair_loop(delta_mid, q, parity_a, 1e-9)
-            for sigma, parity_a in ((1, 0), (-1, 1))}
-    for chunk in (moments._CHUNK, q):
-        monkeypatch.setattr(moments, "_CHUNK", chunk)
-        F = residue_pair_matrix(delta_mid, q, 1e-9)
-        assert sorted(F) == [-1, 1]
-        for sigma in F:
-            assert np.abs(F[sigma] - want[sigma]).max() <= 1e-13 * np.abs(want[sigma]).max()
-            assert np.all(F[sigma][non_units] == 0.0) and np.all(F[sigma][:, non_units] == 0.0)
+    for form in (delta_mid, _weight_18(delta_mid)):
+        want = _residue_pair_loop(form, q, 1e-9)
+        for chunk in (moments._CHUNK, q):
+            monkeypatch.setattr(moments, "_CHUNK", chunk)
+            F = residue_pair_matrix(form, q, 1e-9)
+            assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.all(F[non_units] == 0.0) and np.all(F[:, non_units] == 0.0)
 
 
-def test_matrix_peak_memory_is_about_three_length_x_arrays(delta_mid):
-    # both V and the 16-bit sieve (a quarter of an array) are the only arrays
-    # of length X; the chunks, G and F add well under one more
+def test_matrix_peak_memory_is_about_two_length_x_arrays(delta_mid):
+    # V and the 16-bit sieve (a quarter of an array) are the only arrays of
+    # length X; the chunks, G and F add well under one more
     import tracemalloc
 
     from momentlab import arith
-    from momentlab.lfunctions import triple_weight
     q, v_tol = 283, 1e-8
-    X = max(math.ceil(triple_weight(delta_mid, a).cutoff(v_tol) * q * q) for a in (0, 1))
+    X = afe_length(12, q, v_tol)
     arith.divisor_count_sieve.cache_clear()
     tracemalloc.start()
     try:
@@ -150,24 +153,26 @@ def test_matrix_peak_memory_is_about_three_length_x_arrays(delta_mid):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * (X + 1)
+    assert peak < 2.5 * 8 * (X + 1)
 
 
 @pytest.mark.parametrize("q", [9, 12, 16, 21, 25, 284])
 def test_brute_moment_matches_per_character_quadratic_form(delta_mid, q):
     # the ratio-class sums T against chi F chi^* formed per character over
-    # group.values, for both parities and a shifted (a, b)
-    F = residue_pair_matrix(delta_mid, q, 1e-8)
+    # group.values, for the forms of both parities and a shifted (a, b)
     group = build_group(q)
     pstar = phi_star(q)
-    for a, b in ((1, 1), (1, 11)):
-        rep = brute_moment(delta_mid, MomentQuery(q, a, b), F_by_parity=F)
-        for sigma, got in ((1, rep.m_even), (-1, rep.m_odd)):
-            idx = group.primitive_indices(parity=sigma)
-            vals = [group.values[i] @ F[sigma] @ np.conj(group.values[i]) for i in idx]
+    for form in (delta_mid, _weight_18(delta_mid)):
+        F = residue_pair_matrix(form, q, 1e-8)
+        idx = group.primitive_indices(parity=form.epsilon)
+        vals = [group.values[i] @ F @ np.conj(group.values[i]) for i in idx]
+        for a, b in ((1, 1), (1, 11)):
+            rep = brute_moment(form, MomentQuery(q, a, b), F=F)
             want = sum(group.values[i, b % q] * np.conj(group.values[i, a % q]) * v
                        for i, v in zip(idx, vals)) / pstar
+            got = complex(rep.moment, rep.moment_im)
             assert abs(got - want) <= 1e-12 * sum(abs(v) for v in vals) / pstar
+            assert rep.chars_used == len(idx)
 
 
 def test_sweep_does_not_import_numpy_ma():
@@ -187,9 +192,8 @@ def test_sweep_does_not_import_numpy_ma():
 
 
 def test_one_sieve_per_modulus(delta_small, monkeypatch):
-    # both parities share one divisor sieve, at the longer of their cutoffs
+    # one divisor sieve, at the AFE length of the form's parity
     from momentlab import arith
-    from momentlab.lfunctions import triple_weight
     limits = []
 
     def recording_sieve(limit):
@@ -200,8 +204,7 @@ def test_one_sieve_per_modulus(delta_small, monkeypatch):
     monkeypatch.setattr(moments, "divisor_count_sieve", recording_sieve)
     q = 13
     brute_moment(delta_small, MomentQuery(q), v_tol=1e-9)
-    assert limits == [max(math.ceil(triple_weight(delta_small, a).cutoff(1e-9) * q * q)
-                          for a in (0, 1))]
+    assert limits == [afe_length(12, q, 1e-9)]
     assert arith.divisor_count_sieve.cache_info().misses == 1
 
 
@@ -218,9 +221,9 @@ def _afe_per_m_loop(group, index, form, v_tol=1e-12):
     """The triple-product AFE summed over m one at a time, each m against
     all n <= X / m at once; kept as the reference for afe_triple_product."""
     from momentlab.arith import divisor_count_sieve
-    from momentlab.lfunctions import triple_weight
     q = group.modulus
-    V = triple_weight(form, 0 if group.parity[index] == 1 else 1)
+    assert group.parity[index] == form.epsilon
+    V = triple_weight(form)
     X = int(math.ceil(V.cutoff(v_tol) * q * q))
     tau = divisor_count_sieve(X)
     ns = np.arange(X + 1, dtype=np.float64)
@@ -246,11 +249,13 @@ def _afe_per_m_loop(group, index, form, v_tol=1e-12):
 
 @pytest.mark.parametrize("q", [5, 7, 12, 13, 16])
 def test_afe_matches_per_m_loop(delta_small, q):
-    # chi F conj(chi) of the residue-pair matrix against the per-m sum
+    # chi F conj(chi) of the residue-pair matrix against the per-m sum, at
+    # the characters of each form's parity
     g = build_group(q)
-    for idx in g.primitive_indices(parity=1):
-        want = _afe_per_m_loop(g, idx, delta_small)
-        assert abs(afe_triple_product(g, idx, delta_small) - want) <= 1e-12 * abs(want)
+    for form in (delta_small, _weight_18(delta_small)):
+        for idx in g.primitive_indices(parity=form.epsilon):
+            want = _afe_per_m_loop(g, idx, form)
+            assert abs(afe_triple_product(g, idx, form) - want) <= 1e-12 * abs(want)
 
 
 def test_brute_matches_per_character_afe(delta_small):
@@ -265,29 +270,29 @@ def test_brute_matches_per_character_afe(delta_small):
         chi = g.values[idx]
         total += chi[2] * np.conj(chi[1]) * _afe_per_m_loop(g, idx, delta_small, v_tol=1e-9)
     total /= phi_star(q)
-    assert abs(rep.m_even - total) < 1e-8 * max(abs(total), 1.0)
+    assert abs(complex(rep.moment, rep.moment_im) - total) < 1e-8 * max(abs(total), 1.0)
 
 
 @pytest.mark.parametrize("q,a,b", [(5, 1, 1), (7, 1, 2), (13, 3, 2), (9, 1, 1)])
 def test_routes_agree(delta_small, q, a, b):
     query = MomentQuery(q, a, b)
-    F = residue_pair_matrix(delta_small, q, 1e-9)
-    r1 = brute_moment(delta_small, query, F_by_parity=F)
-    r2 = divisor_route_moment(delta_small, query, F_by_parity=F)
-    assert abs(r1.moment - r2.moment) < 1e-8 * max(abs(r1.moment), 1.0)
-    assert abs(complex(r1.m_odd).real - complex(r2.m_odd).real) < 1e-8 * max(abs(r1.moment), 1.0)
+    for form in (delta_small, _weight_18(delta_small)):
+        F = residue_pair_matrix(form, q, 1e-9)
+        r1 = brute_moment(form, query, F=F)
+        r2 = divisor_route_moment(form, query, F=F)
+        assert abs(r1.moment - r2.moment) < 1e-8 * max(abs(r1.moment), 1.0)
 
 
 def test_routes_report_the_same_chars_used(delta_small):
     # both count the primitive characters of the form's parity; the matrix
     # F does not enter the count, so zeros stand in for it.  The weight
     # picks the parity: epsilon = (-1)^(k/2) is -1 at k = 18
-    for form in (delta_small, dataclasses.replace(delta_small, weight=18)):
+    for form in (delta_small, _weight_18(delta_small)):
         for q in filter(is_admissible, range(3, 101)):
-            F = {1: np.zeros((q, q)), -1: np.zeros((q, q))}
+            F = np.zeros((q, q))
             query = MomentQuery(q, 1, 1)
-            brute = brute_moment(form, query, F_by_parity=F).chars_used
-            assert divisor_route_moment(form, query, F_by_parity=F).chars_used == brute
+            brute = brute_moment(form, query, F=F).chars_used
+            assert divisor_route_moment(form, query, F=F).chars_used == brute
 
 
 def test_moment_is_real(delta_small):
@@ -342,15 +347,21 @@ def test_small_sweep(delta_mid):
     assert seen == summary.rows
 
 
+def test_afe_length_is_the_cutoff_of_the_forms_parity():
+    # X of Delta's own (even) parity at sweep-top's largest modulus and tolerance
+    assert afe_length(12, 284, 1e-8) == 327_319
+
+
 def test_moment_table_length_is_the_prefix_the_moment_needs(delta_mid):
-    # at q = 284 the AFE, not L(1, f), sets the length; one entry short of
-    # it is an IndexError naming the length, not a silently truncated sum
-    n = moment_table_length(12, 284, 1e-8)
-    assert n == max(afe_lengths(12, 284, 1e-8)) == 462_350
+    # at q = 284 and tol 1e-10 the AFE, not L(1, f)'s 450 000 terms, sets the
+    # length; one entry short of it is an IndexError naming the length, not a
+    # silently truncated sum
+    n = moment_table_length(12, 284, 1e-10)
+    assert n == afe_length(12, 284, 1e-10) == 480_438
     query = MomentQuery(284)
     exact = EigenformData(12, 0.0, delta_mid.lam[:n + 1], label="delta")
-    assert brute_moment(exact, query, v_tol=1e-8).moment == \
-        brute_moment(delta_mid, query, v_tol=1e-8).moment
+    assert brute_moment(exact, query, v_tol=1e-10).moment == \
+        brute_moment(delta_mid, query, v_tol=1e-10).moment
     short = EigenformData(12, 0.0, delta_mid.lam[:n], label="delta")
-    with pytest.raises(IndexError, match="needs lambda up to 462350$"):
-        brute_moment(short, query, v_tol=1e-8)
+    with pytest.raises(IndexError, match="needs lambda up to 480438$"):
+        brute_moment(short, query, v_tol=1e-10)

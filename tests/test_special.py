@@ -171,7 +171,7 @@ def test_runtime_does_not_import_scipy():
             "from momentlab import (arith, characters, cli, eigenforms, expsums, lfunctions,\n"
             "                       moments, special, voronoi)\n"
             "delta = eigenforms.delta_coefficients(40_000)\n"
-            "v = lfunctions.triple_weight(delta, 0)(np.array([1e-3, 0.5, 2.0]))\n"
+            "v = lfunctions.triple_weight(delta)(np.array([1e-3, 0.5, 2.0]))\n"
             "assert np.all(np.isfinite(v))\n"
             "assert voronoi.voronoi_check(voronoi.VoronoiCase(1, 1, 1, 10.0, delta)) < 1e-6\n"
             "print(sorted(m for m, mod in sys.modules.items()\n"
