@@ -203,9 +203,8 @@ def _suite_afe(args) -> dict:
         even = group.primitive_indices(parity=1)
         L = {i: dirichlet_L_half(group, i) for i in even}
         Lf = {i: twisted_L_half(group, i, form) for i in even}
-        for i in even:
+        for i, triple in zip(even, afe_triple_product(group, even, form)):
             j = conjugate_index(group, i)
-            triple = afe_triple_product(group, i, form)
             worst = max(worst, abs(triple - Lf[i] * L[j] ** 2) / abs(triple))
             rn = root_numbers(group, i, form)
             fe_dirichlet = max(fe_dirichlet, abs(L[i] - rn.eps_of_chi * L[j]))

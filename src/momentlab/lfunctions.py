@@ -184,29 +184,31 @@ def root_numbers(group: CharacterGroup, index: int, form: EigenformData) -> Root
 # Triple-product AFE
 
 
-def afe_triple_product(group: CharacterGroup, index: int, form: EigenformData) -> complex:
-    """L(1/2, f x chi) L(1/2, conj chi)^2 via the two-sum AFE.
+def afe_triple_product(group: CharacterGroup, indices,
+                       form: EigenformData) -> list[complex]:
+    """L(1/2, f x chi) L(1/2, conj chi)^2 via the two-sum AFE, for each
+    character index in the sequence ``indices`` of one modulus.
 
-    Requires a primitive character with eps(f, chi) = +1, that is of the
-    form's parity; truncates where the weight has decayed below _AFE_TOL.
-    The value is the quadratic form chi F conj(chi) of the residue-pair
-    matrix F that the moment averages.
+    Requires primitive characters with eps(f, chi) = +1, that is of the
+    form's parity; every index is checked before anything is built.  Truncates
+    where the weight has decayed below _AFE_TOL.  Each value is the quadratic
+    form chi F conj(chi) of the residue-pair matrix F that the moment
+    averages, built once for all the indices.
     """
     from .moments import residue_pair_matrix     # moments imports this module
 
-    q = group.modulus
+    q, indices = group.modulus, list(indices)
     if q == 1:
         raise ValueError("the twisted family starts at q >= 3; no twist mod 1")
-    if not group.is_primitive[index]:
-        raise ValueError("AFE requires a primitive character")
-    rn = root_numbers(group, index, form)
-    if rn.eps_pair != 1:
-        raise ParityVanishing(
-            "eps(f, chi) = -1: the triple product L-value pairs to zero by "
-            "parity and the root-number-one AFE does not apply")
+    for index in indices:
+        if not group.is_primitive[index]:
+            raise ValueError("AFE requires a primitive character")
+        if root_numbers(group, index, form).eps_pair != 1:
+            raise ParityVanishing(
+                "eps(f, chi) = -1: the triple product L-value pairs to zero by "
+                "parity and the root-number-one AFE does not apply")
     F = residue_pair_matrix(form, q, _AFE_TOL)
-    chi = group.values[index]
-    return complex(chi @ F @ np.conj(chi))
+    return [complex(chi @ F @ np.conj(chi)) for chi in group.values[indices]]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_acceptance_3_weil_certification():
     rep = weil_certify(c_max=500, grid=20)
     assert rep.cells == 500 * 400
     assert rep.max_ratio <= 1.0 + 1e-9
-    assert time.time() - t0 < 5.0
+    assert time.time() - t0 < 2.0
 
 
 def test_acceptance_4_afe_cross_route(delta_small):
@@ -94,8 +94,8 @@ def test_acceptance_4_afe_cross_route(delta_small):
     worst = 0.0
     for q in (5, 7, 13):
         g = build_group(q)
-        for idx in g.primitive_indices(parity=1):
-            lhs = afe_triple_product(g, idx, delta_small)
+        even = g.primitive_indices(parity=1)
+        for idx, lhs in zip(even, afe_triple_product(g, even, delta_small)):
             rhs = twisted_L_half(g, idx, delta_small) * \
                 dirichlet_L_half(g, conjugate_index(g, idx)) ** 2
             worst = max(worst, abs(lhs - rhs) / abs(lhs))

@@ -407,12 +407,12 @@ def test_verify_shifted(capsys):
 
 
 def test_verify_afe_evaluates_each_route_once_per_character(capsys, monkeypatch):
-    from momentlab import lfunctions
+    from momentlab import lfunctions, moments
 
-    calls = {"dirichlet_L_half": 0, "twisted_L_half": 0}
+    calls = {"dirichlet_L_half": 0, "twisted_L_half": 0, "residue_pair_matrix": 0}
 
-    def counting(name):
-        real = getattr(lfunctions, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -420,11 +420,12 @@ def test_verify_afe_evaluates_each_route_once_per_character(capsys, monkeypatch)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(lfunctions, name, counting(name))
+        module = moments if name == "residue_pair_matrix" else lfunctions
+        monkeypatch.setattr(module, name, counting(module, name))
     assert main(["verify", "afe"]) == EXIT_OK
     rep = json.loads(capsys.readouterr().out)
-    # even primitive characters: 1 mod 5, 2 mod 7, 5 mod 13
-    assert calls == {"dirichlet_L_half": 8, "twisted_L_half": 8}
+    # even primitive characters: 1 mod 5, 2 mod 7, 5 mod 13; one F per modulus
+    assert calls == {"dirichlet_L_half": 8, "twisted_L_half": 8, "residue_pair_matrix": 3}
     assert rep["passed"] is True
     assert rep["max_rel_residual"] <= 1e-9
     assert rep["max_fe_residual_dirichlet"] <= 1e-10

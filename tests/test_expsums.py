@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def _kloosterman_brute(m, n, c):
 def _kloosterman(m, n, c):
     """S(m, n; c) from the table kernel; the sum is real, so its imaginary
     part must cancel."""
-    s = complex(expsums._kloosterman_table(np.asarray(m), np.asarray(n), c))
+    s = complex(expsums._kloosterman_table(np.array([m]), np.array([n]), c)[0, 0])
     assert abs(s.imag) <= 1e-9 * c
     return s.real
 
@@ -128,12 +129,34 @@ def test_kloosterman_table_matches_per_c_construction():
     # every modulus that acceptance 3 certifies, on its 20 x 20 grid
     ms = np.arange(1, 21)
     for c in range(1, 501):
-        assert np.array_equal(expsums._kloosterman_table(ms[:, None], ms[None, :], c),
+        assert np.array_equal(expsums._kloosterman_table(ms, ms, c),
                               _kloosterman_per_c(ms, ms, c))
     for c in (1, 2, 12, 97, 199, 997, 1000):
         for m, n in ((1, 1), (2, 3), (0, 5), (7, 0), (-3, 4)):
             assert _kloosterman(m, n, c) == float(
                 _kloosterman_per_c(np.array([m]), np.array([n]), c)[0, 0].real)
+
+
+@pytest.mark.parametrize("block", [1, 2**10, expsums._BLOCK_ELEMENTS, 2**20])
+def test_kloosterman_table_is_independent_of_the_block_size(monkeypatch, block):
+    # block 1 forces one m-row per block
+    ms = np.arange(1, 21)
+    monkeypatch.setattr(expsums, "_BLOCK_ELEMENTS", block)
+    for c in (1, 2, 97, 360, 499):
+        assert np.array_equal(expsums._kloosterman_table(ms, ms, c),
+                              _kloosterman_per_c(ms, ms, c))
+
+
+def test_kloosterman_table_blocks_stay_small():
+    # all 400 phi(499) terms at once peaked at 4.6 MiB
+    ms = np.arange(1, 21)
+    tracemalloc.start()
+    try:
+        table = expsums._kloosterman_table(ms, ms, 499)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (20, 20) and peak < 2 * 2**20
 
 
 def test_unit_inverses_match_python_pow():
@@ -211,6 +234,48 @@ def test_bilinear_incomplete_single_a():
                      for b in range(1, B + 1) if math.gcd(b, q) == 1))
     assert val == pytest.approx(direct, abs=1e-10)
     assert 0 <= ratio <= 1.0   # bound comfortably holds here
+
+
+def _bilinear_unblocked(alpha, beta, c, q):
+    """sum_a alpha_a |sum_b beta_b e(c a b^{-1} / q)| from the whole A x B
+    phase matrix at once."""
+    A, B = len(alpha), len(beta)
+    xbar = np.zeros(q, dtype=np.int64)
+    for b in range(1, q):
+        if math.gcd(b, q) == 1:
+            xbar[b] = pow(b, -1, q)
+    bs = np.arange(1, B + 1)
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(1, A + 1), c * xbar[bs % q]) % q) / q)
+    return float(np.sum(alpha * np.abs(phase @ (beta * (np.gcd(bs, q) == 1)))))
+
+
+@pytest.mark.parametrize("A,B,c,q", [(1, 1, 1, 2), (37, 500, 3, 1009), (3000, 3000, 7, 2999),
+                                     (300, 40, 7, 360)])
+def test_bilinear_incomplete_matches_unblocked(A, B, c, q):
+    rng = np.random.default_rng(A + B)
+    alpha, beta = rng.random(A), rng.standard_normal(B)
+    val, _ = bilinear_incomplete(alpha, beta, c, q)
+    want = _bilinear_unblocked(alpha, beta, c, q)
+    assert abs(val - want) <= 1e-12 * abs(want)
+
+
+def test_bilinear_incomplete_reads_c_mod_q():
+    # c near 10^18 used to overflow int64 in c * a * b^{-1}
+    q, ones = 999_983, np.ones(50)
+    assert bilinear_incomplete(ones, ones, 10**18 + 1, q) == \
+        bilinear_incomplete(ones, ones, (10**18 + 1) % q, q)
+
+
+def test_bilinear_incomplete_blocks_stay_small():
+    # the whole 3000 x 3000 phase matrix at once peaked at 275 MiB
+    ones = np.ones(3000)
+    tracemalloc.start()
+    try:
+        bilinear_incomplete(ones, ones, 1, 2999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_bilinear_guards():

@@ -291,14 +291,31 @@ def test_afe_rejects_bad_inputs(delta_small):
     g5 = build_group(5)
     odd = [i for i in g5.primitive_indices(parity=-1)][0]
     with pytest.raises(ParityVanishing):
-        afe_triple_product(g5, odd, delta_small)
+        afe_triple_product(g5, [odd], delta_small)
     even = [i for i in g5.primitive_indices(parity=1)][0]
     with pytest.raises(ParityVanishing):                 # eps = -1 at weight 18
-        afe_triple_product(g5, even, EigenformData(18, 0.0, delta_small.lam))
+        afe_triple_product(g5, [even], EigenformData(18, 0.0, delta_small.lam))
     g12 = build_group(12)
     imprim = [i for i in range(g12.n_chars) if not g12.is_primitive[i]][0]
     with pytest.raises(ValueError):
-        afe_triple_product(g12, imprim, delta_small)
+        afe_triple_product(g12, [imprim], delta_small)
+
+
+def test_afe_checks_every_index_before_building_F(delta_small, monkeypatch):
+    from momentlab import moments
+
+    def unreached(*args):
+        raise AssertionError("F was built")
+
+    monkeypatch.setattr(moments, "residue_pair_matrix", unreached)
+    g5 = build_group(5)
+    even, odd = g5.primitive_indices(parity=1)[0], g5.primitive_indices(parity=-1)[0]
+    with pytest.raises(ParityVanishing):
+        afe_triple_product(g5, [even, odd], delta_small)
+    g12 = build_group(12)
+    imprim = [i for i in range(g12.n_chars) if not g12.is_primitive[i]][0]
+    with pytest.raises(ValueError, match="primitive"):
+        afe_triple_product(g12, [*g12.primitive_indices(), imprim], delta_small)
 
 
 def test_afe_real_for_real_character(delta_small, monkeypatch):
@@ -306,7 +323,7 @@ def test_afe_real_for_real_character(delta_small, monkeypatch):
     g = build_group(5)
     real_even = [i for i in g.primitive_indices(parity=1)
                  if np.allclose(g.values[i].imag, 0)][0]
-    val = afe_triple_product(g, real_even, delta_small)
+    val, = afe_triple_product(g, [real_even], delta_small)
     assert abs(val.imag) < 1e-9 * abs(val)
 
 
@@ -325,7 +342,7 @@ def test_cross_route_single_character(delta_small, monkeypatch):
     g = build_group(5)
     idx = [i for i in g.primitive_indices(parity=1)
            if np.allclose(g.values[i].imag, 0)][0]
-    lhs = afe_triple_product(g, idx, delta_small)
+    lhs, = afe_triple_product(g, [idx], delta_small)
     rhs = twisted_L_half(g, idx, delta_small) * \
         dirichlet_L_half(g, conjugate_index(g, idx)) ** 2
     assert abs(lhs - rhs) < 1e-7 * abs(rhs)

@@ -253,9 +253,10 @@ def test_afe_matches_per_m_loop(delta_small, q):
     # the characters of each form's parity
     g = build_group(q)
     for form in (delta_small, _weight_18(delta_small)):
-        for idx in g.primitive_indices(parity=form.epsilon):
+        indices = g.primitive_indices(parity=form.epsilon)
+        for idx, got in zip(indices, afe_triple_product(g, indices, form)):
             want = _afe_per_m_loop(g, idx, form)
-            assert abs(afe_triple_product(g, idx, form) - want) <= 1e-12 * abs(want)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_brute_matches_per_character_afe(delta_small):
