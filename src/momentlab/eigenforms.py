@@ -179,7 +179,8 @@ def _check_tail(lam: np.ndarray) -> None:
     """Hecke check on the last _TAIL_WINDOW entries N > _EXACT_LIMIT of lam:
     lambda(p) lambda(N/p) = lambda(N) for the first p in _TAIL_PRIMES with
     p || N (about 63% of the N).  The values read lie in the window and near
-    N/p, so only a few pages of a mapped table are touched."""
+    N/p; the pages of a mapped table they fault in are released afterwards
+    (_release_past_prefix)."""
     n_max = len(lam) - 1
     ns = np.arange(max(_EXACT_LIMIT + 1, n_max - _TAIL_WINDOW + 1), n_max + 1)
     ps = np.zeros_like(ns)
@@ -187,11 +188,32 @@ def _check_tail(lam: np.ndarray) -> None:
         ps[(ns % p == 0) & (ns % (p * p) != 0)] = p
     ns, ps = ns[ps > 0], ps[ps > 0]
     defect = np.abs(lam[ps] * lam[ns // ps] - lam[ns])
+    _release_past_prefix(lam)
     bad = np.flatnonzero(~(defect <= _TAIL_TOL))    # NaN counts as bad
     if bad.size:
         n = int(ns[bad[0]])
         raise CoefficientError(f"float tau table fails the Hecke check at N = {n}: "
                                f"|lambda(p) lambda(N/p) - lambda(N)| = {defect[bad[0]]:.3g}")
+
+
+def _release_past_prefix(lam: np.ndarray) -> None:
+    """Unmap from this process the pages of a mapped table past its exact
+    prefix; a later read faults them in again from the page cache.
+
+    _check_tail reads a few KB near N/2, ..., N/13 and at the end, but where
+    the kernel maps a whole large page-cache folio per fault (up to 2 MB),
+    those reads can make megabytes of the table resident, and releasing
+    only the pages read leaves the rest of each folio mapped.  So every
+    page past the prefix goes.  A table that was built, not mapped, is left
+    alone."""
+    mm = getattr(lam.base, "obj", None)
+    if not (isinstance(mm, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")):
+        return
+    # lam is the tail of its mapping (see _read_prefix)
+    start = len(mm) - lam.nbytes + lam.itemsize * (_EXACT_LIMIT + 1)
+    start = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    if start < len(mm):
+        mm.madvise(mmap.MADV_DONTNEED, start, len(mm) - start)
 
 
 def _read_prefix(path: Path, n_max: int) -> np.ndarray | None:

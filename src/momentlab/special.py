@@ -193,22 +193,25 @@ def _bessel_j(n: int, z) -> np.ndarray:
     z0, p_coeffs, q_coeffs, start = _bessel_plan(n)
     out = np.empty_like(z)
     far = z >= z0
-    x = z[far]
-    inv2 = 1.0 / (x * x)
-    p = np.full_like(x, p_coeffs[-1])
-    for a in p_coeffs[-2::-1]:
-        p = p * inv2 + a
-    q = np.full_like(x, q_coeffs[-1])
-    for a in q_coeffs[-2::-1]:
-        q = q * inv2 + a
-    # cos and sin of chi from those of z: (2n + 1) pi / 4 is an odd multiple
-    # of pi / 4, so its cosine and sine are +-sqrt(1/2)
-    r = (2 * n + 1) % 8
-    c = math.sqrt(0.5) * (1.0 if r in (1, 7) else -1.0)
-    s = math.sqrt(0.5) * (1.0 if r in (1, 3) else -1.0)
-    cos_z, sin_z = np.cos(x), np.sin(x)
-    out[far] = np.sqrt(2.0 / (math.pi * x)) * (p * (cos_z * c + sin_z * s)
-                                               - (q / x) * (sin_z * c - cos_z * s))
+    if far.any():                                 # each branch only where it has a z
+        x = z[far]
+        inv2 = 1.0 / (x * x)
+        p = np.full_like(x, p_coeffs[-1])
+        for a in p_coeffs[-2::-1]:
+            p = p * inv2 + a
+        q = np.full_like(x, q_coeffs[-1])
+        for a in q_coeffs[-2::-1]:
+            q = q * inv2 + a
+        # cos and sin of chi from those of z: (2n + 1) pi / 4 is an odd multiple
+        # of pi / 4, so its cosine and sine are +-sqrt(1/2)
+        r = (2 * n + 1) % 8
+        c = math.sqrt(0.5) * (1.0 if r in (1, 7) else -1.0)
+        s = math.sqrt(0.5) * (1.0 if r in (1, 3) else -1.0)
+        cos_z, sin_z = np.cos(x), np.sin(x)
+        out[far] = np.sqrt(2.0 / (math.pi * x)) * (p * (cos_z * c + sin_z * s)
+                                                   - (q / x) * (sin_z * c - cos_z * s))
+    if far.all():
+        return out
     x = z[~far]
     rho = np.zeros_like(x)
     ratio = np.ones_like(x)                       # J_n / J_0

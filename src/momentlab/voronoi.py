@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .eigenforms import EigenformData, varpi_table
-from .special import (_SPLINE_PAD, BumpFunction, _UniformSpline, _bessel_j, _bessel_plan,
-                      _hankel_coefficients, interval_bump)
+from .special import (_HANKEL_TOL, _SPLINE_PAD, BumpFunction, _UniformSpline, _bessel_j,
+                      _bessel_plan, _hankel_coefficients, interval_bump)
 
 PHASE_SIGN = -1   # empirically fixed: J-kernel branch carries e(-(conj) n/d')
 TAIL_TOL = 1e-8   # the dual sum stops where the sampled |transform| stays below this
@@ -144,24 +144,45 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
 # the point from which special._bessel_j itself takes the expansion for J_{k-1}
 # (special._bessel_plan: 25 up to k = 18, 28 at k = 20, 48 at k = 26); the
 # head left to hankel_grid is 10 z0 sqrt(hi/lo) spline points.
-# FFT length: the smallest power of two with L du >= 5 u_max.  The trapezoid
-# rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so the worst alias
-# sits at (L du - u_max)^2 >= 16 u_max^2 = 16 y_cut, where the window's
-# transform, already down to TAIL_TOL at y_cut, is at its rounding floor.
+# The s-step: ds = 1 / (2 L du) with L the smallest power of two with
+# L du >= 5 u_max.  The trapezoid rule in s aliases frequency 4 pi u onto
+# 4 pi (L du - u), so the worst alias sits at (L du - u_max)^2 >= 16 u_max^2
+# = 16 y_cut, where the window's transform, already down to TAIL_TOL at
+# y_cut, is at its rounding floor.  L sets the step only: no transform of
+# length L is taken (see _hankel_uniform).
 _ALIAS_FACTOR = 5
 
 
+def _chirp(m: np.ndarray, L: int) -> np.ndarray:
+    """exp(i pi m^2 / L) for int64 m, with m^2 reduced mod 2L exactly."""
+    return np.exp(1j * math.pi * ((m * m) % (2 * L)) / L)
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a, 3 2^a or 5 2^a that is at least n."""
+    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
+
+
 def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
-    """hankel_grid(case, us**2) on a uniform grid us = j du, j < n, by FFTs.
-    With x = s^2 the transform is 2 pi eps times
-    integral 2 s V(s^2) J_nu(4 pi u s) ds, taken by the trapezoid rule on
-    s_j = sqrt(lo) + j ds with 4 pi du ds = 2 pi / L; the integrand is smooth
-    and compactly supported, so the rule converges faster than any power.
-    Term k of Hankel's expansion of J_nu = Re H1_nu is then
-    (4 pi u)^(-k-1/2) times sum_j c_j s_j^(-k-1/2) e(2 u s_j), one real FFT
-    of length L for every u at once.  The u with 4 pi u sqrt(lo) < z0 stay
-    on hankel_grid.  The terms are built one at a time in one buffer, so
-    memory stays at a few length-L vectors."""
+    """hankel_grid(case, us**2) on a uniform grid us = j du, j < n, by
+    chirp-z transforms.  With x = s^2 the transform is 2 pi eps times
+    integral 2 s V(s^2) J_nu(4 pi u s) ds, taken by the trapezoid rule on the
+    M samples s_j = sqrt(lo) + j ds of the support, with 4 pi du ds = 2 pi / L;
+    the integrand is smooth and compactly supported, so the rule converges
+    faster than any power.  Term i of Hankel's expansion of J_nu = Re H1_nu
+    is then (4 pi u_k)^(-i-1/2) times F_i(k) = sum_j c_j s_j^(-i-1/2) e(jk/L).
+
+    F_i is taken at the outputs it needs only, by Bluestein's identity
+    e(jk/L) = chi(j) chi(k) conj(chi(k - j)), chi(m) = exp(i pi m^2 / L):
+    a convolution of the M inputs times chi with conj(chi), one complex FFT
+    pair of length N >= p + M - 1 for p outputs, the kernel's spectrum
+    built once per N and chi(k) applied once to the sum of the terms.
+    From i >= nu - 1/2 on, term i counts only at the w = 4 pi u sqrt(lo) <
+    (|a_i| / _HANKEL_TOL)^(1/i), and never past the outputs of term i - 1:
+    every output keeps a prefix of at least nu - 1/2 terms whose first
+    omitted one is below _HANKEL_TOL, the remainder rule (DLMF 10.17(iii))
+    that sets the number of terms at z0.  The u with w < z0 stay on
+    hankel_grid.  Memory stays at a few length-N vectors."""
     nu = case.form.weight - 1
     lo, hi = case.window.support
     root_lo = math.sqrt(lo)
@@ -179,33 +200,61 @@ def _hankel_uniform(case: VoronoiCase, us: np.ndarray) -> np.ndarray:
     ds = 1.0 / (2.0 * L * du)
     s = root_lo + ds * np.arange(int(math.ceil((math.sqrt(hi) - root_lo) / ds)) + 1)
     t = s / root_lo                               # z = w t, t >= 1
-    buf = np.zeros(L)
-    c = buf[:len(s)]                              # c_j t_j^-j, zero-padded to L
-    c[:] = ds * 2.0 * s * case.window(s * s) / np.sqrt(t)
-    inv_t, inv_w = 1.0 / t, 1.0 / w[head:]
-    power = np.ones(n - head)                     # w^-j
-    acc = np.zeros(n - head, dtype=np.complex128)
-    for j, a in enumerate(coeffs):
-        acc += (1j ** (j % 4) * a) * power * np.fft.rfft(buf)[head:n].conj()
+    M = len(s)
+    w = w[head:]
+    prefixes, p = [], len(w)
+    for i, a in enumerate(coeffs):
+        if i >= nu - 0.5:
+            p = min(p, int(np.searchsorted(w, (abs(a) / _HANKEL_TOL) ** (1.0 / i))))
+        prefixes.append(p)
+    # output k = head + r of a term is entry M - 1 + r of the cyclic
+    # convolution of its inputs with conj(chi(head - M + 1 + m)), m < N
+    kernel = _chirp(np.arange(head - M + 1, head - M + 1 + _fft_length(len(w) + M - 1)), L).conj()
+    spectra: dict[int, np.ndarray] = {}
+    c = ds * 2.0 * s * case.window(s * s) / np.sqrt(t) * _chirp(np.arange(M), L)  # c_j t_j^-i chi(j)
+    inv_t, inv_w = 1.0 / t, 1.0 / w
+    power = np.ones(len(w))                       # w^-i
+    acc = np.zeros(len(w), dtype=np.complex128)
+    for i, (a, p) in enumerate(zip(coeffs, prefixes)):
+        if p == 0:
+            break
+        N = _fft_length(p + M - 1)
+        if N not in spectra:
+            spectra[N] = np.fft.fft(kernel[:N])
+        terms = np.fft.ifft(np.fft.fft(c, N) * spectra[N])[M - 1:M - 1 + p]
+        acc[:p] += (1j ** (i % 4) * a) * power[:p] * terms
         c *= inv_t
-        power *= inv_w
-    phase = np.exp(1j * (w[head:] - (nu / 2.0 + 0.25) * math.pi))
+        power[:p] *= inv_w[:p]
+    acc *= _chirp(np.arange(head, n), L)
+    phase = np.exp(1j * (w - (nu / 2.0 + 0.25) * math.pi))
     bessel_sum = math.sqrt(2.0 / math.pi) * (phase * acc * np.sqrt(inv_w)).real
     out[head:] = case.form.epsilon * 2.0 * math.pi * bessel_sum
     return out
 
 
+# dual_cutoff's scan step: one decade of its 300-point grid
+_CUTOFF_CHUNK = 25
+
+
 def dual_cutoff(case: VoronoiCase) -> float:
     """First point of a 300-point log grid in y after the last sample with |H|
-    not below TAIL_TOL.  Past it H can exceed TAIL_TOL between samples (1.45e-8
-    at X = 40); tail_certificate, `verify voronoi`'s max_tail_bound, bounds that."""
+    not below TAIL_TOL.  The grid is scanned from the top, one decade
+    (_CUTOFF_CHUNK points) per hankel_grid call, and the scan stops at the
+    first chunk that holds such a sample: the points below it cannot move
+    the cutoff and are never evaluated.  hankel_grid is batch-invariant, so
+    the values are those of one call on the whole grid.  Past the cutoff H
+    can exceed TAIL_TOL between samples (1.45e-8 at X = 40);
+    tail_certificate, `verify voronoi`'s max_tail_bound, bounds that."""
     ys = np.logspace(-6, 6, 300) / case.X
-    above = np.flatnonzero(~(np.abs(hankel_grid(case, ys)) < TAIL_TOL))  # NaN counts as above
-    if above.size == 0:
-        return float(ys[0])
-    if above[-1] == len(ys) - 1:
-        raise ArithmeticError("transform decay certificate failed: no cutoff found")
-    return float(ys[above[-1] + 1])
+    for end in range(len(ys), 0, -_CUTOFF_CHUNK):
+        start = max(0, end - _CUTOFF_CHUNK)
+        above = np.flatnonzero(~(np.abs(hankel_grid(case, ys[start:end])) < TAIL_TOL))  # NaN counts
+        if above.size:
+            last = start + int(above[-1])
+            if last == len(ys) - 1:
+                raise ArithmeticError("transform decay certificate failed: no cutoff found")
+            return float(ys[last + 1])
+    return float(ys[0])
 
 
 # Residue vectors a spline keeps for the dual sums: at most this many
@@ -219,9 +268,9 @@ _RESIDUE_CHUNK = 2**14
 class _DualSpline:
     """Quintic spline of the transform in u = sqrt(y); one per (case, y_cut),
     shared by every delta branch of the dual sum.  Its values on the uniform
-    u-grid come from _hankel_uniform (FFTs; hankel_grid only below z0).  It
-    also keeps the residue sums R of the branches it has served (see
-    residue_sums)."""
+    u-grid come from _hankel_uniform (chirp-z transforms; hankel_grid only
+    below z0).  It also keeps the residue sums R of the branches it has
+    served (see residue_sums)."""
 
     def __init__(self, case: VoronoiCase, y_cut: float):
         _, hi = case.window.support
@@ -233,8 +282,8 @@ class _DualSpline:
         step = 0.1 / (4.0 * math.pi * math.sqrt(hi))
         n_pts = int(u_max / step) + 8
         du = u_max / (n_pts - 1)
-        # the knots run pad samples past u_max, where the FFTs cost nothing
-        # more, so the spline keeps its accuracy up to the last
+        # the knots run pad samples past u_max, where the transforms cost
+        # little more, so the spline keeps its accuracy up to the last
         # sqrt(n / D) <= sqrt(u_max^2 + 1 / D) of a dual sum; below u = 0
         # they come from H(-u) = -H(u), k - 1 being odd
         pad = _SPLINE_PAD

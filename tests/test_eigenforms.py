@@ -202,6 +202,35 @@ def test_large_delta_table_is_not_copied(delta_large):
     assert int(out) < 4 * 1024                          # kB
 
 
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="reads Linux /proc")
+def test_tail_check_leaves_only_the_exact_prefix_resident(delta_large):
+    # the Hecke check on the table's tail reads near N/2, ..., N/13 and at
+    # the end; where one fault maps a whole large page-cache folio, that made
+    # megabytes of the mapping resident until the pages were released
+    code = ("from momentlab import eigenforms\n"
+            "def rss():\n"
+            "    total, ours = 0, False\n"
+            "    for line in open('/proc/self/smaps'):\n"
+            "        field = line.split()\n"
+            "        if not field[0].endswith(':'):\n"
+            "            ours = line.rstrip().endswith('delta_lambda.npy')\n"
+            "        elif ours and field[0] == 'Rss:':\n"
+            "            total += int(field[1])\n"
+            "    return total\n"
+            "lam = eigenforms._delta_lambda_cached(2_200_000)\n"
+            "float(lam[:eigenforms._EXACT_LIMIT + 1].sum())\n"
+            "prefix = rss()\n"
+            "eigenforms.delta_coefficients(2_200_000)\n"
+            "print(prefix, rss())\n")
+    src = str(Path(eigenforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    prefix, after = map(int, out.split())
+    assert 0 < prefix and after <= prefix + 64          # kB: fault-around slack
+
+
 @pytest.mark.parametrize("defect", ["bad magic", "float32", "2-D", "shorter than its header",
                                     "shorter than the prefix"])
 def test_defective_delta_cache_is_rebuilt(tmp_path, monkeypatch, defect):

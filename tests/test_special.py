@@ -135,6 +135,53 @@ def test_bessel_j_is_elementwise():
         assert batch[i] == special._bessel_j(19, zs[i:i + 1])[0]
 
 
+def _bessel_j_both_branches(n, z):
+    """The earlier _bessel_j, kept as the reference: it runs Hankel's
+    expansion and Miller's recurrence on every call, even on an empty
+    branch."""
+    z = np.asarray(z, dtype=np.float64)
+    z0, p_coeffs, q_coeffs, start = special._bessel_plan(n)
+    out = np.empty_like(z)
+    far = z >= z0
+    x = z[far]
+    inv2 = 1.0 / (x * x)
+    p = np.full_like(x, p_coeffs[-1])
+    for a in p_coeffs[-2::-1]:
+        p = p * inv2 + a
+    q = np.full_like(x, q_coeffs[-1])
+    for a in q_coeffs[-2::-1]:
+        q = q * inv2 + a
+    r = (2 * n + 1) % 8
+    c = math.sqrt(0.5) * (1.0 if r in (1, 7) else -1.0)
+    s = math.sqrt(0.5) * (1.0 if r in (1, 3) else -1.0)
+    cos_z, sin_z = np.cos(x), np.sin(x)
+    out[far] = np.sqrt(2.0 / (math.pi * x)) * (p * (cos_z * c + sin_z * s)
+                                               - (q / x) * (sin_z * c - cos_z * s))
+    x = z[~far]
+    rho = np.zeros_like(x)
+    ratio = np.ones_like(x)
+    evens = np.ones_like(x)
+    for m in range(start, 0, -1):
+        above = rho
+        rho = x / (2.0 * m - x * above)
+        if m % 2:
+            evens = 1.0 + rho * above * evens
+        if m <= n:
+            ratio *= rho
+    out[~far] = ratio / (2.0 * evens - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [11, 17, 25])
+def test_bessel_j_skips_an_empty_branch_bit_identically(n):
+    z0 = special._bessel_plan(n)[0]
+    far = np.geomspace(z0, 2e4, 97)
+    near = np.r_[0.0, np.geomspace(1e-3, np.nextafter(z0, 0.0), 96)]
+    for zs in (far, near, np.r_[near, far][::-1], np.empty(0), np.empty((0, 3)),
+               np.outer(near[:8], far[:5] / z0)):
+        assert np.array_equal(special._bessel_j(n, zs), _bessel_j_both_branches(n, zs))
+
+
 def _smooth(x):
     return np.sin(3.0 * x) * np.exp(-0.1 * x) + 0.5 * np.cos(0.7 * x)
 

@@ -31,6 +31,43 @@ def _hankel_single_batch(case, ys):
     return (1j ** (k % 4)) * 2.0 * math.pi * (mat @ ws)
 
 
+def _hankel_uniform_rfft(case, us):
+    """The earlier _hankel_uniform, kept as the reference: every term of
+    Hankel's expansion is one real FFT of length L over the zero-padded
+    window samples, of whose L/2 + 1 bins the grid keeps the first n."""
+    nu = case.form.weight - 1
+    lo, hi = case.window.support
+    root_lo = math.sqrt(lo)
+    z0 = special._bessel_plan(nu)[0]
+    coeffs = special._hankel_coefficients(nu, z0)
+    n = len(us)
+    w = 4.0 * math.pi * root_lo * us
+    head = int(np.searchsorted(w, z0))
+    out = np.empty(n)
+    out[:head] = hankel_grid(case, us[:head] ** 2)
+    if head == n:
+        return out
+    du = us[1] - us[0]
+    L = 1 << math.ceil(math.log2(voronoi._ALIAS_FACTOR * (n - 1)))
+    ds = 1.0 / (2.0 * L * du)
+    s = root_lo + ds * np.arange(int(math.ceil((math.sqrt(hi) - root_lo) / ds)) + 1)
+    t = s / root_lo
+    buf = np.zeros(L)
+    c = buf[:len(s)]
+    c[:] = ds * 2.0 * s * case.window(s * s) / np.sqrt(t)
+    inv_t, inv_w = 1.0 / t, 1.0 / w[head:]
+    power = np.ones(n - head)
+    acc = np.zeros(n - head, dtype=np.complex128)
+    for j, a in enumerate(coeffs):
+        acc += (1j ** (j % 4) * a) * power * np.fft.rfft(buf)[head:n].conj()
+        c *= inv_t
+        power *= inv_w
+    phase = np.exp(1j * (w[head:] - (nu / 2.0 + 0.25) * math.pi))
+    bessel_sum = math.sqrt(2.0 / math.pi) * (phase * acc * np.sqrt(inv_w)).real
+    out[head:] = case.form.epsilon * 2.0 * math.pi * bessel_sum
+    return out
+
+
 def _cutoff_by_suffix_scan(ys, vals, tol):
     """The earlier dual_cutoff scan, kept as the reference."""
     below = vals < tol
@@ -267,7 +304,8 @@ def test_dual_cutoff_matches_suffix_scan(reference_scan, monkeypatch):
              np.r_[np.full(299, tiny), np.nan],                   # NaN last
              np.abs(real)]
     for vals in grids:
-        monkeypatch.setattr(voronoi, "hankel_grid", lambda case, ys, vals=vals: vals)
+        monkeypatch.setattr(voronoi, "hankel_grid",
+                            lambda case, got, vals=vals: vals[np.searchsorted(ys, got)])
         try:
             expected = _cutoff_by_suffix_scan(ys, vals, TAIL_TOL)
         except ArithmeticError:
@@ -275,6 +313,18 @@ def test_dual_cutoff_matches_suffix_scan(reference_scan, monkeypatch):
                 dual_cutoff(case)
         else:
             assert dual_cutoff(case) == expected
+
+
+def test_dual_cutoff_evaluates_only_the_top_of_its_grid(delta_large, monkeypatch):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    sent = []
+    real = voronoi.hankel_grid
+    monkeypatch.setattr(voronoi, "hankel_grid", lambda case, ys: sent.append(ys) or real(case, ys))
+    y_cut = dual_cutoff(case)
+    sent = np.concatenate(sent)
+    ys = _cutoff_grid(20.0)
+    assert len(sent) <= 50
+    assert set(ys[ys >= y_cut].tolist()) <= set(sent.tolist())
 
 
 def test_hankel_grid_is_batch_invariant(delta_large):
@@ -315,14 +365,20 @@ def test_dual_cutoff_scales_inversely_with_X(delta_large):
 
 
 def _build_spline(case, truncation_factor):
-    """A fresh _DualSpline of case, the u-grid it was built on and the
-    lengths of the real FFTs that built it."""
+    """A fresh _DualSpline of case, the u-grid it was built on and, for each
+    term of Hankel's expansion, the (input length, transform length) of the
+    FFT that took it."""
     grids, ffts = [], []
-    fast, rfft = voronoi._hankel_uniform, np.fft.rfft
+    fast, fft = voronoi._hankel_uniform, np.fft.fft
     y_cut = dual_cutoff(case) * truncation_factor
+
+    def record(a, n=None):
+        if n is not None:                   # a term; the kernel spectra come whole
+            ffts.append((len(a), n))
+        return fft(a, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voronoi, "_hankel_uniform", lambda case, us: grids.append(us) or fast(case, us))
-        mp.setattr(np.fft, "rfft", lambda a: ffts.append(len(a)) or rfft(a))
+        mp.setattr(np.fft, "fft", record)
         spline = voronoi._DualSpline(case, y_cut)
     return spline, grids[0], ffts
 
@@ -396,16 +452,33 @@ def test_hankel_grid_head_blocks_stay_small(delta_large):
     assert peak < 2.5e6
 
 
+@pytest.mark.parametrize("weight", [12, 18, 20, 26])
+@pytest.mark.parametrize("X", [10.0, 20.0, 40.0])
+def test_hankel_uniform_matches_the_rfft_route(delta_large, X, weight):
+    form = EigenformData(weight, 0.0, delta_large.lam, label="w")
+    case = VoronoiCase(1, 1, 1, X, form)
+    for truncation_factor in (1.0, 2.0):
+        _, us, _ = _build_spline(case, truncation_factor)
+        ref = _hankel_uniform_rfft(case, us)
+        assert np.max(np.abs(voronoi._hankel_uniform(case, us) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("truncation_factor,L_expected", [(1.0, 2**17), (2.0, 2**18)])
 def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, truncation_factor,
                                                              L_expected):
     case = VoronoiCase(1, 1, 1, 20.0, delta_large)
     _, us, ffts = _build_spline(case, truncation_factor)
-    K, L = len(ffts), ffts[0]
-    assert set(ffts) == {L} and (K, L) == (25, L_expected)
-    # L: the smallest power of two with L du >= 5 u_max
-    assert L & (L - 1) == 0
+    K = len(ffts)
+    M = ffts[0][0]
+    assert K == 25 and {m for m, _ in ffts} == {M}
+    # L, which sets the s-step: the smallest power of two with L du >= 5 u_max
+    L = 1 << math.ceil(math.log2(voronoi._ALIAS_FACTOR * (len(us) - 1)))
+    assert L == L_expected
     assert L >= voronoi._ALIAS_FACTOR * (len(us) - 1) > L // 2
+    lo, hi = case.window.support
+    du = us[1] - us[0]
+    ds = 1.0 / (2.0 * L * du)
+    assert M == math.ceil((math.sqrt(hi) - math.sqrt(lo)) / ds) + 1
     # K: the first k >= nu - 1/2 with |a_k(nu)| z0^-k below the tolerance
     nu, z0, tol = 11, special._HANKEL_Z0, special._HANKEL_TOL
     a = [1.0]
@@ -414,12 +487,28 @@ def test_hankel_expansion_constants_follow_the_tolerance_rule(delta_large, trunc
     terms = [abs(a_j) * z0 ** -j for j, a_j in enumerate(a)]
     assert K >= nu - 0.5 and terms[K] < tol
     assert all(t >= tol for t in terms[math.ceil(nu - 0.5):K])
+    # the outputs of term j: every w = 4 pi u sqrt(lo) >= z0 while j < nu - 1/2,
+    # then those with |a_j| w^-j > tol that term j - 1 has too
+    w = 4.0 * math.pi * math.sqrt(lo) * us
+    w = w[w >= z0]
+    prefixes = [len(w)]
+    for j in range(1, K):
+        keep = prefixes[-1] if j < nu - 0.5 else min(prefixes[-1], int(np.sum(abs(a[j]) / w**j > tol)))
+        prefixes.append(keep)
+    assert prefixes[math.floor(nu - 0.5)] == len(w) > prefixes[-1] > 0
+    # term j is one transform of the smallest length 2^a, 3 2^a or 5 2^a
+    # that holds the linear convolution of its M inputs and p_j outputs
+    lengths = sorted(f << e for f in (1, 3, 5) for e in range(20))
+    for (_, n), p in zip(ffts, prefixes):
+        assert n == min(x for x in lengths if x >= p + M - 1)
+    assert sum(n for _, n in ffts) < 0.1 * K * L
 
 
 @pytest.mark.parametrize("weight", [18, 20, 22, 26])
 def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, weight):
     # below the order's own z0 (special._bessel_plan: 25 at k = 18, 28, 34
-    # and 48 at k = 20, 22, 26) the values are hankel_grid's; past it, FFTs
+    # and 48 at k = 20, 22, 26) the values are hankel_grid's; past it, the
+    # chirp-z transforms
     form = EigenformData(weight, 0.0, delta_large.lam, label="w")
     case = VoronoiCase(1, 1, 1, 10.0, form)
     us = np.linspace(0.0, 40.0, 400)      # past the cutoff, u = 34 at X = 10
