@@ -183,6 +183,7 @@ def _suite_weil(args) -> dict:
     except AssertionError as exc:      # weil_certify stops at the first violating cell
         return dict(suite="weil", c_max=c_max, violation=str(exc), passed=False)
     return dict(suite="weil", c_max=rep.c_max, max_ratio=rep.max_ratio,
+                argmax=list(rep.argmax), cells=rep.cells,
                 passed=bool(rep.max_ratio <= 1.0 + 1e-9))
 
 

@@ -1,13 +1,14 @@
 """Kloosterman sums, Weil-bound certification, and brute-force shifted
 convolution sums with empirical bound ratios.
 
-Two kernels carry the sums.  ``_kloosterman_table`` gives S(m, n; c) on a
-grid ms x ns from m x and n xbar reduced mod c on their own rows, one add and
-a gather from a doubled table of the c-th roots of unity, done on blocks of
-m-rows of at most _BLOCK_ELEMENTS terms through two buffers reused from block
-to block, so its memory traffic stays inside L2; its sums are bit-identical
-to the direct formula, which routes that reorder or split the terms (real
-parts alone, m <-> n symmetry, S(1, mn; c), an FFT) are not.
+Two kernels carry the sums.  ``_kloosterman_grids`` gives S(m, n; c) on a
+grid ms x ns for every c up to a cap, from one FFT row S(1, k; c), all k mod
+c, per modulus and Selberg's identity
+
+    S(m, n; c) = sum_{d | (m, n, c)} d S(1, mn/d^2; c/d);
+
+the direct sum over the units, e((m x + n xbar)/c), is its oracle in the
+tests, within 1e-12 on every cell that ``weil_certify`` certifies.
 ``_congruent_pairs`` sums alpha_m beta_n over the pairs with bm = +an, -an and
 both (mod d), bm != an, from residue-class sums of beta: A_q adds the + and -
 sums (a pair in both counts twice), each d-term of E_{M,N} takes their union
@@ -29,12 +30,9 @@ from .special import BumpFunction, standard_window
 
 _PAIR_BUDGET = 10**7   # candidate (m, n) pairs one brute-force sum may visit
 _AQ_SCALE = 10.0       # aq_grid_report's M, N ~ _AQ_SCALE sqrt(q)
-# Elements per block of _kloosterman_table's terms and of bilinear_incomplete's
-# phases.  2^15 terms are 0.25 MB of indices and 0.5 MB of complex terms,
-# inside a 2 MB L2.  weil_certify(500, 20)'s 500 tables on a 2-vCPU Xeon VM,
-# median of 7, three runs: 2^14 120-125 ms, 2^15 112-121 ms, 2^16 115-127 ms;
-# tracemalloc peak of the c = 499 table 0.50, 0.98, 1.70 MB.  Bilinear sums at
-# A = B = 3000: 0.48 s and a 1.2 MB peak (the whole matrix: 0.57 s, 288 MB).
+# Elements per block of bilinear_incomplete's phases: 2^15 complex phases are
+# 0.5 MB, inside a 2 MB L2.  Bilinear sums at A = B = 3000 on a 2-vCPU Xeon
+# VM: 0.48 s and a 1.2 MB peak (the whole matrix: 0.57 s, 288 MB).
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -54,37 +52,33 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, inv
 
 
-def _kloosterman_table(ms, ns, c: int) -> np.ndarray:
-    """S(m, n; c) on the grid of the 1-D integer arrays ms x ns, of shape
-    (len(ms), len(ns)): the c-th roots of unity at (m x + n xbar) mod c, summed
-    over the units x in ascending order.
+def _kloosterman_grids(ms, ns, c_max: int):
+    """Yield (c, g, S) for c = 1, ..., c_max in ascending order: g the table
+    gcd(m, n, c) and S the real table S(m, n; c) on the grid of the 1-D
+    integer arrays ms x ns.
 
-    m x and n xbar are reduced on their own rows, of shape (len(ms), phi) and
-    (len(ns), phi); their sum is below 2c, so a gather from the doubled root
-    table reads roots[(m x + n xbar) mod c].  The m-rows go in blocks of at
-    most _BLOCK_ELEMENTS terms through two buffers allocated once per call: one
-    add into the index buffer, one gather into the term buffer, one sum into
-    the block's rows of the result.  The gather uses mode="clip", which writes
-    straight into its buffer where the default "raise" gathers into a copy
-    first; every index is in [0, 2c), so clipping never changes one.  Each
-    cell keeps its terms, their order and its reduction, so every sum is
-    bit-identical to the direct formula whatever the block size.
+    One FFT per modulus gives the row K_c[k] = S(1, k; c) for every k mod c:
+    with h[y] = e(ybar/c) on the units y and 0 elsewhere, K_c = c ifft(h).
+    Selberg's identity gives each cell from K_c[mn mod c] and, for d >= 2,
+    rows of smaller moduli c/d <= c_max/2, the only rows kept.  S(m, n) and
+    S(n, m) read the same entries, so S is exactly symmetric when ms = ns.
     """
-    units, inv = _unit_inverses(c)
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    table = np.concatenate([roots, roots])
-    a = ms[:, None] * units % c
-    b = ns[:, None] * inv % c
-    rows = max(1, min(len(ms), _BLOCK_ELEMENTS // max(b.size, 1)))
-    idx = np.empty((rows,) + b.shape, dtype=np.int64)
-    terms = np.empty(idx.shape, dtype=np.complex128)
-    out = np.empty((len(ms), len(ns)), dtype=np.complex128)
-    for i in range(0, len(ms), rows):
-        k = min(rows, len(ms) - i)
-        np.add(a[i:i + k, None], b[None], out=idx[:k])
-        table.take(idx[:k], out=terms[:k], mode="clip")
-        np.sum(terms[:k], axis=-1, out=out[i:i + k])
-    return out
+    mn = ms[:, None] * ns[None, :]
+    rows = [np.empty(0)]                  # rows[c] = K_c, for 2c <= c_max
+    for c in range(1, c_max + 1):
+        units, inv = _unit_inverses(c)
+        h = np.zeros(c, dtype=np.complex128)
+        h[units] = np.exp(2j * np.pi / c * inv)
+        row = (c * np.fft.ifft(h)).real
+        if 2 * c <= c_max:
+            rows.append(row)
+        g = np.gcd(ms[:, None], np.gcd(ns[None, :], c))
+        s = row[mn % c]
+        for d in range(2, g.max() + 1):
+            if c % d == 0:
+                at = g % d == 0
+                s[at] += d * rows[c // d][mn[at] // (d * d) % (c // d)]
+        yield c, g, s
 
 
 @dataclass(frozen=True)
@@ -98,18 +92,20 @@ class WeilReport:
 def weil_certify(c_max: int = 500, grid: int = 20) -> WeilReport:
     """|S(m,n;c)| <= d(c) (m,n,c)^{1/2} c^{1/2} on a grid; violation is fatal.
 
-    For each c all grid^2 sums come at once from ``_kloosterman_table``;
+    For each c all grid^2 sums come at once from ``_kloosterman_grids``;
     cells are scanned in (c, m, n) order, and the first violation, or the
     first cell of the largest ratio, is the one reported.
     """
+    if c_max < 1:
+        raise ValueError(f"c_max must be at least 1, got {c_max}")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     if c_max > 500:
         raise ValueError("certification capped at c <= 500")
     best, arg, cells = 0.0, (0, 0, 0), 0
     ms = np.arange(1, grid + 1)
-    for c in range(1, c_max + 1):
-        s = _kloosterman_table(ms, ms, c).real
-        bound = divisor_count(c) * np.sqrt(np.gcd(ms[:, None], np.gcd(ms[None, :], c)) * c)
-        ratio = np.abs(s) / bound
+    for c, g, s in _kloosterman_grids(ms, ms, c_max):
+        ratio = np.abs(s) / (divisor_count(c) * np.sqrt(g * c))
         cells += ratio.size
         bad = ratio > 1.0 + 1e-9
         if bad.any():

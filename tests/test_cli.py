@@ -283,6 +283,13 @@ def test_verify_voronoi_checks_the_acceptance_grid(capsys, monkeypatch, delta_la
         for cell in _acceptance_voronoi_cells())
 
 
+def test_verify_weil(capsys):
+    assert main(["verify", "weil"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == dict(suite="weil", c_max=500, max_ratio=1.0, argmax=[1, 1, 1],
+                       cells=200_000, passed=True)
+
+
 def test_verify_weil_rejects_c_max_past_the_cap(capsys):
     assert main(["verify", "weil", "--c-max", "501"]) == EXIT_CONFIG
     captured = capsys.readouterr()

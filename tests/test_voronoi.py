@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -255,22 +256,60 @@ def test_residue_sums_match_the_unchunked_sum(delta_large, monkeypatch):
         assert np.abs(R - want).max() <= 1e-13 * np.abs(terms).sum()
 
 
-def test_hankel_grid_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma on first use, about 15 ms of a fresh process
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "from momentlab.eigenforms import EigenformData\n"
-            "from momentlab.voronoi import VoronoiCase, hankel_grid\n"
-            "case = VoronoiCase(1, 1, 1, 20.0, EigenformData(12, 0.0, np.zeros(2)))\n"
-            "hankel_grid(case, np.array([0.01, 1.0, 30.0, 1.0]))\n"
-            "print('numpy.ma' in sys.modules)\n")
+def _modules_after(code: str, *modules: str) -> list[bool]:
+    """Run code in a fresh interpreter; whether each module is then loaded."""
+    code += f"\nimport sys\nprint(*(m in sys.modules for m in {modules!r}))\n"
     src = str(Path(voronoi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return [flag == "True" for flag in out.stdout.split()]
+
+
+def test_hankel_grid_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 15 ms of a fresh process
+    code = ("import numpy as np\n"
+            "from momentlab.eigenforms import EigenformData\n"
+            "from momentlab.voronoi import VoronoiCase, hankel_grid\n"
+            "case = VoronoiCase(1, 1, 1, 20.0, EigenformData(12, 0.0, np.zeros(2)))\n"
+            "hankel_grid(case, np.array([0.01, 1.0, 30.0, 1.0]))")
+    assert _modules_after(code, "numpy.ma") == [False]
+
+
+def test_spline_build_does_not_import_numpy_polynomial():
+    # leggauss imported numpy.polynomial and solved an 80 x 80 eigenproblem,
+    # 8-13 ms and 1.55 MB of a fresh process
+    code = ("import numpy as np\n"
+            "from momentlab.eigenforms import EigenformData\n"
+            "from momentlab.voronoi import VoronoiCase, _cached_spline\n"
+            "case = VoronoiCase(1, 1, 1, 20.0, EigenformData(12, 0.0, np.zeros(2)))\n"
+            "_cached_spline(case)")
+    assert _modules_after(code, "numpy.polynomial") == [False]
+
+
+def test_gauss_legendre_matches_a_40_digit_rule():
+    # Newton's method on P_80 in 40-digit arithmetic from the textbook starts
+    x, w = voronoi._gauss_legendre()
+    n = len(x)
+    assert n == 80 and not (x.flags.writeable or w.flags.writeable)
+    with mpmath.workdps(40):
+        def legendre(t):
+            p0, p1 = mpmath.mpf(1), t
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+            return p1, n * (t * p1 - p0) / (t * t - 1)
+
+        for k in range(1, n + 1):
+            t = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(8):
+                p, dp = legendre(t)
+                t -= p / dp
+            weight = 2 / ((1 - t * t) * legendre(t)[1] ** 2)
+            i = n - k                       # the starts descend, the nodes ascend
+            assert abs(x[i] - float(t)) <= 2 * np.spacing(abs(float(t)))
+            assert abs(w[i] / float(weight) - 1) <= 1e-13
 
 
 @pytest.mark.parametrize("X", [10.0, 40.0])
