@@ -195,7 +195,7 @@ def afe_triple_product(group: CharacterGroup, indices,
     form chi F conj(chi) of the residue-pair matrix F that the moment
     averages, built once for all the indices.
     """
-    from .moments import residue_pair_matrix     # moments imports this module
+    from .moments import _character_forms, residue_pair_matrix   # moments imports this module
 
     q, indices = group.modulus, list(indices)
     if q == 1:
@@ -203,12 +203,12 @@ def afe_triple_product(group: CharacterGroup, indices,
     for index in indices:
         if not group.is_primitive[index]:
             raise ValueError("AFE requires a primitive character")
-        if root_numbers(group, index, form).eps_pair != 1:
+        if group.parity[index] != form.epsilon:
             raise ParityVanishing(
                 "eps(f, chi) = -1: the triple product L-value pairs to zero by "
                 "parity and the root-number-one AFE does not apply")
     F = residue_pair_matrix(form, q, _AFE_TOL)
-    return [complex(chi @ F @ np.conj(chi)) for chi in group.values[indices]]
+    return _character_forms(F, group.values[indices]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """The mixed first moment over primitive characters and its predicted main
 term, computed by two independent routes sharing one residue-pair matrix.
 
-Route 1 (brute): evaluate the triple-product AFE per character as a
-quadratic form chi F chi^* and average with the chi(b) conj(chi(a)) weight.
-The form is read off the ratio classes of F: since chi(u) conj(chi(v)) =
-chi(u / v) on units, chi F chi^* = sum_w chi(w) T[w], where T[w] sums F over
-the unit pairs (u, v) with u = wv.
+Route 1 (brute): evaluate the triple-product AFE per character as the
+quadratic form chi F chi^* (`_character_forms`, which the AFE of `lfunctions`
+reads too) and average with the chi(b) conj(chi(a)) weight.
 
 Route 2 (divisor): swap the character sum inside, apply the exact
 orthogonality formula for primitive characters of fixed parity, and reduce
@@ -132,22 +130,32 @@ def residue_pair_matrix(form: EigenformData, q: int, v_tol: float) -> np.ndarray
     return G + G.T
 
 
-def brute_moment(form: EigenformData, query: MomentQuery,
-                 v_tol: float = 1e-12, F: np.ndarray | None = None) -> MomentReport:
-    """Per-character route: average chi(b) conj(chi(a)) chi F chi^* over the
-    primitive chi of the form's parity, where chi F chi^* = sum_w chi(w) T[w]
-    and T[w] = sum over units v of F[wv mod q, v]: one gather of q phi(q)
+def _check_matrix(F: np.ndarray, q: int) -> None:
+    if F.shape != (q, q):
+        raise ValueError(f"F of shape {F.shape} is not the {q} x {q} matrix of q = {q}")
+
+
+def _character_forms(F: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """chi F chi^* for each row chi of chars, characters mod q = len(F).
+    Since chi(u) conj(chi(v)) = chi(u / v) on units, it is sum_w chi(w) T[w],
+    where T[w] = sum over units v of F[wv mod q, v]: one gather of q phi(q)
     entries.  This uses the complete multiplicativity of each chi, not
     orthogonality."""
-    q, a, b = query.q, query.a, query.b
-    group = build_group(q)
-    pstar = phi_star(q)
-    if F is None:
-        F = residue_pair_matrix(form, q, v_tol)
+    q = len(F)
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
     classes = np.outer(np.arange(q), units) % q         # wv mod q, (q, phi(q))
+    return np.einsum("iu,u->i", chars, F[classes, units].sum(axis=1))
+
+
+def brute_moment(form: EigenformData, query: MomentQuery, F: np.ndarray) -> MomentReport:
+    """Per-character route: average chi(b) conj(chi(a)) chi F chi^* over the
+    primitive chi of the form's parity, F the residue-pair matrix of q."""
+    q, a, b = query.q, query.a, query.b
+    _check_matrix(F, q)
+    group = build_group(q)
+    pstar = phi_star(q)
     C = group.values[group.primitive_indices(parity=form.epsilon)]
-    vals = np.einsum("iu,u->i", C, F[classes, units].sum(axis=1))
+    vals = _character_forms(F, C)
     weight = C[:, b % q] * np.conj(C[:, a % q])
     moment = complex(np.sum(weight * vals)) / pstar
     # the moment can vanish structurally for special (q, a, b); judge the
@@ -160,14 +168,12 @@ def brute_moment(form: EigenformData, query: MomentQuery,
     return MomentReport(query, moment.real, moment.imag, len(C))
 
 
-def divisor_route_moment(form: EigenformData, query: MomentQuery,
-                         v_tol: float = 1e-12, F: np.ndarray | None = None) -> MomentReport:
+def divisor_route_moment(form: EigenformData, query: MomentQuery, F: np.ndarray) -> MomentReport:
     """Orthogonality route: divisor-sliced sums of the same matrix F, real
     term by term."""
     q, a, b = query.q, query.a, query.b
     sigma = form.epsilon
-    if F is None:
-        F = residue_pair_matrix(form, q, v_tol)
+    _check_matrix(F, q)
     acc = 0.0
     for d in divisors(q):
         mu = moebius(q // d)
@@ -354,7 +360,8 @@ def sweep(form: EigenformData, q_lo: int, q_hi: int, a: int = 1, b: int = 1,
     queries = moment_queries(q_lo, q_hi, a, b)
     L1 = L_one_f(form)
     for query in queries:
-        rep = brute_moment(form, query, v_tol=v_tol)
+        build_group(query.q)        # first, so that no F is held while the group is built
+        rep = brute_moment(form, query, residue_pair_matrix(form, query.q, v_tol))
         mt = main_term(form, query, L1=L1)
         rows.append(SweepRow(
             query.q, a, b, form.label,

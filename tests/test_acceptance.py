@@ -149,8 +149,8 @@ def test_acceptance_7_moment_realness_and_route_agreement(delta_mid):
                     if math.gcd(a * b, q) != 1:
                         continue
                     query = MomentQuery(q, a, b)
-                    r1 = brute_moment(form, query, F=F)
-                    r2 = divisor_route_moment(form, query, F=F)
+                    r1 = brute_moment(form, query, F)
+                    r2 = divisor_route_moment(form, query, F)
                     scale = max(abs(r1.moment), 1e-3)
                     assert abs(r1.moment - r2.moment) <= 1e-6 * scale
     assert time.time() - t0 < 20.0

@@ -167,7 +167,7 @@ def test_brute_moment_matches_per_character_quadratic_form(delta_mid, q):
         idx = group.primitive_indices(parity=form.epsilon)
         vals = [group.values[i] @ F @ np.conj(group.values[i]) for i in idx]
         for a, b in ((1, 1), (1, 11)):
-            rep = brute_moment(form, MomentQuery(q, a, b), F=F)
+            rep = brute_moment(form, MomentQuery(q, a, b), F)
             want = sum(group.values[i, b % q] * np.conj(group.values[i, a % q]) * v
                        for i, v in zip(idx, vals)) / pstar
             got = complex(rep.moment, rep.moment_im)
@@ -203,7 +203,7 @@ def test_one_sieve_per_modulus(delta_small, monkeypatch):
     arith.divisor_count_sieve.cache_clear()
     monkeypatch.setattr(moments, "divisor_count_sieve", recording_sieve)
     q = 13
-    brute_moment(delta_small, MomentQuery(q), v_tol=1e-9)
+    brute_moment(delta_small, MomentQuery(q), residue_pair_matrix(delta_small, q, 1e-9))
     assert limits == [afe_length(12, q, 1e-9)]
     assert arith.divisor_count_sieve.cache_info().misses == 1
 
@@ -259,11 +259,26 @@ def test_afe_matches_per_m_loop(delta_small, q):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_afe_matches_per_character_quadratic_form_at_a_sweep_modulus(delta_mid):
+    # all 140 even primitive chi mod 283, X = 648 495: the ratio classes
+    # against chi F conj(chi) formed per character.  One value is 4.1e-6,
+    # so the error is bounded by the largest value, not by each one's own
+    q = 283
+    assert afe_length(12, q, 1e-12) == 648_495
+    g = build_group(q)
+    even = g.primitive_indices(parity=1)
+    got = afe_triple_product(g, even, delta_mid)
+    F = residue_pair_matrix(delta_mid, q, 1e-12)
+    want = [g.values[i] @ F @ np.conj(g.values[i]) for i in even]
+    assert len(got) == 140
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_brute_matches_per_character_afe(delta_small):
     # the quadratic-form evaluation equals the per-character AFE sum
     q = 5
     query = MomentQuery(q, 1, 2)
-    rep = brute_moment(delta_small, query, v_tol=1e-9)
+    rep = brute_moment(delta_small, query, residue_pair_matrix(delta_small, q, 1e-9))
     g = build_group(q)
     from momentlab.arith import phi_star
     total = 0j
@@ -279,8 +294,8 @@ def test_routes_agree(delta_small, q, a, b):
     query = MomentQuery(q, a, b)
     for form in (delta_small, _weight_18(delta_small)):
         F = residue_pair_matrix(form, q, 1e-9)
-        r1 = brute_moment(form, query, F=F)
-        r2 = divisor_route_moment(form, query, F=F)
+        r1 = brute_moment(form, query, F)
+        r2 = divisor_route_moment(form, query, F)
         assert abs(r1.moment - r2.moment) < 1e-8 * max(abs(r1.moment), 1.0)
 
 
@@ -292,12 +307,23 @@ def test_routes_report_the_same_chars_used(delta_small):
         for q in filter(is_admissible, range(3, 101)):
             F = np.zeros((q, q))
             query = MomentQuery(q, 1, 1)
-            brute = brute_moment(form, query, F=F).chars_used
-            assert divisor_route_moment(form, query, F=F).chars_used == brute
+            brute = brute_moment(form, query, F).chars_used
+            assert divisor_route_moment(form, query, F).chars_used == brute
+
+
+@pytest.mark.parametrize("size", [17, 11])
+def test_routes_reject_a_matrix_of_another_modulus(delta_small, size):
+    # both routes reject an F of another modulus, which they would otherwise
+    # read without error if larger, or fail on by index or broadcast if smaller
+    F = residue_pair_matrix(delta_small, size, 1e-9)
+    for route in (brute_moment, divisor_route_moment):
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\) .* q = 13$"):
+            route(delta_small, MomentQuery(13), F)
 
 
 def test_moment_is_real(delta_small):
-    rep = brute_moment(delta_small, MomentQuery(13, 2, 3), v_tol=1e-9)
+    F = residue_pair_matrix(delta_small, 13, 1e-9)
+    rep = brute_moment(delta_small, MomentQuery(13, 2, 3), F)
     assert isinstance(rep.moment, float)
 
 
@@ -361,8 +387,8 @@ def test_moment_table_length_is_the_prefix_the_moment_needs(delta_mid):
     assert n == afe_length(12, 284, 1e-10) == 480_438
     query = MomentQuery(284)
     exact = EigenformData(12, 0.0, delta_mid.lam[:n + 1], label="delta")
-    assert brute_moment(exact, query, v_tol=1e-10).moment == \
-        brute_moment(delta_mid, query, v_tol=1e-10).moment
+    assert brute_moment(exact, query, residue_pair_matrix(exact, 284, 1e-10)).moment == \
+        brute_moment(delta_mid, query, residue_pair_matrix(delta_mid, 284, 1e-10)).moment
     short = EigenformData(12, 0.0, delta_mid.lam[:n], label="delta")
     with pytest.raises(IndexError, match="needs lambda up to 480438$"):
-        brute_moment(short, query, v_tol=1e-10)
+        residue_pair_matrix(short, 284, 1e-10)

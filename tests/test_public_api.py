@@ -31,7 +31,6 @@ ALLOWED = {
 # test-only routes above are exempt with them).
 ALLOWED_OPTIONS = {
     "L_one_f.X": "the smoothing-convergence test varies the smoothing length",
-    "brute_moment.F": "acceptance 7 shares one matrix between the two routes",
     "weil_certify.grid": "the loop oracle in the tests uses an 8 x 8 grid",
     "error_exponent.alpha": "alpha is a parameter of the paper's exponent formula",
 }
