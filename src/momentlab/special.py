@@ -8,7 +8,7 @@ and an mpmath oracle in the test suite.
 
 The kernels are private: _log_gamma (the AFE weights' Gamma factors),
 _bessel_j (the Hankel transform's kernel J_{k-1}), _hankel_coefficients (the
-one Hankel expansion, shared with voronoi._hankel_uniform) and
+one Hankel expansion, shared with voronoi._HankelSeries) and
 _UniformSpline (the quintic of the AFE weights and of the dual side).  The
 benchmark tracer wraps public callables only, so their time counts in their
 callers.  The test suite checks them against mpmath and other reference

@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from momentlab import special, voronoi
@@ -30,6 +31,26 @@ def _hankel_single_batch(case, ys):
     ws = ws * case.window(xs)
     mat = scipy.special.jv(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
     return (1j ** (k % 4)) * 2.0 * math.pi * (mat @ ws)
+
+
+def _hankel_gauss_legendre(case, ys, bessel=special._bessel_j):
+    """The earlier hankel_grid, kept as the reference: composite
+    Gauss-Legendre at every y, max(4, ceil(2 sqrt(hi y) / 20)) panels of 80
+    nodes, with the kernel bessel(k - 1, z), special._bessel_j by default."""
+    ys = np.asarray(ys, dtype=np.float64)
+    lo, hi = case.window.support
+    out = np.empty(len(ys))
+    for i, y in enumerate(ys):
+        xs, ws = _composite_nodes(lo, hi, max(4, math.ceil(2.0 * math.sqrt(hi * y) / 20.0)))
+        kernel = bessel(case.form.weight - 1, 4.0 * math.pi * np.sqrt(y * xs))
+        out[i] = np.dot(kernel, ws * case.window(xs))
+    return case.form.epsilon * 2.0 * math.pi * out
+
+
+def _far(case, ys):
+    """The ys hankel_grid sums by Hankel's expansion: 4 pi sqrt(lo y) >= z0."""
+    lo, _ = case.window.support
+    return ys[4.0 * math.pi * np.sqrt(lo * ys) >= special._bessel_plan(case.form.weight - 1)[0]]
 
 
 def _hankel_uniform_rfft(case, us):
@@ -558,6 +579,76 @@ def test_hankel_uniform_keeps_hankel_grid_where_the_series_cancels(delta_large, 
     assert 0 < head < len(us)
     assert np.array_equal(out[:head], ref[:head]) and not np.array_equal(out, ref)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("weight,picks", [(12, (165, 190, 215, 237)), (26, (180, 200, 220, 237))])
+@pytest.mark.parametrize("X", [10.0, 40.0])
+def test_hankel_grid_far_branch_matches_adaptive_quadrature(delta_large, X, weight, picks):
+    # points of the dual_cutoff grid past z0, from near the peak of |H| down
+    # to the last decade above TAIL_TOL; the largest difference measured
+    # was 2.3e-14
+    case = VoronoiCase(1, 1, 1, X, EigenformData(weight, 0.0, delta_large.lam, label="w"))
+    lo, hi = case.window.support
+    ys = _cutoff_grid(X)[list(picks)]
+    assert np.array_equal(_far(case, ys), ys)
+    vals = hankel_grid(case, ys)
+    assert np.all(np.abs(vals) >= 1e-6)
+    for y, val in zip(ys, vals):
+        ref, _ = scipy.integrate.quad(
+            lambda x: 2 * math.pi * case.form.epsilon * float(case.window(x))
+            * scipy.special.jv(weight - 1, 4 * math.pi * math.sqrt(x * y)),
+            lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)
+        assert abs(val - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("weight", [12, 18, 20, 26])
+@pytest.mark.parametrize("X", [10.0, 20.0, 40.0])
+def test_hankel_grid_far_branch_matches_gauss_legendre(delta_large, X, weight):
+    # the far points of the dual_cutoff grid and of every 50th point of the
+    # spline's u-grid, against Gauss-Legendre with scipy's Bessel function.
+    # Largest measured: 6.0e-14 max|ref|, at k = 20 just past z0, where the
+    # expansion's terms reach 80 times their sum
+    case = VoronoiCase(1, 1, 1, X, EigenformData(weight, 0.0, delta_large.lam, label="w"))
+    _, hi = case.window.support
+    u_max = math.sqrt(dual_cutoff(case))
+    step = 0.1 / (4.0 * math.pi * math.sqrt(hi))
+    us = np.linspace(0.0, u_max, int(u_max / step) + 8)[::50]
+    for ys in (_far(case, _cutoff_grid(X)), _far(case, us**2)):
+        ref = _hankel_gauss_legendre(case, ys, scipy.special.jv)
+        assert np.max(np.abs(hankel_grid(case, ys) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("weight", [12, 18, 20, 26])
+@pytest.mark.parametrize("X", [10.0, 16.0, 20.0, 24.0, 40.0])
+def test_dual_cutoff_keeps_the_gauss_legendre_cutoff(delta_large, monkeypatch, X, weight):
+    case = VoronoiCase(1, 1, 1, X, EigenformData(weight, 0.0, delta_large.lam, label="w"))
+    y_cut = dual_cutoff(case)
+    monkeypatch.setattr(voronoi, "hankel_grid", _hankel_gauss_legendre)
+    assert dual_cutoff(case) == y_cut
+
+
+def test_dual_cutoff_evaluates_no_bessel_function(delta_large, monkeypatch):
+    # every y it evaluates at X = 20 is past z0; by Gauss-Legendre they sent
+    # 374 000 arguments to the Bessel kernel
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    sent = []
+    monkeypatch.setattr(voronoi, "_bessel_j",
+                        lambda n, z: sent.append(np.size(z)) or special._bessel_j(n, z))
+    dual_cutoff(case)
+    assert sum(sent) == 0
+
+
+def test_dual_cutoff_stays_small(delta_large):
+    case = VoronoiCase(1, 1, 1, 20.0, delta_large)
+    dual_cutoff(case)
+    tracemalloc.start()
+    try:
+        dual_cutoff(case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_lhs_is_plain_sum(delta_large):
