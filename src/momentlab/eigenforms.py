@@ -428,11 +428,13 @@ def hecke_violations(form: EigenformData, n_max: int) -> int:
 
     For the built-in form the cleared-denominator identity
     tau(m) tau(n) = sum_{d | (m,n)} d^11 tau(mn / d^2) is checked in exact
-    integers; otherwise the float lambda relation is checked to 1e-6.
+    integers, on ramanujan_tau_exact(n_max) when n_max is past the form's
+    exact prefix; otherwise the float lambda relation is checked to 1e-6.
     """
-    exact = form.tau_exact is not None and len(form.tau_exact) >= n_max
+    exact = form.tau_exact is not None
     if exact:
-        c = np.array((0,) + tuple(form.tau_exact[:n_max]), dtype=object)
+        tau = form.tau_exact if len(form.tau_exact) >= n_max else ramanujan_tau_exact(n_max)
+        c = np.array((0,) + tuple(tau[:n_max]), dtype=object)
     else:
         c = form.lam
     return sum(len(ns) for _, ns, _, _ in

@@ -8,12 +8,12 @@ opposite sign leaves an O(1) residual).  PHASE_SIGN records it.  The dual
 sum stops at dual_cutoff; tail_certificate bounds the rest.  The transform
 carries i^k = eps = (-1)^{k/2}, the root number (k is even), so it is real.
 
-The transform H has one expansion of its Bessel kernel past the z0 of
-special._bessel_plan, Hankel's, summed by the trapezoid rule in s = sqrt(x)
-(_HankelSeries): hankel_grid takes it by direct sums at any y past z0, the
-spline's uniform grid by chirp-z transforms (_hankel_uniform).  Below z0
-(the spline head) hankel_grid takes composite Gauss-Legendre with
-special._bessel_j.
+The transform H has one quadrature, the trapezoid rule in s = sqrt(x),
+and one expansion of its Bessel kernel past the z0 of special._bessel_plan,
+Hankel's (_HankelSeries).  hankel_grid takes the rule at any y, with
+special._bessel_j below z0 (the spline head) and the expansion by direct
+sums past it; the spline's uniform grid takes the expansion by chirp-z
+transforms (_hankel_uniform).
 
 Coprimality to q is removed with the varpi(delta, q) coefficients, so every
 delta branch is a dual sum over n of lambda(n) H(n/D) e(-+conj(delta' b) n/d')
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,86 +77,52 @@ def voronoi_lhs(case: VoronoiCase) -> complex:
     return complex(np.sum(vals * phases))
 
 
-_GL_ORDER = 80
-_MIN_PANELS = 4            # resolves the bump window itself, whatever X is
-# rows x nodes of one block of hankel_grid.  A Gauss-Legendre block: _bessel_j
+# rows x samples of one block of hankel_grid.  A block below z0: _bessel_j
 # holds about 7 float64 arrays of that size (the arguments, its branch copies
 # and its recurrence), about 1 MB in all, so a block stays in a 2 MB L2.  The
-# 354 spline-head ys at X = 20 (median of 7, tracemalloc peak; 2-vCPU Xeon
-# VM, 2 MB L2 per core): 2^17 27.1 ms, 8.0 MB; 2^15 23.8 ms, 2.7 MB; 2^14
-# 22.2 ms, 1.6 MB; 2^13 25.7 ms, 0.9 MB.  A block of Hankel's expansion
-# (rows x samples) holds three: the phases, their cosines and their sines.
+# 354 spline-head ys at X = 20, 385 nodes each (median of 7, tracemalloc
+# peak; 2-vCPU Xeon VM, 2 MB L2 per core): 2^17 31 ms, 9.3 MB; 2^15 30 ms,
+# 2.7 MB; 2^14 19 ms, 1.5 MB; 2^13 20 ms, 0.8 MB.  A block of Hankel's
+# expansion holds three: the phases, their cosines and their sines.
 _BLOCK_ELEMENTS = 2**14
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 80-point Gauss-Legendre rule on [-1, 1], nodes ascending, read-only.
-
-    Newton's method on P_80 by its three-term recurrence finds the 40
-    positive nodes from cos(pi (k - 1/4) / (n + 1/2)), and the weights are
-    2 / ((1 - x^2) P_80'(x)^2); the negative half is their mirror image.
-    Nodes agree with a 40-digit reference within 1 ulp and weights within
-    1.4e-14 relative.  Built on first use, in about 2 ms and without
-    numpy.polynomial, whose eigenvalue route took 8-13 ms."""
-    n = _GL_ORDER
-
-    def legendre(x):            # P_n(x) and P_n'(x)
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, n * (x * p1 - p0) / (x * x - 1)
-
-    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
-    for _ in range(10):         # four steps from these starts
-        p, dp = legendre(x)
-        step = p / dp
-        x = x - step
-        if np.abs(step).max() < 1e-15:
-            break
-    w = 2 / ((1 - x * x) * legendre(x)[1] ** 2)
-    x, w = np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _composite_nodes(lo: float, hi: float, n_panels: int):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]: n_panels panels of
-    80 points each.  hankel_grid asks for 4 nodes per oscillation cycle (20
-    cycles per panel) and never fewer than 4 panels; every interval_bump(X)
-    is one shape rescaled, so that floor resolves the window at every X."""
-    x, w = _gauss_legendre()
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = (edges[1] - edges[0]) / 2.0
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mids[:, None] + half * x[None, :]).ravel()
-    ws = np.tile(half * w, n_panels)
-    return xs, ws
+def _composite_nodes(lo: float, hi: float, n: int):
+    """The trapezoid rule in s = sqrt(x) on [lo, hi] as nodes/weights in x:
+    x_j = s_j^2 and w_j = 2 s_j ds at the n + 1 samples s_j = sqrt(lo) + j ds,
+    ds = (sqrt(hi) - sqrt(lo)) / n.  The window vanishes with all its
+    derivatives at both ends, so the end weights need no halving and the
+    rule converges faster than any power of 1/n."""
+    root_lo = math.sqrt(lo)
+    ds = (math.sqrt(hi) - root_lo) / n
+    s = root_lo + ds * np.arange(n + 1)
+    return s * s, 2.0 * ds * s
 
 
 def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     """Dual-side transform of the window at a vector of arguments:
     2 pi eps integral V(x) J_{k-1}(4 pi sqrt(x y)) dx, eps the form's root
-    number (i^k at level 1).  Each y takes one of two routes, set by its own
-    w = 4 pi sqrt(lo y), the kernel's argument at the left end of the
-    window's support [lo, hi]:
+    number (i^k at level 1), by the trapezoid rule in s = sqrt(x) on n + 1
+    samples of [sqrt(lo), sqrt(hi)], [lo, hi] the window's support.  n is
+    the smallest 2^a, 3 2^a or 5 2^a >= 2 sqrt(y) (sqrt(hi) - sqrt(lo))
+    + _EXTRA_INTERVALS: the kernel makes 2 sqrt(y) (sqrt(hi) - sqrt(lo))
+    cycles in s, so the rule's first alias is the window's transform at 320
+    or more cycles over the support, where it is at its rounding floor.
+    The kernel's route at a y is set by its own w = 4 pi sqrt(lo y), its
+    argument at the left end of the support:
 
+    * w < z0 (the spline head): special._bessel_j at the nodes of
+      _composite_nodes(lo, hi, n);
     * w >= z0, the point from which special._bessel_j itself takes Hankel's
-      expansion for J_{k-1}: _HankelSeries, the expansion summed by the
-      trapezoid rule in s = sqrt(x) on n + 1 samples of [sqrt(lo), sqrt(hi)],
-      n the smallest 2^a, 3 2^a or 5 2^a >= 2 sqrt(y) (sqrt(hi) - sqrt(lo))
-      + 512.  The kernel makes 2 sqrt(y) (sqrt(hi) - sqrt(lo)) cycles in s,
-      so the rule's first alias is the window's transform at 512 or more
-      cycles over the support, where it is at its rounding floor.
-    * w < z0 (the spline head): composite Gauss-Legendre with _bessel_j,
-      max(4, ceil(2 sqrt(hi y) / 20)) panels of 80 nodes.
+      expansion for J_{k-1}: _HankelSeries, the expansion summed on the same
+      samples.
 
-    The y that share a node set (a panel count, or n) are evaluated in row
-    blocks of at most _BLOCK_ELEMENTS matrix elements, so no block needs
-    more than about 1 MB.  Each value depends only on its own y: the kernels
-    work element by element, a far y's terms and samples are set by its own
-    w and n, and einsum sums each row the same way whatever the block (a
-    BLAS matrix-vector product does not).  A thread pool over the blocks
+    The y that share n are evaluated in row blocks of at most
+    _BLOCK_ELEMENTS matrix elements, so no block needs more than about
+    1 MB.  Each value depends only on its own y: the kernels work element
+    by element, a y's samples and terms are set by its own n and w, and
+    einsum sums each row the same way whatever the block (a BLAS
+    matrix-vector product does not).  A thread pool over the blocks
     measured slower on 2 cores."""
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ys) & (ys >= 0.0)):
@@ -166,34 +131,31 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
     lo, hi = case.window.support
     out = np.empty(len(ys))
     w = 4.0 * math.pi * np.sqrt(lo * ys)
-    is_far = w >= _bessel_plan(k - 1)[0]
-    near = np.flatnonzero(~is_far)
-    panels = np.maximum(_MIN_PANELS, np.ceil(2.0 * np.sqrt(hi * ys[near]) / 20.0)).astype(np.int64)
-    for n_panels in sorted(set(panels.tolist())):     # np.unique would import numpy.ma
-        rows = near[panels == n_panels]
-        xs, ws = _composite_nodes(lo, hi, n_panels)
-        ws = ws * case.window(xs)
-        step = max(1, _BLOCK_ELEMENTS // len(xs))
-        for i in range(0, len(rows), step):
-            idx = rows[i:i + step]
-            mat = _bessel_j(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys[idx], xs)))
-            out[idx] = case.form.epsilon * 2.0 * math.pi * np.einsum("ij,j->i", mat, ws)
-    far = np.flatnonzero(is_far)
-    far = far[np.argsort(w[far], kind="stable")]  # _HankelSeries takes w ascending
+    z0 = _bessel_plan(k - 1)[0]
     width = math.sqrt(hi) - math.sqrt(lo)
-    cycles = np.ceil(2.0 * width * np.sqrt(ys[far])).astype(np.int64)
-    intervals = np.array([_fft_length(m + _FAR_EXTRA) for m in cycles.tolist()], dtype=np.int64)
-    for n in sorted(set(intervals.tolist())):
-        rows = far[intervals == n]
-        series = _HankelSeries(case, width / n, n + 1)
-        t_minus_1 = series.t_step * np.arange(n + 1)
+    cycles = np.ceil(2.0 * width * np.sqrt(ys)).astype(np.int64)
+    intervals = np.array([_fft_length(m + _EXTRA_INTERVALS) for m in cycles.tolist()], dtype=np.int64)
+    order = np.argsort(w, kind="stable")          # _HankelSeries takes w ascending
+    for n in sorted(set(intervals.tolist())):     # np.unique would import numpy.ma
+        rows = order[intervals[order] == n]
+        split = int(np.searchsorted(w[rows], z0))
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
-        for i in range(0, len(rows), step):
-            idx = rows[i:i + step]
-            arg = np.outer(w[idx], t_minus_1)
-            cos, sin = np.cos(arg), np.sin(arg)     # real sums: half the rounding of complex ones
-            out[idx] = series(w[idx], lambda col, p: np.einsum("ij,j->i", cos[:p], col)
-                              + 1j * np.einsum("ij,j->i", sin[:p], col))
+        if split:
+            xs, ws = _composite_nodes(lo, hi, n)
+            ws = ws * case.window(xs)
+            for i in range(0, split, step):
+                idx = rows[i:min(i + step, split)]
+                mat = _bessel_j(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys[idx], xs)))
+                out[idx] = case.form.epsilon * 2.0 * math.pi * np.einsum("ij,j->i", mat, ws)
+        if split < len(rows):
+            series = _HankelSeries(case, width / n, n + 1)
+            t_minus_1 = series.t_step * np.arange(n + 1)
+            for i in range(split, len(rows), step):
+                idx = rows[i:i + step]
+                arg = np.outer(w[idx], t_minus_1)
+                cos, sin = np.cos(arg), np.sin(arg)     # real sums: half the rounding of complex ones
+                out[idx] = series(w[idx], lambda col, p: np.einsum("ij,j->i", cos[:p], col)
+                                  + 1j * np.einsum("ij,j->i", sin[:p], col))
     return out
 
 
@@ -201,16 +163,17 @@ def hankel_grid(case: VoronoiCase, ys: np.ndarray) -> np.ndarray:
 # kernel wherever z = 4 pi u s >= z0 at every node s of the window, z0 being
 # the point from which special._bessel_j itself takes the expansion for J_{k-1}
 # (special._bessel_plan: 25 up to k = 18, 28 at k = 20, 48 at k = 26).
-# hankel_grid's far ys take it by direct sums over n + 1 samples, n at least
-# _FAR_EXTRA past the kernel's cycle count; the spline's uniform u-grid takes
-# it by chirp-z transforms (_hankel_uniform), whose s-step is
+# hankel_grid takes it by direct sums over n + 1 samples, n at least
+# _EXTRA_INTERVALS past the kernel's cycle count; the spline's uniform u-grid
+# takes it by chirp-z transforms (_hankel_uniform), whose s-step is
 # ds = 1 / (2 L du) with L the smallest power of two with L du >= 5 u_max.
 # The trapezoid rule in s aliases frequency 4 pi u onto 4 pi (L du - u), so
 # the worst alias sits at (L du - u_max)^2 >= 16 u_max^2 = 16 y_cut, where
 # the window's transform, already down to TAIL_TOL at y_cut, is at its
 # rounding floor.  L sets the step only: no transform of length L is taken.
 _ALIAS_FACTOR = 5
-_FAR_EXTRA = 512
+# 256 leaves the spline head 320 intervals, 2.3e-13 off at X = 40 and y = 1 / X
+_EXTRA_INTERVALS = 320
 
 
 class _HankelSeries:
@@ -424,18 +387,24 @@ def _cached_spline(case: VoronoiCase) -> _DualSpline:
     return _SPLINE_CACHE[key]
 
 
+def _branches(case: VoronoiCase):
+    """The delta branches of the dual sum, as (delta, varpi, g, d', D) for
+    each (delta, varpi) of varpi_table with varpi != 0: g = gcd(delta, d),
+    d' = d / g and D = delta d'^2."""
+    for delta, varpi_lam in varpi_table(case.form, case.q):
+        if varpi_lam != 0.0:
+            g = math.gcd(delta, case.d)
+            d_prime = case.d // g
+            yield delta, varpi_lam, g, d_prime, delta * d_prime**2
+
+
 def voronoi_rhs(case: VoronoiCase) -> complex:
     """Dual sum over the correction divisors delta and the J-kernel branch:
     per branch, the residue sums R of the spline are paired with the phases
     e(PHASE_SIGN conj(delta' b) r / d') for r < d'."""
     spline = _cached_spline(case)
     total = 0j
-    for delta, varpi_lam in varpi_table(case.form, case.q):
-        if varpi_lam == 0.0:
-            continue
-        g = math.gcd(delta, case.d)
-        d_prime = case.d // g
-        D = delta * d_prime**2
+    for delta, varpi_lam, g, d_prime, D in _branches(case):
         R = spline.residue_sums(case.form.lam, D, d_prime)
         inv = pow(delta // g * case.b, -1, d_prime)
         phases = np.exp(2j * np.pi * PHASE_SIGN * ((inv * np.arange(d_prime)) % d_prime) / d_prime)
@@ -449,9 +418,10 @@ def tail_certificate(case: VoronoiCase) -> float:
     over-estimated by the grid envelope with d(n)|lambda(n)| <= 3 log^2 n.
     The cutoff and the envelope are the cached spline's, shared by its cells.
     The envelope's 120 samples, from y_cut to 10^6 / X, are past z0 and come
-    from Hankel's expansion.  From y of about 4000 on (X = 20) they are below
-    1e-13 and within 1.5e-14 of the Gauss-Legendre route's: the far end of
-    the bound integrates rounding noise, not the transform."""
+    from Hankel's expansion.  From y of about 3800 on (X = 20) they are below
+    1e-13, at the rule's rounding floor, and move by about 1e-14 with its
+    sample count: the far end of the bound integrates rounding noise, not
+    the transform."""
     spline = _cached_spline(case)
     if spline.tail_envelope is None:     # built on first use, like the residue sums
         y_cut = spline.y_cut
@@ -459,12 +429,7 @@ def tail_certificate(case: VoronoiCase) -> float:
         spline.tail_envelope = ys, np.abs(hankel_grid(case, ys))
     ys, env = spline.tail_envelope
     total = 0.0
-    for delta, varpi_lam in varpi_table(case.form, case.q):
-        if varpi_lam == 0.0:
-            continue
-        g = math.gcd(delta, case.d)
-        d_prime = case.d // g
-        D = delta * d_prime**2
+    for delta, varpi_lam, _, d_prime, D in _branches(case):
         dens = 3.0 * np.log(np.maximum(D * ys, 3.0)) ** 2   # >= d(n)|lambda(n)| locally
         integrand = env * dens
         tail = D * float(np.trapezoid(integrand, ys))

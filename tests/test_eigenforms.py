@@ -349,6 +349,18 @@ def test_hecke_violations_count_nan():
     assert hecke_violations(dataclasses.replace(f, lam=lam, tau_exact=None), 2000) > 0
 
 
+def test_hecke_violations_stay_exact_past_the_exact_prefix(monkeypatch):
+    # past the form's 10^4-entry exact prefix tau is extended exactly; the
+    # float relation at 1e-6 let lambda(11000) (1 + 1e-8) pass
+    f = delta_coefficients(12_000)
+    assert len(f.tau_exact) < 12_000
+    assert hecke_violations(f, 12_000) == 0
+    tau = list(eigenforms.ramanujan_tau_exact(12_000))
+    tau[11_000 - 1] += 1
+    monkeypatch.setattr(eigenforms, "ramanujan_tau_exact", lambda n_max: tuple(tau[:n_max]))
+    assert hecke_violations(f, 12_000) > 0
+
+
 def test_ingest_rejects_non_finite(coefficient_file, delta_small):
     # 1999 is prime and 2 * 1999 > 2000: no Hecke pair reaches lambda(1999)
     lam = delta_small.lam[:2001].copy()

@@ -94,7 +94,7 @@ def test_interval_bump_support():
 def test_holomorphic_kernels(delta_small):
     # the dual kernel of a weight-k holomorphic form is 2 pi i^k J_{k-1};
     # for Delta, i^12 = 1, so the transform is real.  Reference: adaptive
-    # quadrature, independent of hankel_grid's Gauss-Legendre panels.
+    # quadrature, independent of hankel_grid's trapezoid rule.
     case = VoronoiCase(1, 1, 1, 10.0, delta_small)
     lo, hi = case.window.support
     ys = np.array([0.0, 0.01, 0.1, 1.0, 5.0])

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -13,10 +14,46 @@ import scipy.special
 
 from momentlab import special, voronoi
 from momentlab.eigenforms import EigenformData, varpi_table
+from momentlab.special import interval_bump
 from momentlab.voronoi import (PHASE_SIGN, TAIL_TOL, VoronoiCase, _cached_spline,
                                _composite_nodes, dual_cutoff, hankel_grid,
                                tail_certificate, voronoi_check, voronoi_lhs,
                                voronoi_rhs)
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre_rule():
+    """The 80-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's
+    method on P_80 in 40-digit arithmetic from the textbook starts
+    cos(pi (k - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_80'(x)^2),
+    rounded to float64."""
+    n = 80
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        def legendre(t):
+            p0, p1 = mpmath.mpf(1), t
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+            return p1, n * (t * p1 - p0) / (t * t - 1)
+
+        for k in range(1, n + 1):
+            t = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(8):
+                p, dp = legendre(t)
+                t -= p / dp
+            nodes.append(float(t))
+            weights.append(float(2 / ((1 - t * t) * legendre(t)[1] ** 2)))
+    return np.array(nodes[::-1]), np.array(weights[::-1])     # the starts descend
+
+
+def _composite_gauss_legendre(lo, hi, n_panels):
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: n_panels panels
+    of the 80-point rule."""
+    x, w = _gauss_legendre_rule()
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = (edges[1] - edges[0]) / 2.0
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    return (mids[:, None] + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
 
 
 def _hankel_single_batch(case, ys):
@@ -27,7 +64,7 @@ def _hankel_single_batch(case, ys):
     k = int(case.form.weight)
     lo, hi = case.window.support
     cycles = 2.0 * math.sqrt(hi * float(np.max(ys, initial=0.0)))
-    xs, ws = _composite_nodes(lo, hi, max(1, int(math.ceil(cycles / 20.0))))
+    xs, ws = _composite_gauss_legendre(lo, hi, max(1, int(math.ceil(cycles / 20.0))))
     ws = ws * case.window(xs)
     mat = scipy.special.jv(k - 1, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
     return (1j ** (k % 4)) * 2.0 * math.pi * (mat @ ws)
@@ -41,7 +78,7 @@ def _hankel_gauss_legendre(case, ys, bessel=special._bessel_j):
     lo, hi = case.window.support
     out = np.empty(len(ys))
     for i, y in enumerate(ys):
-        xs, ws = _composite_nodes(lo, hi, max(4, math.ceil(2.0 * math.sqrt(hi * y) / 20.0)))
+        xs, ws = _composite_gauss_legendre(lo, hi, max(4, math.ceil(2.0 * math.sqrt(hi * y) / 20.0)))
         kernel = bessel(case.form.weight - 1, 4.0 * math.pi * np.sqrt(y * xs))
         out[i] = np.dot(kernel, ws * case.window(xs))
     return case.form.epsilon * 2.0 * math.pi * out
@@ -310,29 +347,6 @@ def test_spline_build_does_not_import_numpy_polynomial():
     assert _modules_after(code, "numpy.polynomial") == [False]
 
 
-def test_gauss_legendre_matches_a_40_digit_rule():
-    # Newton's method on P_80 in 40-digit arithmetic from the textbook starts
-    x, w = voronoi._gauss_legendre()
-    n = len(x)
-    assert n == 80 and not (x.flags.writeable or w.flags.writeable)
-    with mpmath.workdps(40):
-        def legendre(t):
-            p0, p1 = mpmath.mpf(1), t
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
-            return p1, n * (t * p1 - p0) / (t * t - 1)
-
-        for k in range(1, n + 1):
-            t = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
-            for _ in range(8):
-                p, dp = legendre(t)
-                t -= p / dp
-            weight = 2 / ((1 - t * t) * legendre(t)[1] ** 2)
-            i = n - k                       # the starts descend, the nodes ascend
-            assert abs(x[i] - float(t)) <= 2 * np.spacing(abs(float(t)))
-            assert abs(w[i] / float(weight) - 1) <= 1e-13
-
-
 @pytest.mark.parametrize("X", [10.0, 40.0])
 def test_hankel_grid_matches_single_batch(reference_scan, X):
     case, ref = reference_scan(X)
@@ -398,11 +412,11 @@ def test_hankel_grid_is_batch_invariant(delta_large):
 @pytest.mark.parametrize("X", [10.0, 40.0])
 def test_hankel_grid_resolves_window_at_small_y(delta_large, X):
     # at small y the kernel hardly oscillates and the bump window alone
-    # sets the node count: one 80-point panel misses it by about 1e-7
+    # sets the sample count: 320 intervals miss it by 2.3e-13 at X = 40
     case = VoronoiCase(1, 1, 1, X, delta_large)
     ys = np.array([0.0, 1e-6, 1e-3, 0.01, 0.1, 1.0]) / X
     lo, hi = case.window.support
-    xs, ws = _composite_nodes(lo, hi, 64)
+    xs, ws = _composite_gauss_legendre(lo, hi, 64)
     ws = ws * case.window(xs)
     mat = scipy.special.jv(11, 4.0 * math.pi * np.sqrt(np.outer(ys, xs)))
     ref = (1j ** 12) * 2.0 * math.pi * (mat @ ws)
@@ -502,7 +516,7 @@ def test_hankel_grid_is_independent_of_the_block_size(delta_large, monkeypatch, 
 def test_hankel_grid_head_blocks_stay_small(delta_large):
     case = VoronoiCase(1, 1, 1, 20.0, delta_large)
     ys = _spline_head_ys(case)
-    hankel_grid(case, ys)                   # the Gauss-Legendre rule is built once
+    hankel_grid(case, ys)                   # the caches of a first call are filled
     tracemalloc.start()
     try:
         hankel_grid(case, ys)
@@ -617,6 +631,26 @@ def test_hankel_grid_far_branch_matches_gauss_legendre(delta_large, X, weight):
     for ys in (_far(case, _cutoff_grid(X)), _far(case, us**2)):
         ref = _hankel_gauss_legendre(case, ys, scipy.special.jv)
         assert np.max(np.abs(hankel_grid(case, ys) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("weight", [12, 18, 20, 26])
+@pytest.mark.parametrize("X", [10.0, 20.0, 40.0])
+def test_hankel_grid_head_matches_gauss_legendre(delta_large, X, weight):
+    # every y a spline build leaves to hankel_grid lies below z0, where
+    # _bessel_j is taken at the trapezoid rule's nodes.  Largest measured:
+    # 1.8e-15 max|ref|, at k = 20
+    case = VoronoiCase(1, 1, 1, X, EigenformData(weight, 0.0, delta_large.lam, label="w"))
+    ys = _spline_head_ys(case)
+    assert len(ys) and not len(_far(case, ys))
+    ref = _hankel_gauss_legendre(case, ys, scipy.special.jv)
+    assert np.max(np.abs(hankel_grid(case, ys) - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("X", [1.0, 10.0, 40.0])
+def test_composite_nodes_integrate_the_window(X):
+    # the bump's ramps are symmetric, so its integral is 0.5 X + 2 (0.25 X) / 2
+    xs, ws = _composite_nodes(X, 2.0 * X, 384)
+    assert abs(np.sum(ws * interval_bump(X)(xs)) / (0.75 * X) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("weight", [12, 18, 20, 26])
