@@ -107,8 +107,10 @@ def build_group(q: int) -> CharacterGroup:
     nums = (grids * weights) @ dlogs % group_exp   # (n_chars, n_units)
     exponents = -np.ones((n_chars, q), dtype=np.int64)
     exponents[:, units] = nums
+    # one exp per root of unity, gathered: the same bits as an exp per entry
+    roots = np.exp(2j * np.pi * np.arange(group_exp) / group_exp)
     values = np.zeros(exponents.shape, dtype=np.complex128)
-    values[:, units] = np.exp(2j * np.pi * nums / group_exp)
+    values[:, units] = roots[nums]
 
     parity = np.where(exponents[:, q - 1] == 0, 1, -1).astype(np.int8)
 

@@ -2,12 +2,15 @@
 convolution sums with empirical bound ratios.
 
 Two kernels carry the sums.  ``_kloosterman_grids`` gives S(m, n; c) on a
-grid ms x ns for every c up to a cap, from one FFT row S(1, k; c), all k mod
-c, per modulus and Selberg's identity
+grid ms x ns for every c up to a cap, a block of consecutive moduli at a
+time, from one FFT row S(1, k; c), all k mod c, per modulus and Selberg's
+identity
 
-    S(m, n; c) = sum_{d | (m, n, c)} d S(1, mn/d^2; c/d);
+    S(m, n; c) = sum_{d | (m, n, c)} d S(1, mn/d^2; c/d),
 
-the direct sum over the units, e((m x + n xbar)/c), is its oracle in the
+each block by one square-and-multiply for its unit inverses, one gather and
+one scatter of Selberg's terms; ``weil_certify`` checks each block whole.
+The direct sum over the units, e((m x + n xbar)/c), is the oracle in the
 tests, within 1e-12 on every cell that ``weil_certify`` certifies.
 ``_congruent_pairs`` sums alpha_m beta_n over the pairs with bm = +an, -an and
 both (mod d), bm != an, from residue-class sums of beta: A_q adds the + and -
@@ -36,19 +39,23 @@ _AQ_SCALE = 10.0       # aq_grid_report's M, N ~ _AQ_SCALE sqrt(q)
 _BLOCK_ELEMENTS = 2**15
 
 
-# Residues per block of _unit_inverse_rows, about 0.6 of them units.  The
-# inverses of every c <= 500 on a 2-vCPU Xeon VM, best of 9 (tracemalloc
-# peak of a warm weil_certify(500, 20)): 2^12 13.0 ms (0.73 MiB), 2^13 12.6 ms
-# (0.89 MiB), 2^14 11.4 ms (1.14 MiB); one modulus at a time, 19-20 ms
-# (0.59 MiB).  What is left is arithmetic: np.gcd over the 125 250 residues
-# and remainders by a modulus per element.
+# Caps of one block of _kloosterman_grids: consecutive moduli with at most
+# _UNIT_BLOCK residues in all, about 0.6 of them units, and at most
+# _CELL_BLOCK grid cells, or one modulus.  weil_certify(500, 20) on a 2-vCPU
+# Xeon VM, best of 9 (tracemalloc peak): these caps, 37 blocks, 34-38 ms
+# (0.82 MiB); 2^13 residues 34-36 ms (0.98 MiB); 2^12 cells 39-40 ms (0.63 MiB);
+# 2^14 cells 36-38 ms (1.24 MiB); one modulus per block 100-105 ms (0.31 MiB).
+# What is left is arithmetic: the unit inverses, 13 ms (np.gcd over the
+# 125 250 residues of c <= 500, remainders by a modulus per element), and one
+# FFT per modulus, 10 ms.
 _UNIT_BLOCK = 2**12
+_CELL_BLOCK = 2**13
 
 
 def _inverse_powers(units: np.ndarray, mods, e) -> np.ndarray:
-    """units^e mod mods by square-and-multiply, elementwise: mods and e are
-    scalars or arrays like units, and every e is phi(mod) - 1, so that each
-    power is the inverse of its unit."""
+    """units^e mod mods by square-and-multiply, elementwise: mods is an array
+    like units, e one too or a scalar, and every e is phi(mod) - 1, so that
+    each power is the inverse of its unit."""
     inv, power, prod = np.ones_like(units) % mods, units.copy(), np.empty_like(units)
     while np.any(e):
         np.multiply(inv, power, out=prod)
@@ -60,69 +67,88 @@ def _inverse_powers(units: np.ndarray, mods, e) -> np.ndarray:
     return inv
 
 
+def _unit_block(c_lo: int, c_hi: int):
+    """The residues 0, ..., c - 1 of every modulus c_lo <= c <= c_hi, laid end
+    to end: (keep, units, mods, inv) with keep marking the units, units and
+    mods the units and their moduli, and inv their inverses x^(phi(c)-1) mod c
+    by one square-and-multiply for the whole block (at c = 1 the unit 0, its
+    inverse 0).  int32 while c_hi^2 < 2^31, for faster remainders, else int64:
+    every product is below c^2 <= 10^12 at bilinear_incomplete's cap q <= 10^6.
+    """
+    dtype = np.int32 if c_hi * c_hi < 2**31 else np.int64
+    cs = np.arange(c_lo, c_hi + 1, dtype=dtype)
+    mods = np.repeat(cs, cs)
+    x = np.arange(len(mods), dtype=dtype)
+    x -= np.repeat(np.cumsum(cs) - cs, cs)    # 0, ..., c - 1 for each c
+    keep = np.gcd(x, mods) == 1
+    units, mods = x[keep], mods[keep]
+    phi = np.bincount(mods - c_lo, minlength=len(cs))
+    # one modulus takes a scalar exponent: three fewer passes over the units per bit
+    e = np.repeat(phi - 1, phi) if c_hi > c_lo else int(phi[0]) - 1
+    return keep, units, mods, _inverse_powers(units, mods, e)
+
+
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod c, ascending, and their inverses x^(phi(c)-1) mod c by one
-    vectorised square-and-multiply (at c = 1 the unit 0, its inverse 0).
-    Exact in int64: every product is below c^2 <= 10^12 at bilinear_incomplete's
-    cap q <= 10^6."""
-    x = np.arange(c)
-    units = x[np.gcd(x, c) == 1]
-    return units, _inverse_powers(units, c, len(units) - 1)
-
-
-def _unit_inverse_rows(c_max: int):
-    """Yield _unit_inverses(c) for c = 1, ..., c_max in ascending order, by
-    one square-and-multiply per block of consecutive moduli with at most
-    _UNIT_BLOCK residues in all (or one modulus), each unit with its own
-    modulus c and exponent phi(c) - 1."""
-    c_lo = 1
-    while c_lo <= c_max:
-        c_hi, size = c_lo, c_lo
-        while c_hi < c_max and size + c_hi + 1 <= _UNIT_BLOCK:
-            c_hi += 1
-            size += c_hi
-        dtype = np.int32 if c_hi * c_hi < 2**31 else np.int64     # int32: faster remainders
-        cs = np.arange(c_lo, c_hi + 1, dtype=dtype)
-        mods = np.repeat(cs, cs)
-        x = np.arange(size, dtype=dtype)
-        x -= np.repeat(np.cumsum(cs) - cs, cs)    # 0, ..., c - 1 for each c
-        keep = np.gcd(x, mods) == 1
-        units, mods = x[keep], mods[keep]
-        phi = np.bincount(mods - c_lo, minlength=len(cs))
-        inv = _inverse_powers(units, mods, np.repeat(phi - 1, phi))
-        bounds = np.cumsum(phi)[:-1]
-        yield from zip(np.split(units.astype(np.int64), bounds), np.split(inv.astype(np.int64), bounds))
-        c_lo = c_hi + 1
+    """The units mod c, ascending, and their inverses: the one-modulus block."""
+    _, units, _, inv = _unit_block(c, c)
+    return units, inv
 
 
 def _kloosterman_grids(ms, ns, c_max: int):
-    """Yield (c, g, S) for c = 1, ..., c_max in ascending order: g the table
-    gcd(m, n, c) and S the real table S(m, n; c) on the grid of the 1-D
-    integer arrays ms x ns.
+    """Yield (cs, g, S) for blocks of consecutive moduli cs covering 1, ...,
+    c_max in ascending order: g the table gcd(m, n, c) and S the real table
+    S(m, n; c), both of shape (len(cs), len(ms), len(ns)), on the grid of the
+    1-D integer arrays ms x ns.  A block holds at most _UNIT_BLOCK residues
+    and _CELL_BLOCK cells, or one modulus.
 
     One FFT per modulus gives the row K_c[k] = S(1, k; c) for every k mod c:
-    with h[y] = e(ybar/c) on the units y and 0 elsewhere, K_c = c ifft(h),
-    the inverses ybar coming in blocks of consecutive moduli
-    (_unit_inverse_rows).  Selberg's identity gives each cell from
-    K_c[mn mod c] and, for d >= 2, rows of smaller moduli c/d <= c_max/2,
-    the only rows kept.  S(m, n) and S(n, m) read the same entries, so S is
-    exactly symmetric when ms = ns.
+    with h[y] = e(ybar/c) on the units y and 0 elsewhere, K_c = c ifft(h), the
+    inverses ybar coming by one square-and-multiply per block (_unit_block).
+    Selberg's identity gives each cell from K_c[mn mod c], one gather for the
+    block, and for d >= 2 the terms d K_{c/d}[mn/d^2 mod c/d], from the rows
+    of the moduli c/d <= c_max/2, the only rows kept.  These terms come from
+    one table of (cell, d) pairs, d >= 2 dividing gcd(m, n) (every d <= c_max
+    where m = n = 0), ascending in d; a block adds those with d | c by one
+    np.add.at, so each cell sums its terms in ascending d.  S(m, n) and
+    S(n, m) read the same entries, so S is exactly symmetric when ms = ns.
     """
-    mn = ms[:, None] * ns[None, :]
-    rows = [np.empty(0)]                  # rows[c] = K_c, for 2c <= c_max
-    for c, (units, inv) in enumerate(_unit_inverse_rows(c_max), start=1):
-        h = np.zeros(c, dtype=np.complex128)
-        h[units] = np.exp(2j * np.pi / c * inv)
-        row = (c * np.fft.ifft(h)).real
-        if 2 * c <= c_max:
-            rows.append(row)
-        g = np.gcd(ms[:, None], np.gcd(ns[None, :], c))
-        s = row[mn % c]
-        for d in range(2, g.max() + 1):
-            if c % d == 0:
-                at = g % d == 0
-                s[at] += d * rows[c // d][mn[at] // (d * d) % (c // d)]
-        yield c, g, s
+    cells = len(ms) * len(ns)
+    mn = (ms[:, None] * ns[None, :]).ravel()
+    gmn = np.gcd(ms[:, None], ns[None, :])
+    d_max = c_max if (gmn == 0).any() else min(int(gmn.max()), c_max)
+    at = [np.flatnonzero(gmn.ravel() % d == 0) for d in range(2, d_max + 1)]
+    pair_cell = np.concatenate([np.zeros(0, dtype=np.int64), *at])
+    pair_d = np.repeat(np.arange(2, d_max + 1), [len(a) for a in at])
+    pair_mn = mn[pair_cell] // (pair_d * pair_d)
+    half = c_max // 2
+    kept = np.empty(half * (half + 1) // 2)   # K_c at c(c-1)/2, for c <= c_max/2
+    c_lo = 1
+    while c_lo <= c_max:
+        c_hi, size = c_lo, c_lo
+        while (c_hi < c_max and size + c_hi + 1 <= _UNIT_BLOCK
+               and (c_hi - c_lo + 2) * cells <= _CELL_BLOCK):
+            c_hi += 1
+            size += c_hi
+        cs = np.arange(c_lo, c_hi + 1)
+        base = c_lo * (c_lo - 1) // 2
+        starts = cs * (cs - 1) // 2 - base    # K_c's offset in the block's rows
+        keep, _, mods, inv = _unit_block(c_lo, c_hi)
+        h = np.zeros(size, dtype=np.complex128)
+        # (2 pi / c) ybar: a product by 2j pi / mods rounds otherwise, up to 8e-14 in S
+        h[keep] = np.exp(1j * ((2 * np.pi / mods) * inv))
+        for c, a in zip(cs.tolist(), starts.tolist()):
+            h[a:a + c] = c * np.fft.ifft(h[a:a + c])
+        rows = h.real
+        top = min(c_hi, half)
+        n_kept = max(0, top * (top + 1) // 2 - base)
+        kept[base:base + n_kept] = rows[:n_kept]
+        s = rows[starts[:, None] + mn % cs[:, None]]
+        k, p = np.nonzero(cs[:, None] % pair_d == 0)
+        cq = cs[k] // pair_d[p]
+        np.add.at(s, (k, pair_cell[p]), pair_d[p] * kept[cq * (cq - 1) // 2 + pair_mn[p] % cq])
+        shape = (len(cs), len(ms), len(ns))
+        yield cs, np.gcd(gmn, cs[:, None, None]), s.reshape(shape)
+        c_lo = c_hi + 1
 
 
 @dataclass(frozen=True)
@@ -136,9 +162,9 @@ class WeilReport:
 def weil_certify(c_max: int = 500, grid: int = 20) -> WeilReport:
     """|S(m,n;c)| <= d(c) (m,n,c)^{1/2} c^{1/2} on a grid; violation is fatal.
 
-    For each c all grid^2 sums come at once from ``_kloosterman_grids``;
-    cells are scanned in (c, m, n) order, and the first violation, or the
-    first cell of the largest ratio, is the one reported.
+    Each block of moduli from ``_kloosterman_grids`` is checked whole; cells
+    are scanned in (c, m, n) order, and the first violation, or the first
+    cell of the largest ratio (a strict > across blocks), is the one reported.
     """
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {c_max}")
@@ -148,17 +174,18 @@ def weil_certify(c_max: int = 500, grid: int = 20) -> WeilReport:
         raise ValueError("certification capped at c <= 500")
     best, arg, cells = 0.0, (0, 0, 0), 0
     ms = np.arange(1, grid + 1)
-    for c, g, s in _kloosterman_grids(ms, ms, c_max):
-        ratio = np.abs(s) / (divisor_count(c) * np.sqrt(g * c))
+    for cs, g, s in _kloosterman_grids(ms, ms, c_max):
+        dc = np.array([divisor_count(c) for c in cs.tolist()])
+        ratio = np.abs(s) / (dc[:, None, None] * np.sqrt(g * cs[:, None, None]))
         cells += ratio.size
         bad = ratio > 1.0 + 1e-9
         if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise AssertionError(f"Weil bound violated at S({i + 1},{j + 1};{c}) = "
-                                 f"{float(s[i, j])}: ratio {float(ratio[i, j])}")
-        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[i, j] > best:
-            best, arg = float(ratio[i, j]), (int(i) + 1, int(j) + 1, c)
+            k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise AssertionError(f"Weil bound violated at S({i + 1},{j + 1};{cs[k]}) = "
+                                 f"{float(s[k, i, j])}: ratio {float(ratio[k, i, j])}")
+        k, i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[k, i, j] > best:
+            best, arg = float(ratio[k, i, j]), (int(i) + 1, int(j) + 1, int(cs[k]))
     return WeilReport(c_max, best, arg, cells)
 
 

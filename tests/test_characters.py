@@ -36,10 +36,14 @@ def test_character_multiplicativity(q):
 
 
 def test_exact_exponent_storage_consistent():
-    g = build_group(36)
-    units = np.nonzero(g.exponents[0] >= 0)[0]
-    recon = np.exp(2j * np.pi * g.exponents[:, units] / g.group_exponent)
-    assert np.max(np.abs(recon - g.values[:, units])) < 1e-12
+    # the table gathers one exp per root of unity: the same bits as an exp
+    # per entry, and 0 off the units
+    for q in (*range(1, 65), 281, 283, 284, 1009):
+        g = build_group(q)
+        units = g.exponents[0] >= 0
+        recon = np.exp(2j * np.pi * g.exponents[:, units] / g.group_exponent)
+        assert np.array_equal(g.values[:, units], recon)
+        assert not g.values[:, ~units].any()
 
 
 def test_conductor_and_primitivity_mod_12():

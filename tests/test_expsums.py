@@ -26,10 +26,10 @@ def _kloosterman_brute(m, n, c):
 
 
 def _kloosterman(m, n, c):
-    """S(m, n; c) from the FFT-row kernel: the last table it yields."""
+    """S(m, n; c) from the FFT-row kernel: the last table of the last block."""
     for _, _, s in expsums._kloosterman_grids(np.array([m]), np.array([n]), c):
         pass
-    return float(s[0, 0])
+    return float(s[-1, 0, 0])
 
 
 def test_kloosterman_known_values():
@@ -122,6 +122,17 @@ def test_weil_certify_rejects_an_empty_range(kwargs, name):
         weil_certify(**kwargs)
 
 
+_SIGNED_GRID = (np.array([1, 2, 0, 7, -3]), np.array([1, 3, 5, 0, 4]))
+
+
+def _tables_by_modulus(ms, ns, c_max):
+    """(c, g, S) per modulus c = 1, ..., c_max, read off the blocks of
+    _kloosterman_grids."""
+    for cs, g, s in expsums._kloosterman_grids(ms, ns, c_max):
+        assert g.shape == s.shape == (len(cs), len(ms), len(ns))
+        yield from zip(cs.tolist(), g, s)
+
+
 def _kloosterman_per_c(ms, ns, c):
     """S(m, n; c) over the grid ms x ns built per modulus: units and their
     inverses x^{phi(c)-1}, the c-th roots gathered at (m x + n xbar) mod c,
@@ -140,13 +151,13 @@ def test_kloosterman_table_matches_per_c_construction():
     # every modulus that acceptance 3 certifies, on its 20 x 20 grid; an FFT
     # row is not bit-identical to the direct sum (measured within 1.0e-13)
     ms = np.arange(1, 21)
-    for c, g, s in expsums._kloosterman_grids(ms, ms, 500):
+    for c, g, s in _tables_by_modulus(ms, ms, 500):
         assert np.abs(s - _kloosterman_per_c(ms, ms, c).real).max() <= 1e-12
         assert np.array_equal(g, np.gcd(ms[:, None], np.gcd(ms[None, :], c)))
     # m or n zero or negative: Selberg's identity holds there too, with
     # S(1, 0; c') = mu(c') the Ramanujan sum
-    ms, ns = np.array([1, 2, 0, 7, -3]), np.array([1, 3, 5, 0, 4])
-    for c, _, s in expsums._kloosterman_grids(ms, ns, 1000):
+    ms, ns = _SIGNED_GRID
+    for c, _, s in _tables_by_modulus(ms, ns, 1000):
         if c in (1, 2, 12, 97, 199, 997, 1000):
             assert np.abs(s - _kloosterman_per_c(ms, ns, c).real).max() <= 1e-12
 
@@ -154,14 +165,14 @@ def test_kloosterman_table_matches_per_c_construction():
 def test_kloosterman_table_is_exactly_symmetric():
     # S(m, n; c) and S(n, m; c) read the same row entries
     ms = np.arange(1, 21)
-    for _, _, s in expsums._kloosterman_grids(ms, ms, 500):
+    for _, _, s in _tables_by_modulus(ms, ms, 500):
         assert np.array_equal(s, s.T)
 
 
 def test_weil_certify_memory_stays_small():
     # the gathered 400 phi(c) terms per modulus, in L2-sized blocks, peaked at
-    # 1.12 MiB; the FFT rows kept for c <= 250 are 0.25 MB (0.76 MiB in all
-    # with cold arith caches).  numpy.fft loads on first use, at a size that
+    # 1.12 MiB; the FFT rows kept for c <= 250 are 0.25 MB (0.82 MiB in all,
+    # blocks of at most 2^13 cells).  numpy.fft loads on first use, at a size that
     # is NumPy's, so it is loaded before the count starts.
     np.fft.ifft(np.ones(2))
     tracemalloc.start()
@@ -171,6 +182,60 @@ def test_weil_certify_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert rep.cells == 200_000 and peak < 2**20
+
+
+@pytest.mark.parametrize("ms,ns,c_max", [(np.arange(1, 21), np.arange(1, 21), 500),
+                                          (*_SIGNED_GRID, 1000)], ids=["weil", "signed"])
+def test_kloosterman_blocks_do_not_change_a_bit(monkeypatch, ms, ns, c_max):
+    # one modulus per block against the default blocks: every cell and the
+    # Weil report are the same
+    blocked = list(_tables_by_modulus(ms, ns, c_max))
+    rep = weil_certify(500, 20) if c_max == 500 else None
+    monkeypatch.setattr(expsums, "_UNIT_BLOCK", 1)
+    monkeypatch.setattr(expsums, "_CELL_BLOCK", 1)
+    assert all(len(cs) == 1 for cs, _, _ in expsums._kloosterman_grids(ms, ns, c_max))
+    single = list(_tables_by_modulus(ms, ns, c_max))
+    assert [c for c, _, _ in single] == [c for c, _, _ in blocked] == list(range(1, c_max + 1))
+    for (_, g1, s1), (_, g2, s2) in zip(single, blocked):
+        assert np.array_equal(g1, g2) and np.array_equal(s1, s2)
+    if rep is not None:
+        assert weil_certify(500, 20) == rep
+
+
+@pytest.mark.parametrize("one_per_block", [False, True])
+def test_weil_certify_keeps_the_first_of_tied_maxima(monkeypatch, one_per_block):
+    # with d(2) = 1/sqrt(2) the ratio at S(1,1;2) = 1 is exactly 1.0, that of
+    # c = 1: the first cell stays the maximum, within a block and across blocks
+    def dc(c):
+        return 1 / math.sqrt(2) if c == 2 else divisor_count(c)
+
+    monkeypatch.setattr(expsums, "divisor_count", dc)
+    if one_per_block:
+        monkeypatch.setattr(expsums, "_UNIT_BLOCK", 1)
+        monkeypatch.setattr(expsums, "_CELL_BLOCK", 1)
+    rep = weil_certify(c_max=60, grid=8)
+    want = _weil_loop(60, 8, dc)
+    assert (rep.max_ratio, rep.argmax, rep.cells) == want == (1.0, (1, 1, 1), 3840)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_weil_certify_finds_a_violation_anywhere_in_a_block(monkeypatch, where):
+    # d(c) shrunk at the first, a middle or the last modulus of the second
+    # block: the message names the loop's first violating cell
+    ms = np.arange(1, 21)
+    blocks = [cs.tolist() for cs, _, _ in expsums._kloosterman_grids(ms, ms, 60)]
+    assert len(blocks) >= 3 and len(blocks[1]) >= 3
+    bad_c = {"first": blocks[1][0], "middle": blocks[1][len(blocks[1]) // 2],
+             "last": blocks[1][-1]}[where]
+
+    def dc(c):
+        return 0.25 if c == bad_c else divisor_count(c)
+
+    kind, (m, n, c) = _weil_loop(60, 20, dc)
+    assert kind == "violation" and c == bad_c
+    monkeypatch.setattr(expsums, "divisor_count", dc)
+    with pytest.raises(AssertionError, match=re.escape(f"S({m},{n};{c}) = ")):
+        weil_certify(c_max=60, grid=20)
 
 
 def test_unit_inverses_match_python_pow():
